@@ -219,17 +219,19 @@ def _census_task(args):
         for pos, sm in enumerate(a.smoothings):
             if sm == diagram.V:
                 per_index[pos - 1] += 1  # V never occurs at crossing 1 or c
-        rows.append((a.word, a.p, a.q, a.genus, a.palindromic))
+        rows.append(a.knot_row)
         if per_word:
             analyses.append(a)
     return count, vertical, viable, sequential, genus_total, per_index, rows, analyses
 
 
-def _resolve_threads(threads, c):
+def _resolve_threads(threads, c, n_tasks):
+    """Worker processes for a census: never more than CPUs or tasks."""
+    cpus = os.cpu_count() or 1
     if threads is None or threads == 0:
         # spawning processes costs more than small censuses do
-        return (os.cpu_count() or 1) if model_count(c) >= 1 << 14 else 1
-    return max(1, threads)
+        threads = cpus if model_count(c) >= 1 << 14 else 1
+    return max(1, min(threads, cpus, n_tasks))
 
 
 def run_census(c, per_word=False, threads=None):
@@ -237,14 +239,15 @@ def run_census(c, per_word=False, threads=None):
     c, asserting every closed-form cross-check along the way.
 
     threads=None picks single-process for small censuses and machine
-    parallelism for large ones; any thread count yields the identical
-    report, since tasks partition the enumeration deterministically and
-    all aggregation is commutative sums.
+    parallelism for large ones; any count is capped at the CPU count and
+    the task count.  Every thread count yields the identical report,
+    since tasks partition the enumeration deterministically and all
+    aggregation is commutative sums.
     """
     if c < 3:
         raise ValueError(f"need c >= 3, got {c}")
-    workers = _resolve_threads(threads, c)
     tasks = [(c, d, first, per_word) for d, first in enumeration_tasks(c)]
+    workers = _resolve_threads(threads, c, len(tasks))
     if workers == 1:
         results = map(_census_task, tasks)
     else:

@@ -6,37 +6,42 @@ plat diagram: a (sign, run length) pair maps to a braid generator
     (+,1) -> s1    (+,2) -> s2^-1    (-,1) -> s2^-1    (-,2) -> s1
 
 where s1 sits at the lower height (strands 1-2) and s2^-1 at the upper
-height (strands 2-3).  Crossing i inherits the start position of its run
-inside the letter word, and that position mod 3 alone decides how the
-orientation smooths the crossing:
+height (strands 2-3).  Model words start with +, so run i (0-based) of
+length e gives s1 exactly when i + e is odd.  Crossing i inherits the
+start position of its run inside the letter word, and that position
+mod 3 alone decides how the orientation smooths the crossing:
 
     single run:  horizontal iff start = 1 (mod 3)
     double run:  horizontal iff start = 2 (mod 3)
 
+so a run of length e smooths horizontally iff start = e (mod 3).  One
+left-to-right pass over the runs yields every generator and smoothing.
 A vertically-smoothed crossing is viable when the next vertical crossing
-sits at the same height, or when it is the last vertical crossing; the
-Seifert circle count of the diagram is then exactly 2 + #viable.  All of
-this is pure run arithmetic; the planar module re-derives the same
-quantities from an actual diagram traversal and the two are checked
-against each other.
+sits at the same height, or when it is the last vertical crossing; a
+right-to-left sweep that carries the nearest vertical crossing to the
+right sets the viable and sequential flags.  The Seifert circle count of
+the diagram is then exactly 2 + #viable.
+
+analyze folds the pass's plain lists straight into a WordAnalysis;
+full_diagram wraps the same lists in CrossingInfo records.  All of this
+is pure run arithmetic; the planar module re-derives the same quantities
+from an actual diagram traversal and the two are checked against each
+other.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import accumulate, groupby
 
 from . import rational
-from .words import PLUS, RunWord, from_runs, is_palindromic_type
+from .words import RunWord, from_runs, is_palindromic_type
 
 SIGMA1 = "s1"
 SIGMA2_INV = "s2^-1"
 V = "V"
 H = "H"
 
-_GENERATOR = {
-    (True, 1): SIGMA1,
-    (True, 2): SIGMA2_INV,
-    (False, 1): SIGMA2_INV,
-    (False, 2): SIGMA1,
-}
+# run i (0-based) of length e in a model word: s1 iff i + e is odd
+_GENERATOR = (SIGMA2_INV, SIGMA1)
 
 
 class ParityError(ValueError):
@@ -50,9 +55,9 @@ class CrossingInfo:
     run_sign: str
     run_length: int
     start_position: int  # 1-based position of the run's first letter
-    smoothing: str = None
-    viable: bool = None
-    sequential: bool = None
+    smoothing: str
+    viable: bool
+    sequential: bool
 
 
 @dataclass(frozen=True)
@@ -78,13 +83,7 @@ class AlternatingDiagram:
 
     def folded_generators(self):
         """Adjacent equal generators folded to (generator, count) pairs."""
-        folded = []
-        for x in self.crossings:
-            if folded and folded[-1][0] == x.generator:
-                folded[-1][1] += 1
-            else:
-                folded.append([x.generator, 1])
-        return [(g, k) for g, k in folded]
+        return _fold(x.generator for x in self.crossings)
 
     def exponents(self):
         """Exponent counts of the folded word; s1^3 s2^-1 s1 s2^-1 gives
@@ -94,74 +93,48 @@ class AlternatingDiagram:
 
     def alternating_word(self):
         """Render the braid word, e.g. "s1^3 s2^-1 s1 s2^-1"."""
-        parts = []
-        for g, k in self.folded_generators():
-            if g == SIGMA1:
-                parts.append("s1" if k == 1 else f"s1^{k}")
-            else:
-                parts.append(f"s2^-{k}")
-        return " ".join(parts)
+        return _braid_word(self.folded_generators())
 
 
-def to_alternating(r):
-    """Build the alternating diagram of a model word: one crossing per run,
-    generators per the sign/length table, start positions cumulative.
-    """
-    if not r.is_model:
-        raise ValueError(f"not a model word: {r}")
-    crossings = []
-    start = 1
-    for i, e in enumerate(r.runs):
-        gen = _GENERATOR[(r.sign(i) == PLUS, e)]
-        crossings.append(CrossingInfo(
-            index=i + 1,
-            generator=gen,
-            run_sign=r.sign(i),
-            run_length=e,
-            start_position=start,
-        ))
-        start += e
-    return AlternatingDiagram(r, tuple(crossings))
+def _fold(generators):
+    return [(g, len(list(run))) for g, run in groupby(generators)]
 
 
-def classify_smoothings(d):
-    """Set each crossing's smoothing from its start position mod 3."""
-    crossings = []
-    for x in d.crossings:
-        if x.run_length == 1:
-            sm = H if x.start_position % 3 == 1 else V
-        else:
-            sm = H if x.start_position % 3 == 2 else V
-        crossings.append(replace(x, smoothing=sm))
-    return AlternatingDiagram(d.run_word, tuple(crossings))
+def _braid_word(folded):
+    return " ".join(
+        (SIGMA1 if k == 1 else f"s1^{k}") if g == SIGMA1 else f"s2^-{k}"
+        for g, k in folded)
 
 
-def mark_viability(d):
-    """Set viable/sequential on every vertical crossing.
+def _crossing_lists(r):
+    """The per-word kernel: parallel lists (generators, smoothings,
+    viable, sequential) with one entry per crossing.
 
     Viable: the next vertical crossing (in index order) has the same
     generator, or there is none.  Sequential: the immediately following
     crossing is vertical with the same generator, which forces viability
     of this one but is strictly stronger.
     """
-    verts = [x for x in d.crossings if x.smoothing == V]
-    next_vert = {}
-    for a, b in zip(verts, verts[1:]):
-        next_vert[a.index] = b
-    crossings = []
-    for x in d.crossings:
-        if x.smoothing != V:
-            crossings.append(replace(x, viable=False, sequential=False))
-            continue
-        nxt = next_vert.get(x.index)
-        viable = nxt is None or nxt.generator == x.generator
-        sequential = (
-            x.index < d.c
-            and d.crossings[x.index].smoothing == V
-            and d.crossings[x.index].generator == x.generator
-        )
-        crossings.append(replace(x, viable=viable, sequential=sequential))
-    return AlternatingDiagram(d.run_word, tuple(crossings))
+    if not r.is_model:
+        raise ValueError(f"not a model word: {r}")
+    gens = []
+    smoothings = []
+    start = 1
+    for i, e in enumerate(r.runs):
+        gens.append(_GENERATOR[(i + e) & 1])
+        smoothings.append(H if start % 3 == e else V)
+        start += e
+    c = len(gens)
+    viable = [False] * c
+    sequential = [False] * c
+    next_gen, next_i = None, c  # nearest vertical crossing to the right
+    for i in range(c - 1, -1, -1):
+        if smoothings[i] == V:
+            g = gens[i]
+            viable[i] = next_gen is None or next_gen == g
+            sequential[i] = next_i == i + 1 and next_gen == g
+            next_gen, next_i = g, i
+    return gens, smoothings, viable, sequential
 
 
 def seifert_circle_count(d):
@@ -185,8 +158,15 @@ def genus(s, c):
 
 
 def full_diagram(r):
-    """to_alternating + classify_smoothings + mark_viability in one call."""
-    return mark_viability(classify_smoothings(to_alternating(r)))
+    """The alternating diagram of a model word, one CrossingInfo per run
+    with its generator, start position, smoothing and viability flags.
+    """
+    gens, smoothings, viable, sequential = _crossing_lists(r)
+    starts = accumulate(r.runs, initial=1)
+    return AlternatingDiagram(r, tuple(
+        CrossingInfo(i + 1, gens[i], r.sign(i), e, start,
+                     smoothings[i], viable[i], sequential[i])
+        for i, (e, start) in enumerate(zip(r.runs, starts))))
 
 
 @dataclass(frozen=True)
@@ -212,6 +192,11 @@ class WordAnalysis:
         "sequential", "s", "s_lower", "s_upper", "genus", "p", "q", "name",
         "palindromic",
     )
+
+    @property
+    def knot_row(self):
+        """(word, p, q, genus, palindromic), the row rational.group_rows takes."""
+        return self.word, self.p, self.q, self.genus, self.palindromic
 
     def csv_row(self):
         return [
@@ -254,26 +239,26 @@ class WordAnalysis:
 
 def analyze(r):
     """Full per-word record: diagram counts, genus, fraction, knot name."""
-    d = full_diagram(r)
-    s = seifert_circle_count(d)
-    lo, hi = seifert_bounds(d)
-    g = genus(s, d.c)
-    frac = rational.continued_fraction(d.exponents())
-    cc = rational.canonical_class(frac)
+    gens, smoothings, viable, sequential = _crossing_lists(r)
+    vertical = smoothings.count(V)
+    n_viable = sum(viable)
+    n_sequential = sum(sequential)
+    folded = _fold(gens)
+    frac = rational.continued_fraction([k for _, k in folded])
     return WordAnalysis(
         word=from_runs(r),
         runs=r,
-        alternating=d.alternating_word(),
-        smoothings=d.smoothing_string(),
-        vertical=len(d.vertical_indices()),
-        viable=s - 2,
-        sequential=lo - 2,
-        s=s,
-        s_lower=lo,
-        s_upper=hi,
-        genus=g,
+        alternating=_braid_word(folded),
+        smoothings="".join(smoothings),
+        vertical=vertical,
+        viable=n_viable,
+        sequential=n_sequential,
+        s=2 + n_viable,
+        s_lower=2 + n_sequential,
+        s_upper=2 + vertical,
+        genus=genus(2 + n_viable, len(gens)),
         p=frac.p,
         q=frac.q,
-        name=rational.knot_name(cc),
+        name=rational.knot_name(rational.canonical_class(frac)),
         palindromic=is_palindromic_type(r),
     )

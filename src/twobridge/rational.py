@@ -180,8 +180,4 @@ def group_by_knot(c):
     from . import diagram  # deferred: diagram imports this module
     from .words import enumerate_model_words
 
-    rows = []
-    for r in enumerate_model_words(c):
-        a = diagram.analyze(r)
-        rows.append((a.word, a.p, a.q, a.genus, a.palindromic))
-    return group_rows(rows)
+    return group_rows(diagram.analyze(r).knot_row for r in enumerate_model_words(c))

@@ -94,7 +94,7 @@ def test_index_contribution_counts_enumerated_verticals():
     for c in range(3, 10):
         seen = [0] * (c + 1)
         for r in words.enumerate_model_words(c):
-            d = diagram.classify_smoothings(diagram.to_alternating(r))
+            d = diagram.full_diagram(r)
             for i in d.vertical_indices():
                 seen[i] += 1
         assert seen[0] == seen[1] == seen[c] == 0
@@ -200,6 +200,39 @@ def test_census_thread_count_does_not_change_report():
     for threads in (1, 2, 3):
         rep = census.run_census(8, per_word=True, threads=threads)
         assert rep == base
+
+
+def test_resolve_threads_is_clamped(monkeypatch):
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+    assert census._resolve_threads(10 ** 6, 20, 100) == 4
+    assert census._resolve_threads(10 ** 6, 20, 3) == 3
+    assert census._resolve_threads(-5, 20, 100) == 1
+    assert census._resolve_threads(None, 8, 100) == 1  # small census
+    assert census._resolve_threads(None, 20, 100) == 4
+    assert census._resolve_threads(0, 20, 2) == 2
+    monkeypatch.setattr(census.os, "cpu_count", lambda: None)
+    assert census._resolve_threads(10 ** 6, 20, 100) == 1
+
+
+def test_census_pool_never_exceeds_cpu_count(monkeypatch):
+    # a stand-in pool records the size it was asked for and starts nothing
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    rep = census.run_census(8, threads=10 ** 6)
+    assert sizes == [2]
+    assert rep == census.run_census(8, threads=1)
 
 
 def test_census_per_word_rows_match_reference_tables():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import golden
-from twobridge import diagram, words
+from twobridge import diagram, rational, words
 
 ALL_ROWS = golden.ROWS_SMALL + golden.ROWS_C6 + golden.ROWS_C7
 
@@ -22,17 +22,17 @@ def model_words(c_lo, c_hi):
 # ---------------------------------------------------------- generator map
 
 def test_generator_mapping_golden():
-    d = diagram.to_alternating(run_word("+--+"))
+    d = diagram.full_diagram(run_word("+--+"))
     assert [x.generator for x in d.crossings] == [diagram.SIGMA1] * 3
     assert d.alternating_word() == "s1^3"
-    d = diagram.to_alternating(run_word("+-+-"))
+    d = diagram.full_diagram(run_word("+-+-"))
     assert [x.generator for x in d.crossings] == [
         diagram.SIGMA1, diagram.SIGMA2_INV, diagram.SIGMA1, diagram.SIGMA2_INV]
 
 
 @pytest.mark.parametrize("word,runs,alt", [(r[0], r[1], r[2]) for r in ALL_ROWS])
 def test_alternating_words_golden(word, runs, alt):
-    d = diagram.to_alternating(run_word(word))
+    d = diagram.full_diagram(run_word(word))
     assert d.run_word.runs == runs
     assert d.alternating_word() == alt
 
@@ -40,33 +40,38 @@ def test_alternating_words_golden(word, runs, alt):
 def test_end_generators_track_crossing_parity():
     # run 1 is a single +, run c is a single whose sign alternates with c
     for r in model_words(3, 10):
-        d = diagram.to_alternating(r)
+        d = diagram.full_diagram(r)
         assert d.crossings[0].generator == diagram.SIGMA1
         last = diagram.SIGMA1 if r.c % 2 == 1 else diagram.SIGMA2_INV
         assert d.crossings[-1].generator == last
 
 
 def test_start_positions_are_cumulative():
-    d = diagram.to_alternating(run_word("+--++--++-"))  # runs (1,2,2,2,2,1)
+    d = diagram.full_diagram(run_word("+--++--++-"))  # runs (1,2,2,2,2,1)
     assert [x.start_position for x in d.crossings] == [1, 2, 4, 6, 8, 10]
 
 
-def test_to_alternating_rejects_non_model():
-    with pytest.raises(ValueError):
-        diagram.to_alternating(words.RunWord("-", (1, 2, 1)))
+def test_analyze_rejects_non_model():
+    for r in (words.RunWord("-", (1, 2, 1)),  # first sign -
+              words.RunWord("+", (1, 1, 1)),  # length 0 mod 3
+              words.RunWord("+", (1,))):      # fewer than 3 runs
+        with pytest.raises(ValueError):
+            diagram.analyze(r)
+        with pytest.raises(ValueError):
+            diagram.full_diagram(r)
 
 
 # ------------------------------------------------------------- smoothings
 
 @pytest.mark.parametrize("word,smooth", [(r[0], r[3]) for r in ALL_ROWS])
 def test_smoothing_strings_golden(word, smooth):
-    d = diagram.classify_smoothings(diagram.to_alternating(run_word(word)))
+    d = diagram.full_diagram(run_word(word))
     assert d.smoothing_string() == smooth
 
 
 def test_end_crossings_never_vertical():
     for r in model_words(3, 10):
-        d = diagram.classify_smoothings(diagram.to_alternating(r))
+        d = diagram.full_diagram(r)
         s = d.smoothing_string()
         assert s[0] == diagram.H and s[-1] == diagram.H
 
@@ -74,7 +79,7 @@ def test_end_crossings_never_vertical():
 def test_zero_vertical_words_are_torus_words():
     # no vertical smoothings exactly when the alternating word is s1^c
     for r in model_words(3, 11):
-        d = diagram.classify_smoothings(diagram.to_alternating(r))
+        d = diagram.full_diagram(r)
         torus = d.alternating_word() == f"s1^{r.c}"
         assert (d.smoothing_string().count(diagram.V) == 0) == torus
         if torus:
@@ -102,6 +107,30 @@ def test_viability_count_ordering():
         assert seq <= via <= vert
         if vert:
             assert max(via) == max(vert)  # the last vertical is always viable
+
+
+def test_crossing_fields_match_definitions():
+    # generator from the (sign, run length) table; H iff the run starts at
+    # 1 (single) or 2 (double) mod 3; viable: the next vertical crossing
+    # has the same generator, or there is none; sequential: the very next
+    # crossing is that one
+    table = {("+", 1): diagram.SIGMA1, ("+", 2): diagram.SIGMA2_INV,
+             ("-", 1): diagram.SIGMA2_INV, ("-", 2): diagram.SIGMA1}
+    for r in model_words(3, 11):
+        d = diagram.full_diagram(r)
+        verts = [x for x in d.crossings if x.smoothing == diagram.V]
+        nxt = dict(zip((x.index for x in verts), verts[1:]))
+        for x in d.crossings:
+            assert x.generator == table[(x.run_sign, x.run_length)]
+            h_residue = 1 if x.run_length == 1 else 2
+            assert (x.smoothing == diagram.H) == (x.start_position % 3 == h_residue)
+            if x.smoothing != diagram.V:
+                assert not x.viable and not x.sequential
+                continue
+            n = nxt.get(x.index)
+            assert x.viable == (n is None or n.generator == x.generator)
+            assert x.sequential == (
+                n is not None and n.index == x.index + 1 and n.generator == x.generator)
 
 
 @pytest.mark.parametrize("word,s,g", [(r[0], r[6], r[7]) for r in ALL_ROWS])
@@ -151,6 +180,22 @@ def test_analyze_golden(row):
     assert a.palindromic == pal
 
 
+def test_analyze_agrees_with_full_diagram():
+    for r in model_words(3, 12):
+        a = diagram.analyze(r)
+        d = diagram.full_diagram(r)
+        s = diagram.seifert_circle_count(d)
+        assert a.alternating == d.alternating_word()
+        assert a.smoothings == d.smoothing_string()
+        assert (a.vertical, a.viable, a.sequential) == (
+            len(d.vertical_indices()), len(d.viable_indices()),
+            len(d.sequential_indices()))
+        assert (a.s, (a.s_lower, a.s_upper)) == (s, diagram.seifert_bounds(d))
+        assert a.genus == diagram.genus(s, d.c)
+        f = rational.continued_fraction(d.exponents())
+        assert (a.p, a.q) == (f.p, f.q)
+
+
 def test_analysis_serialization_round_trip():
     a = diagram.analyze(run_word("+--+-+-"))
     row = a.csv_row()
@@ -163,7 +208,7 @@ def test_analysis_serialization_round_trip():
 
 
 def test_exponents_fold_adjacent_generators():
-    d = diagram.to_alternating(run_word("+--+-+-"))
+    d = diagram.full_diagram(run_word("+--+-+-"))
     assert d.exponents() == [3, 1, 1, 1]
-    d = diagram.to_alternating(run_word("+--+--+--+"))
+    d = diagram.full_diagram(run_word("+--+--+--+"))
     assert d.exponents() == [7]

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import golden
 from twobridge import crosscheck, diagram, planar, words
@@ -95,6 +97,20 @@ def test_traced_circles_match_viability_count():
         assert s == diagram.seifert_circle_count(d)
         lo, hi = diagram.seifert_bounds(d)
         assert lo <= s <= hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=300, max_value=3000), st.integers(min_value=0))
+def test_kernel_matches_oracle_on_long_words(n, seed):
+    # random long words reduce to model words with c in the hundreds
+    rng = random.Random(seed)
+    norm = words.normalize_to_model("".join(rng.choice("+-") for _ in range(n)))
+    assume(norm.kind == words.MODEL)
+    r = norm.run_word
+    a = diagram.analyze(r)
+    od = planar.orient(planar.alternating_pd(diagram.full_diagram(r)))
+    assert a.smoothings == "".join(planar.classify_orientations(od))
+    assert a.s == planar.trace_seifert_circles(od)
 
 
 def test_billiard_circle_count_is_sign_independent():

@@ -43,7 +43,7 @@ def test_knot_fraction_validation():
                          ids=[r[0] for r in golden.ROWS_SMALL + golden.ROWS_C6 + golden.ROWS_C7])
 def test_fractions_from_alternating_words_golden(row):
     word, _, _, _, _, _, _, _, p, q, name, _ = row
-    d = diagram.to_alternating(words.normalize_to_model(word).run_word)
+    d = diagram.full_diagram(words.normalize_to_model(word).run_word)
     f = rational.continued_fraction(d.exponents())
     assert (f.p, f.q) == (p, q)
     assert rational.knot_name(rational.canonical_class(f)) == name
