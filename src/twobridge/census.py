@@ -121,33 +121,17 @@ def lower_bound_avg_genus(c):
     >>> lower_bound_avg_genus(7)
     Fraction(17, 11)
     """
+    return _bound_from_vertical_total(c, closed_form_vertical_total(c))
+
+
+def _bound_from_vertical_total(c, vertical_total):
+    """The bound (c-1)/2 - 3V / (2(2^(c-2) + star(c))) for vertical total V."""
     denominator = 2 * (2 ** (c - 2) + star(c))
-    return Fraction(c - 1, 2) - Fraction(3, denominator) * closed_form_vertical_total(c)
-
-
-def decimal_string(x, places=6):
-    """Fixed-point rendering of an exact rational, no floats involved."""
-    q = round(Fraction(x), places)
-    n = int(q * 10 ** places)
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    return f"{sign}{n // 10 ** places}.{n % 10 ** places:0{places}d}"
-
-
-def rational_json(x):
-    x = Fraction(x)
-    return {"num": x.numerator, "den": x.denominator, "decimal": decimal_string(x)}
-
-
-def format_rational(x):
-    """Human form "num/den (decimal)"; the exact part is authoritative."""
-    x = Fraction(x)
-    exact = f"{x.numerator}/{x.denominator}" if x.denominator != 1 else f"{x.numerator}"
-    return f"{exact} ({decimal_string(x)})"
+    return Fraction(c - 1, 2) - Fraction(3, denominator) * vertical_total
 
 
 @dataclass(frozen=True)
-class CensusReport:
+class CensusReport(rational.Record):
     c: int
     star: int
     word_count: int
@@ -169,18 +153,13 @@ class CensusReport:
         "avg_genus_lower",
     )
 
-    def csv_row(self):
-        def frac(x):
-            return f"{x.numerator}/{x.denominator}"
-        return [
-            str(self.c), str(self.star), str(self.word_count),
-            str(self.vertical_total), str(self.viable_total),
-            str(self.sequential_total), frac(self.avg_s),
-            frac(self.avg_s_upper), frac(self.avg_genus),
-            frac(self.avg_genus_lower_closed_form),
-        ]
+    @property
+    def avg_genus_lower(self):
+        """The output name of avg_genus_lower_closed_form."""
+        return self.avg_genus_lower_closed_form
 
     def to_json(self):
+        """JSON object with the three totals nested under "totals"."""
         out = {
             "c": self.c,
             "star": self.star,
@@ -190,16 +169,13 @@ class CensusReport:
                 "viable": self.viable_total,
                 "sequential": self.sequential_total,
             },
-            "avg_s": rational_json(self.avg_s),
-            "avg_s_upper": rational_json(self.avg_s_upper),
-            "avg_genus": rational_json(self.avg_genus),
-            "avg_genus_lower": rational_json(self.avg_genus_lower_closed_form),
-            "closed_form_vertical_total": self.closed_form_vertical_total,
-            "per_index_contributions": list(self.per_index_contributions),
-            "knot_classes": [kc.to_json() for kc in self.knot_classes],
         }
+        for name in ("avg_s", "avg_s_upper", "avg_genus", "avg_genus_lower",
+                     "closed_form_vertical_total", "per_index_contributions",
+                     "knot_classes"):
+            out[name] = rational.json_value(getattr(self, name))
         if self.analyses is not None:
-            out["words"] = [a.to_json() for a in self.analyses]
+            out["words"] = rational.json_value(self.analyses)
         return out
 
 
@@ -274,7 +250,8 @@ def run_census(c, per_word=False, threads=None):
 
     assert count == model_count(c)
     contributions = tuple(index_contribution(c, i) for i in range(2, c))
-    assert vertical == closed_form_vertical_total(c)
+    closed_vertical = sum(contributions)
+    assert vertical == closed_vertical
     assert tuple(per_index) == contributions
     for i in range(2, c):
         assert contributions[i - 2] == contributions[c + 1 - i - 2]
@@ -282,7 +259,7 @@ def run_census(c, per_word=False, threads=None):
     avg_s = 2 + Fraction(viable, count)
     avg_s_upper = 2 + Fraction(vertical, count)
     avg_genus = Fraction(1 + c, 2) - avg_s / 2
-    bound = lower_bound_avg_genus(c)
+    bound = _bound_from_vertical_total(c, closed_vertical)
     # the averaged genus formula must agree with summing per-word genus
     assert avg_genus == Fraction(genus_total, count)
     assert bound <= avg_genus <= Fraction(c - 1, 2)
@@ -298,7 +275,7 @@ def run_census(c, per_word=False, threads=None):
         avg_s_upper=avg_s_upper,
         avg_genus=avg_genus,
         avg_genus_lower_closed_form=bound,
-        closed_form_vertical_total=sum(contributions),
+        closed_form_vertical_total=closed_vertical,
         per_index_contributions=contributions,
         knot_classes=tuple(rational.group_rows(rows)),
         analyses=tuple(analyses) if per_word else None,

@@ -18,11 +18,11 @@ from . import census, crosscheck, diagram, rational, words
 def _emit_csv(header, rows):
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(header)
-    w.writerows(rows)
+    w.writerows([rational.csv_cell(x) for x in row] for row in rows)
 
 
 def _emit_json(obj):
-    json.dump(obj, sys.stdout, indent=2)
+    json.dump(obj, sys.stdout, indent=2, default=rational.json_value)
     sys.stdout.write("\n")
 
 
@@ -47,12 +47,12 @@ def cmd_analyze(args):
         return 0
     a = diagram.analyze(norm.run_word)
     if args.format == "json":
-        _emit_json(a.to_json())
+        _emit_json(a)
     elif args.format == "csv":
         _emit_csv(diagram.WordAnalysis.CSV_COLUMNS, [a.csv_row()])
     else:
         print(f"word: {a.word}")
-        print(f"runs: {' '.join(str(e) for e in a.runs.runs)}")
+        print(f"runs: {rational.csv_cell(a.runs)}")
         print(f"alternating: {a.alternating}")
         print(f"smoothings: {a.smoothings}")
         print(f"vertical: {a.vertical}  viable: {a.viable}  sequential: {a.sequential}")
@@ -72,7 +72,7 @@ def _word_line(a):
 def cmd_census(args):
     rep = census.run_census(args.c, per_word=args.per_word, threads=args.threads)
     if args.format == "json":
-        _emit_json(rep.to_json())
+        _emit_json(rep)
     elif args.format == "csv":
         if args.per_word:
             _emit_csv(diagram.WordAnalysis.CSV_COLUMNS,
@@ -84,11 +84,11 @@ def cmd_census(args):
         print(f"words: {rep.word_count} (star {rep.star:+d})")
         print(f"totals: vertical {rep.vertical_total}, viable {rep.viable_total}, "
               f"sequential {rep.sequential_total}")
-        print(f"avg seifert circles: {census.format_rational(rep.avg_s)}")
-        print(f"avg seifert circles upper bound: {census.format_rational(rep.avg_s_upper)}")
-        print(f"avg genus: {census.format_rational(rep.avg_genus)}")
-        print(f"avg genus lower bound: {census.format_rational(rep.avg_genus_lower_closed_form)}")
-        contributions = " ".join(str(x) for x in rep.per_index_contributions)
+        print(f"avg seifert circles: {rational.format_rational(rep.avg_s)}")
+        print(f"avg seifert circles upper bound: {rational.format_rational(rep.avg_s_upper)}")
+        print(f"avg genus: {rational.format_rational(rep.avg_genus)}")
+        print(f"avg genus lower bound: {rational.format_rational(rep.avg_genus_lower)}")
+        contributions = rational.csv_cell(rep.per_index_contributions)
         print(f"vertical contributions by index (2..{rep.c - 1}): {contributions}")
         print(f"knot classes: {len(rep.knot_classes)}")
         if args.per_word:
@@ -121,22 +121,16 @@ def cmd_bound(args):
         if c <= args.exact_ceiling:
             exact = census.run_census(c, threads=args.threads).avg_genus
         rows.append((c, bound, exact))
+    columns = ("c", "avg_genus_lower", "avg_genus")
     if args.format == "json":
-        _emit_json([
-            {"c": c, "avg_genus_lower": census.rational_json(b),
-             "avg_genus": None if e is None else census.rational_json(e)}
-            for c, b, e in rows
-        ])
+        _emit_json([dict(zip(columns, row)) for row in rows])
     elif args.format == "csv":
-        def frac(x):
-            return "" if x is None else f"{x.numerator}/{x.denominator}"
-        _emit_csv(["c", "avg_genus_lower", "avg_genus"],
-                  [[str(c), frac(b), frac(e)] for c, b, e in rows])
+        _emit_csv(columns, rows)
     else:
         for c, b, e in rows:
-            line = f"c={c}  avg genus lower bound: {census.format_rational(b)}"
+            line = f"c={c}  avg genus lower bound: {rational.format_rational(b)}"
             if e is not None:
-                line += f"  avg genus: {census.format_rational(e)}"
+                line += f"  avg genus: {rational.format_rational(e)}"
             print(line)
     return 0
 
@@ -144,11 +138,10 @@ def cmd_bound(args):
 def cmd_enumerate(args):
     model = list(words.enumerate_model_words(args.c))
     if args.format == "json":
-        _emit_json([r.to_json() for r in model])
+        _emit_json(model)
     elif args.format == "csv":
         _emit_csv(["word", "first_sign", "runs"],
-                  [[words.from_runs(r), r.first_sign,
-                    " ".join(str(e) for e in r.runs)] for r in model])
+                  [[words.from_runs(r), r.first_sign, r] for r in model])
     else:
         for r in model:
             print(words.from_runs(r))
@@ -158,14 +151,13 @@ def cmd_enumerate(args):
 def cmd_classes(args):
     classes = rational.group_by_knot(args.c)
     if args.format == "json":
-        _emit_json([k.to_json() for k in classes])
+        _emit_json(classes)
     elif args.format == "csv":
         _emit_csv(rational.KnotClass.CSV_COLUMNS, [k.csv_row() for k in classes])
     else:
         for k in classes:
-            name = k.name or f"{k.p}/{k.q_star}"
-            print(f"{name}: p={k.p} q={k.q} q_star={k.q_star} "
-                  f"multiplicity={k.multiplicity} words: {' '.join(k.words)}")
+            print(f"{_knot_display(k.p, k.q)}: p={k.p} q={k.q} q_star={k.q_star} "
+                  f"multiplicity={k.multiplicity} words: {rational.csv_cell(k.words)}")
     return 0
 
 
@@ -177,14 +169,11 @@ def cmd_sample(args):
         a = diagram.analyze(norm.run_word) if norm.kind == words.MODEL else None
         records.append((w, norm.kind, a))
     if args.format == "json":
-        _emit_json([
-            {"sampled": w, "kind": kind,
-             "analysis": None if a is None else a.to_json()}
-            for w, kind, a in records
-        ])
+        _emit_json([{"sampled": w, "kind": kind, "analysis": a}
+                    for w, kind, a in records])
     elif args.format == "csv":
         header = ["sampled", "kind", *diagram.WordAnalysis.CSV_COLUMNS]
-        blank = [""] * len(diagram.WordAnalysis.CSV_COLUMNS)
+        blank = [None] * len(diagram.WordAnalysis.CSV_COLUMNS)
         _emit_csv(header, [[w, kind, *(a.csv_row() if a else blank)]
                            for w, kind, a in records])
     else:
@@ -274,7 +263,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (words.WordSyntaxError, ValueError) as e:
+    except ValueError as e:  # WordSyntaxError included
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -170,7 +170,7 @@ def full_diagram(r):
 
 
 @dataclass(frozen=True)
-class WordAnalysis:
+class WordAnalysis(rational.Record):
     word: str
     runs: RunWord
     alternating: str
@@ -197,44 +197,6 @@ class WordAnalysis:
     def knot_row(self):
         """(word, p, q, genus, palindromic), the row rational.group_rows takes."""
         return self.word, self.p, self.q, self.genus, self.palindromic
-
-    def csv_row(self):
-        return [
-            self.word,
-            " ".join(str(e) for e in self.runs.runs),
-            self.alternating,
-            self.smoothings,
-            str(self.vertical),
-            str(self.viable),
-            str(self.sequential),
-            str(self.s),
-            str(self.s_lower),
-            str(self.s_upper),
-            str(self.genus),
-            str(self.p),
-            str(self.q),
-            self.name or "",
-            "true" if self.palindromic else "false",
-        ]
-
-    def to_json(self):
-        return {
-            "word": self.word,
-            "runs": self.runs.to_json(),
-            "alternating": self.alternating,
-            "smoothings": self.smoothings,
-            "vertical": self.vertical,
-            "viable": self.viable,
-            "sequential": self.sequential,
-            "s": self.s,
-            "s_lower": self.s_lower,
-            "s_upper": self.s_upper,
-            "genus": self.genus,
-            "p": self.p,
-            "q": self.q,
-            "name": self.name,
-            "palindromic": self.palindromic,
-        }
 
 
 def analyze(r):

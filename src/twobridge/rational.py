@@ -8,11 +8,19 @@ and negation.  Canonicalizing q over that symmetry group classifies
 every word exactly, independently of any diagram combinatorics, and p
 doubles as the knot determinant, which the planar module recomputes
 from Goeritz matrices as a cross-check.
+
+The module also owns how a value is written out: exact rationals as
+"num/den (decimal)" for people, and csv_cell/json_value for every CSV
+cell and JSON value the package emits.  A Record derives its CSV row
+and JSON object from its one field list, CSV_COLUMNS.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
+
+from .words import RunWord, enumerate_model_words
 
 # canonical (p, q*) for all 2-bridge knots through 7 crossings; q* already
 # minimized over q -> p-q and q -> q^-1 mod p
@@ -97,8 +105,78 @@ def knot_name(cc):
     return KNOT_NAMES.get((cc.p, cc.q_star))
 
 
+def decimal_string(x, places=6):
+    """Fixed-point rendering of an exact rational, no floats involved."""
+    q = round(Fraction(x), places)
+    n = int(q * 10 ** places)
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    return f"{sign}{n // 10 ** places}.{n % 10 ** places:0{places}d}"
+
+
+def rational_json(x):
+    x = Fraction(x)
+    return {"num": x.numerator, "den": x.denominator, "decimal": decimal_string(x)}
+
+
+def format_rational(x):
+    """Human form "num/den (decimal)"; the exact part is authoritative."""
+    x = Fraction(x)
+    exact = f"{x.numerator}/{x.denominator}" if x.denominator != 1 else f"{x.numerator}"
+    return f"{exact} ({decimal_string(x)})"
+
+
+def csv_cell(x):
+    """One CSV cell: missing values empty, fractions always as num/den,
+    run vectors and tuples space-separated.
+
+    >>> [csv_cell(v) for v in (None, True, Fraction(2), RunWord("+", (1, 2, 1)))]
+    ['', 'true', '2/1', '1 2 1']
+    """
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, RunWord):
+        x = x.runs
+    if isinstance(x, tuple):
+        return " ".join(csv_cell(v) for v in x)
+    return str(x)
+
+
+def json_value(x):
+    """One JSON value: fractions as {num, den, decimal}, tuples as lists,
+    run words and records by their to_json.
+
+    >>> json_value((Fraction(2), None, RunWord("+", (1, 2, 1))))
+    [{'num': 2, 'den': 1, 'decimal': '2.000000'}, None, {'first_sign': '+', 'runs': [1, 2, 1]}]
+    """
+    if isinstance(x, Fraction):
+        return rational_json(x)
+    if isinstance(x, tuple):
+        return [json_value(v) for v in x]
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    return x
+
+
+class Record:
+    """Base for output records: CSV_COLUMNS names the attributes that
+    make up both the CSV row and the JSON object, in order."""
+
+    CSV_COLUMNS = ()
+
+    def csv_row(self):
+        return [csv_cell(getattr(self, name)) for name in self.CSV_COLUMNS]
+
+    def to_json(self):
+        return {name: json_value(getattr(self, name)) for name in self.CSV_COLUMNS}
+
+
 @dataclass(frozen=True)
-class KnotClass:
+class KnotClass(Record):
     """One knot type with all model words of a given c that realize it."""
 
     p: int
@@ -110,26 +188,6 @@ class KnotClass:
     genus: int
 
     CSV_COLUMNS = ("p", "q", "q_star", "name", "multiplicity", "words")
-
-    def csv_row(self):
-        return [
-            str(self.p),
-            str(self.q),
-            str(self.q_star),
-            self.name or "",
-            str(self.multiplicity),
-            " ".join(self.words),
-        ]
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "q": self.q,
-            "q_star": self.q_star,
-            "name": self.name,
-            "multiplicity": self.multiplicity,
-            "words": list(self.words),
-        }
 
 
 def group_rows(rows):
@@ -178,6 +236,5 @@ def group_rows(rows):
 def group_by_knot(c):
     """Group the model words of crossing number c by knot type."""
     from . import diagram  # deferred: diagram imports this module
-    from .words import enumerate_model_words
 
     return group_rows(diagram.analyze(r).knot_row for r in enumerate_model_words(c))

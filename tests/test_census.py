@@ -132,23 +132,6 @@ def test_lower_bound_below_half_c_minus_one():
         assert 0 < b <= Fraction(c - 1, 2)
 
 
-# -------------------------------------------------------------- rendering
-
-def test_decimal_string():
-    assert census.decimal_string(Fraction(11, 10)) == "1.100000"
-    assert census.decimal_string(Fraction(17, 11)) == "1.545455"
-    assert census.decimal_string(Fraction(1, 3)) == "0.333333"
-    assert census.decimal_string(Fraction(2)) == "2.000000"
-    assert census.decimal_string(Fraction(1, 2), places=1) == "0.5"
-
-
-def test_rational_rendering():
-    assert census.format_rational(Fraction(19, 5)) == "19/5 (3.800000)"
-    assert census.format_rational(Fraction(2)) == "2 (2.000000)"
-    assert census.rational_json(Fraction(8, 5)) == {
-        "num": 8, "den": 5, "decimal": "1.600000"}
-
-
 # ----------------------------------------------------------------- census
 
 def check_report(rep, want):

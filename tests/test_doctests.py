@@ -1,15 +1,18 @@
 """Run the usage examples embedded in module docstrings."""
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-from twobridge import census, cli, crosscheck, diagram, planar, rational, words
+import twobridge
+
+# every module of the package, so a new one cannot be missed
+MODULES = sorted(f"twobridge.{m.name}" for m in pkgutil.iter_modules(twobridge.__path__))
 
 
-@pytest.mark.parametrize(
-    "mod", [words, diagram, planar, census, rational, crosscheck, cli],
-    ids=lambda m: m.__name__)
-def test_module_doctests(mod):
-    failures, _ = doctest.testmod(mod, verbose=False)
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    failures, _ = doctest.testmod(importlib.import_module(name), verbose=False)
     assert failures == 0

@@ -2,6 +2,7 @@
 model words into knot types."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -132,3 +133,42 @@ def test_knot_class_serialization():
     assert len(row) == len(rational.KnotClass.CSV_COLUMNS)
     blob = k.to_json()
     assert set(blob) >= {"p", "q", "q_star", "name", "multiplicity", "words"}
+
+
+# -------------------------------------------------------------- rendering
+
+def test_decimal_string():
+    assert rational.decimal_string(Fraction(11, 10)) == "1.100000"
+    assert rational.decimal_string(Fraction(17, 11)) == "1.545455"
+    assert rational.decimal_string(Fraction(1, 3)) == "0.333333"
+    assert rational.decimal_string(Fraction(2)) == "2.000000"
+    assert rational.decimal_string(Fraction(1, 2), places=1) == "0.5"
+
+
+def test_rational_rendering():
+    assert rational.format_rational(Fraction(19, 5)) == "19/5 (3.800000)"
+    assert rational.format_rational(Fraction(2)) == "2 (2.000000)"
+    assert rational.rational_json(Fraction(8, 5)) == {
+        "num": 8, "den": 5, "decimal": "1.600000"}
+
+
+def test_records_render_from_their_field_list():
+    # an unnamed knot, so the None name shows in both forms
+    a = diagram.analyze(words.to_runs("+-+-++-++-"))
+    assert a.csv_row() == [
+        "+-+-++-++-", "1 1 1 1 2 1 2 1", "s1 s2^-1 s1 s2^-5", "HVVHHHHH",
+        "2", "1", "0", "3", "2", "4", "3", "17", "11", "", "false"]
+    assert a.to_json() == {
+        "word": "+-+-++-++-",
+        "runs": {"first_sign": "+", "runs": [1, 1, 1, 1, 2, 1, 2, 1]},
+        "alternating": "s1 s2^-1 s1 s2^-5", "smoothings": "HVVHHHHH",
+        "vertical": 2, "viable": 1, "sequential": 0, "s": 3, "s_lower": 2,
+        "s_upper": 4, "genus": 3, "p": 17, "q": 11, "name": None,
+        "palindromic": False}
+    k = next(k for k in rational.group_by_knot(8) if k.name is None)
+    assert k.csv_row() == ["31", "13", "12", "", "2", "+--++-+-+- +-+-+--++-"]
+    assert k.to_json() == {"p": 31, "q": 13, "q_star": 12, "name": None,
+                           "multiplicity": 2,
+                           "words": ["+--++-+-+-", "+-+-+--++-"]}
+    for record in (a, k):
+        assert list(record.to_json()) == list(record.CSV_COLUMNS)
