@@ -201,29 +201,31 @@ def _census_task(args):
     return count, vertical, viable, sequential, genus_total, per_index, rows, analyses
 
 
-def _resolve_threads(threads, c, n_tasks):
-    """Worker processes for a census: never more than CPUs or tasks."""
-    cpus = os.cpu_count() or 1
-    if threads is None or threads == 0:
-        # spawning processes costs more than small censuses do
-        threads = cpus if model_count(c) >= 1 << 14 else 1
-    return max(1, min(threads, cpus, n_tasks))
+# below this many model words, spawning processes costs more than the census
+_POOL_MIN_WORDS = 1 << 14
 
 
-def run_census(c, per_word=False, threads=None):
+def _resolve_threads(c, n_tasks):
+    """Worker processes for a census: one below _POOL_MIN_WORDS model
+    words, else one per usable CPU (so taskset and cpusets limit it),
+    never more than tasks.  Any count gives the same report."""
+    if model_count(c) < _POOL_MIN_WORDS:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_tasks)
+
+
+def run_census(c, per_word=False):
     """Enumerate, analyze and aggregate all model words of crossing number
     c, asserting every closed-form cross-check along the way.
-
-    threads=None picks single-process for small censuses and machine
-    parallelism for large ones; any count is capped at the CPU count and
-    the task count.  Every thread count yields the identical report,
-    since tasks partition the enumeration deterministically and all
-    aggregation is commutative sums.
     """
     if c < 3:
         raise ValueError(f"need c >= 3, got {c}")
     tasks = [(c, d, first, per_word) for d, first in enumeration_tasks(c)]
-    workers = _resolve_threads(threads, c, len(tasks))
+    workers = _resolve_threads(c, len(tasks))
     if workers == 1:
         results = map(_census_task, tasks)
     else:

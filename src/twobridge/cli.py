@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 
 from . import census, crosscheck, diagram, rational, words
 
@@ -70,7 +71,7 @@ def _word_line(a):
 
 
 def cmd_census(args):
-    rep = census.run_census(args.c, per_word=args.per_word, threads=args.threads)
+    rep = census.run_census(args.c, per_word=args.per_word)
     if args.format == "json":
         _emit_json(rep)
     elif args.format == "csv":
@@ -119,7 +120,7 @@ def cmd_bound(args):
         bound = census.lower_bound_avg_genus(c)
         exact = None
         if c <= args.exact_ceiling:
-            exact = census.run_census(c, threads=args.threads).avg_genus
+            exact = census.run_census(c).avg_genus
         rows.append((c, bound, exact))
     columns = ("c", "avg_genus_lower", "avg_genus")
     if args.format == "json":
@@ -149,7 +150,7 @@ def cmd_enumerate(args):
 
 
 def cmd_classes(args):
-    classes = rational.group_by_knot(args.c)
+    classes = census.run_census(args.c).knot_classes
     if args.format == "json":
         _emit_json(classes)
     elif args.format == "csv":
@@ -162,7 +163,11 @@ def cmd_classes(args):
 
 
 def cmd_sample(args):
-    stream = words.sample(args.n, args.count, args.seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stream = words.sample(args.n, args.count, args.seed)
+    for w in caught:  # one plain line, not the warning's source location
+        print(f"warning: {w.message}", file=sys.stderr)
     records = []
     for w in stream:
         norm = words.normalize_to_model(w)
@@ -187,7 +192,7 @@ def cmd_sample(args):
 
 
 def cmd_check(args):
-    results, ok = crosscheck.run_all(args.c_max, threads=args.threads)
+    results, ok = crosscheck.run_all(args.c_max)
     total = 0
     for name, count, error in results:
         if error is None:
@@ -222,7 +227,6 @@ def _build_parser():
     sp = sub.add_parser("census", help="aggregate statistics for crossing number c")
     sp.add_argument("c", type=int)
     sp.add_argument("--per-word", action="store_true", dest="per_word")
-    sp.add_argument("--threads", type=int, default=None)
     fmt(sp)
     sp.set_defaults(func=cmd_census)
 
@@ -230,7 +234,6 @@ def _build_parser():
     sp.add_argument("range", help="crossing number N or range A..B")
     sp.add_argument("--exact-ceiling", type=int, default=16,
                     help="largest c for which the exact average is enumerated")
-    sp.add_argument("--threads", type=int, default=None)
     fmt(sp)
     sp.set_defaults(func=cmd_bound)
 
@@ -253,7 +256,6 @@ def _build_parser():
 
     sp = sub.add_parser("check", help="run the full cross-validation battery")
     sp.add_argument("c_max", type=int)
-    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(func=cmd_check)
 
     return parser

@@ -11,7 +11,7 @@ evidence; any mismatch is reported as a failure, never patched over.
 import random
 from math import comb
 
-from . import census, diagram, planar, rational
+from . import census, diagram, planar
 from .words import enumerate_model_words
 
 
@@ -35,13 +35,13 @@ def check_netto(k_max=30):
     return count
 
 
-def check_census_closed_forms(c_max, threads=None):
+def check_census_closed_forms(c_max):
     # run_census itself asserts: enumerated count = count formula,
     # enumerated vertical total and per-index counts = closed forms,
     # index symmetry, genus identity, bound ordering
     count = 0
     for c in range(3, c_max + 1):
-        census.run_census(c, threads=threads)
+        census.run_census(c)
         count += 5 + (c - 2)
     return count
 
@@ -94,7 +94,7 @@ def check_multiplicities(c_max):
     # genus agreement and the distinct-knot count identity
     count = 0
     for c in range(3, c_max + 1):
-        count += len(rational.group_by_knot(c))
+        count += len(census.run_census(c).knot_classes)
     return count
 
 
@@ -107,12 +107,14 @@ def check_link_detection():
     raise AssertionError("closure of '+-' should have 2 components")
 
 
-def run_all(c_max, threads=None):
+def run_all(c_max):
     """Run every check; returns (results, ok) where results is a list of
     (name, assertion count or None, error text or None)."""
+    if c_max < 3:
+        raise ValueError(f"need c_max >= 3, got {c_max}")
     checks = [
         ("netto identities", lambda: check_netto()),
-        ("census closed forms", lambda: check_census_closed_forms(c_max, threads)),
+        ("census closed forms", lambda: check_census_closed_forms(c_max)),
         ("oracle circle counts and orientations", lambda: check_oracle_agreement(c_max)),
         ("determinant equality", lambda: check_determinants(c_max)),
         ("billiard orientation patterns", lambda: check_orientation_patterns()),

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .words import RunWord, enumerate_model_words
+from .words import RunWord
 
 # canonical (p, q*) for all 2-bridge knots through 7 crossings; q* already
 # minimized over q -> p-q and q -> q^-1 mod p
@@ -231,10 +231,3 @@ def group_rows(rows):
     total_words = sum(k.multiplicity for k in out)
     assert len(out) * 2 == total_words + n_palindromic
     return out
-
-
-def group_by_knot(c):
-    """Group the model words of crossing number c by knot type."""
-    from . import diagram  # deferred: diagram imports this module
-
-    return group_rows(diagram.analyze(r).knot_row for r in enumerate_model_words(c))

@@ -130,7 +130,7 @@ def test_criterion_08_closed_form_vertical_totals_up_to_20():
 
 def test_criterion_09_multiplicity_structure_up_to_14():
     for c in range(3, 15):
-        classes = rational.group_by_knot(c)
+        classes = census.run_census(c).knot_classes
         pal = {words.from_runs(r) for r in words.enumerate_model_words(c)
                if words.is_palindromic_type(r)}
         for k in classes:

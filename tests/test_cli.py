@@ -95,14 +95,6 @@ def test_census_rejects_bad_c(capsys):
     assert code == 2 and "c >= 3" in err
 
 
-def test_census_threads_flag_gives_identical_output(capsys):
-    _, base, _ = run(["census", "8", "--per-word", "--format", "csv"], capsys)
-    for t in ("1", "2"):
-        _, out, _ = run(["census", "8", "--per-word", "--format", "csv",
-                         "--threads", t], capsys)
-        assert out == base
-
-
 # ------------------------------------------------------------------ bound
 
 def test_bound_range_human(capsys):
@@ -185,6 +177,14 @@ def test_sample_csv_includes_kind_column(capsys):
         assert r[1] in ("model", "unknot", "link")
 
 
+def test_sample_link_length_warns_in_one_line(capsys):
+    code, out, err = run(["sample", "8", "2", "1"], capsys)
+    assert code == 0
+    assert out == "++-+---- -> link\n++-+--+- -> link\n"
+    assert err == ("warning: length 8 is 2 mod 3: "
+                   "every sampled closure is a 2-component link\n")
+
+
 # ------------------------------------------------------------------ check
 
 def test_check_small_battery(capsys):
@@ -194,6 +194,12 @@ def test_check_small_battery(capsys):
     assert "OK (" in out
     for name in ("netto identities", "oracle circle counts", "link detection"):
         assert any(name in line for line in out.splitlines())
+
+
+def test_check_rejects_small_c_max(capsys):
+    code, out, err = run(["check", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "c_max >= 3" in err
 
 
 # ------------------------------------------------------------ entry point

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import golden
-from twobridge import diagram, rational, words
+from twobridge import census, diagram, rational, words
 
 
 def model_words(c_lo, c_hi):
@@ -93,11 +93,11 @@ def test_all_reference_names_reachable():
 # ---------------------------------------------------------------- grouping
 
 def test_group_by_knot_golden():
-    got = {k.name: k.multiplicity for k in rational.group_by_knot(6)}
+    got = {k.name: k.multiplicity for k in census.run_census(6).knot_classes}
     assert got == golden.CLASSES_C6
-    got = {k.name: k.multiplicity for k in rational.group_by_knot(7)}
+    got = {k.name: k.multiplicity for k in census.run_census(7).knot_classes}
     assert got == golden.CLASSES_C7
-    only = rational.group_by_knot(3)
+    only = census.run_census(3).knot_classes
     assert len(only) == 1 and only[0].name == "3_1" and only[0].multiplicity == 1
 
 
@@ -105,7 +105,7 @@ def test_group_multiplicity_structure():
     # every knot type collects its word and the reverse; palindromic
     # type words are the multiplicity-1 classes
     for c in range(3, 12):
-        classes = rational.group_by_knot(c)
+        classes = census.run_census(c).knot_classes
         n_words = sum(k.multiplicity for k in classes)
         assert n_words == sum(1 for _ in words.enumerate_model_words(c))
         n_pal = sum(1 for r in words.enumerate_model_words(c)
@@ -124,11 +124,12 @@ def test_group_multiplicity_structure():
 
 def test_distinct_knot_counts_match_reference():
     # 2-bridge knots by crossing number: 1, 1, 2, 3, 7 for c = 3..7
-    assert [len(rational.group_by_knot(c)) for c in range(3, 8)] == [1, 1, 2, 3, 7]
+    counts = [len(census.run_census(c).knot_classes) for c in range(3, 8)]
+    assert counts == [1, 1, 2, 3, 7]
 
 
 def test_knot_class_serialization():
-    k = rational.group_by_knot(6)[0]
+    k = census.run_census(6).knot_classes[0]
     row = k.csv_row()
     assert len(row) == len(rational.KnotClass.CSV_COLUMNS)
     blob = k.to_json()
@@ -165,7 +166,7 @@ def test_records_render_from_their_field_list():
         "vertical": 2, "viable": 1, "sequential": 0, "s": 3, "s_lower": 2,
         "s_upper": 4, "genus": 3, "p": 17, "q": 11, "name": None,
         "palindromic": False}
-    k = next(k for k in rational.group_by_knot(8) if k.name is None)
+    k = next(k for k in census.run_census(8).knot_classes if k.name is None)
     assert k.csv_row() == ["31", "13", "12", "", "2", "+--++-+-+- +-+-+--++-"]
     assert k.to_json() == {"p": 31, "q": 13, "q_star": 12, "name": None,
                            "multiplicity": 2,
