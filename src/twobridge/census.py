@@ -1,8 +1,9 @@
 """Exact counting and census aggregation over model words.
 
 Two independent routes to the same numbers live here.  The closed forms
-(Netto partial sums, the model-count formula, the double summation for
-the vertical totals) evaluate in pure integer arithmetic; run_census
+(Netto partial sums, the model-count formula, the per-index vertical
+counts as three Netto residue-class products) evaluate in pure integer
+arithmetic with O(1) big-integer operations per index; run_census
 enumerates every model word, aggregates the per-word diagram counts, and
 asserts that the closed forms reproduce the enumerated totals before
 reporting anything.  Averages are exact fractions; nothing in this
@@ -14,7 +15,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from . import diagram, rational
 from .words import enumeration_tasks, expand_task
@@ -79,25 +79,31 @@ def delta_double(i, d1):
 
 def index_contribution(c, i):
     """Number of model words of crossing number c whose crossing i smooths
-    vertically: sum over d1 doubles left of i and d2 right of i, with run
-    i single (first sum) or double (second), of the ways to place them,
-    filtered by the total-length congruence and the delta indicators.
+    vertically.
+
+    Run i is single or double, with d1 doubles among the i - 2 runs to its
+    left and d2 among the c - i - 1 runs to its right.  Run i starts at
+    letter position i + d1 and the H/V rule reads only that start mod 3,
+    so its smoothing depends on d1 only through (i + d1) mod 3.  The total
+    length c + d1 + d2 (+ 1 if run i is double) must be 1 mod 3, which
+    fixes d2 mod 3 once d1 mod 3 is known.  Grouping d1 by its residue r
+    turns the placements into Netto sums N(k, r) = netto_partial_sum(k, r):
+
+        sum over r = 0..2 of N(i-2, r) * (delta_single(i, r) * N(c-i-1, (1-c-r) mod 3)
+                                        + delta_double(i, r) * N(c-i-1, (-c-r) mod 3))
+
+    >>> [index_contribution(7, i) for i in range(2, 7)]
+    [5, 8, 6, 8, 5]
     """
     if c < 3 or not 2 <= i <= c - 1:
         raise ValueError(f"need 3 <= c and 2 <= i <= c-1, got c={c}, i={i}")
     total = 0
     left_slots = i - 2
     right_slots = c - i - 1
-    for d1 in range(left_slots + 1):
-        ways_left = comb(left_slots, d1)
-        if delta_single(i, d1):
-            for d2 in range(right_slots + 1):
-                if (c + d1 + d2) % 3 == 1:
-                    total += ways_left * comb(right_slots, d2)
-        if delta_double(i, d1):
-            for d2 in range(right_slots + 1):
-                if (c + d1 + 1 + d2) % 3 == 1:
-                    total += ways_left * comb(right_slots, d2)
+    for r in (0, 1, 2):
+        right = (delta_single(i, r) * netto_partial_sum(right_slots, (1 - c - r) % 3)
+                 + delta_double(i, r) * netto_partial_sum(right_slots, (-c - r) % 3))
+        total += netto_partial_sum(left_slots, r) * right
     return total
 
 

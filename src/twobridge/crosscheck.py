@@ -8,6 +8,7 @@ multiplicity structure against the classification.  A clean run is real
 evidence; any mismatch is reported as a failure, never patched over.
 """
 
+import functools
 import random
 from math import comb
 
@@ -35,13 +36,13 @@ def check_netto(k_max=30):
     return count
 
 
-def check_census_closed_forms(c_max):
-    # run_census itself asserts: enumerated count = count formula,
-    # enumerated vertical total and per-index counts = closed forms,
-    # index symmetry, genus identity, bound ordering
+def check_census_closed_forms(c_max, report):
+    # report(c) is run_census(c), which itself asserts: enumerated count =
+    # count formula, enumerated vertical total and per-index counts =
+    # closed forms, index symmetry, genus identity, bound ordering
     count = 0
     for c in range(3, c_max + 1):
-        census.run_census(c)
+        report(c)
         count += 5 + (c - 2)
     return count
 
@@ -89,12 +90,13 @@ def check_orientation_patterns(max_len=40, per_length=50, seed=2026):
     return count
 
 
-def check_multiplicities(c_max):
-    # group_rows asserts multiplicity in {1,2}, palindromic singles,
-    # genus agreement and the distinct-knot count identity
+def check_multiplicities(c_max, report):
+    # group_rows, inside report(c) = run_census(c), asserts multiplicity
+    # in {1,2}, palindromic singles, genus agreement and the distinct-knot
+    # count identity
     count = 0
     for c in range(3, c_max + 1):
-        count += len(census.run_census(c).knot_classes)
+        count += len(report(c).knot_classes)
     return count
 
 
@@ -112,13 +114,16 @@ def run_all(c_max):
     (name, assertion count or None, error text or None)."""
     if c_max < 3:
         raise ValueError(f"need c_max >= 3, got {c_max}")
+    # each census runs once and both census checks read it; a census that
+    # raises is not kept, so it raises again in the second check as well
+    report = functools.cache(census.run_census)
     checks = [
         ("netto identities", lambda: check_netto()),
-        ("census closed forms", lambda: check_census_closed_forms(c_max)),
+        ("census closed forms", lambda: check_census_closed_forms(c_max, report)),
         ("oracle circle counts and orientations", lambda: check_oracle_agreement(c_max)),
         ("determinant equality", lambda: check_determinants(c_max)),
         ("billiard orientation patterns", lambda: check_orientation_patterns()),
-        ("knot class multiplicities", lambda: check_multiplicities(c_max)),
+        ("knot class multiplicities", lambda: check_multiplicities(c_max, report)),
         ("link detection", check_link_detection),
     ]
     results = []

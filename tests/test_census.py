@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
@@ -82,6 +82,42 @@ def test_index_contributions_golden():
     assert [census.index_contribution(7, i) for i in range(2, 7)] == [5, 8, 6, 8, 5]
 
 
+def _index_contribution_by_double_sum(c, i):
+    """The per-index count summed over every placement: d1 doubles left of
+    run i and d2 right of it, with run i single (first sum) or double
+    (second), filtered by the total-length congruence and the delta
+    indicators.  O(c^2) binomial products; the oracle for the residue form.
+    """
+    total = 0
+    left_slots = i - 2
+    right_slots = c - i - 1
+    for d1 in range(left_slots + 1):
+        ways_left = math.comb(left_slots, d1)
+        if census.delta_single(i, d1):
+            for d2 in range(right_slots + 1):
+                if (c + d1 + d2) % 3 == 1:
+                    total += ways_left * math.comb(right_slots, d2)
+        if census.delta_double(i, d1):
+            for d2 in range(right_slots + 1):
+                if (c + d1 + 1 + d2) % 3 == 1:
+                    total += ways_left * math.comb(right_slots, d2)
+    return total
+
+
+def test_index_contribution_equals_double_sum():
+    for c in range(3, 61):
+        for i in range(2, c):
+            assert census.index_contribution(c, i) == _index_contribution_by_double_sum(c, i), (c, i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=3, max_value=400).flatmap(
+    lambda c: st.tuples(st.just(c), st.integers(min_value=2, max_value=c - 1))))
+def test_index_contribution_equals_double_sum_large_c(ci):
+    c, i = ci
+    assert census.index_contribution(c, i) == _index_contribution_by_double_sum(c, i)
+
+
 def test_index_contribution_symmetry():
     for c in range(3, 15):
         for i in range(2, c):
@@ -89,7 +125,7 @@ def test_index_contribution_symmetry():
 
 
 def test_index_contribution_counts_enumerated_verticals():
-    # the binomial formula counts, per index, exactly the model words
+    # the residue-class formula counts, per index, exactly the model words
     # whose crossing there is vertically smoothed
     for c in range(3, 10):
         seen = [0] * (c + 1)
@@ -124,6 +160,11 @@ def test_lower_bound_golden():
     assert census.lower_bound_avg_genus(6) == Fraction(11, 10)
     assert census.lower_bound_avg_genus(7) == Fraction(17, 11)
     assert isinstance(census.lower_bound_avg_genus(6), Fraction)
+
+
+def test_lower_bound_exact_at_c100():
+    assert census.lower_bound_avg_genus(100) == Fraction(
+        3579939195088981180152726644757, 211275100038038233582783867562)
 
 
 def test_lower_bound_below_half_c_minus_one():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from twobridge import crosscheck
+from twobridge import census, crosscheck
 
 
 def test_run_all_green_and_counts():
@@ -34,6 +34,38 @@ def test_run_all_captures_check_failures(monkeypatch):
     assert count is None and "planted failure" in error
     # the rest of the battery still ran
     assert byname["link detection"] == (1, None)
+
+
+def test_run_all_runs_each_census_once(monkeypatch):
+    calls = []
+    real = census.run_census
+
+    def counting(c, *args, **kwargs):
+        calls.append(c)
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(census, "run_census", counting)
+    _, ok = crosscheck.run_all(8)
+    assert ok
+    assert sorted(calls) == list(range(3, 9))
+
+
+def test_failing_census_fails_both_census_checks(monkeypatch):
+    real = census.run_census
+
+    def faulty(c, *args, **kwargs):
+        if c == 5:
+            raise AssertionError("planted census failure")
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(census, "run_census", faulty)
+    results, ok = crosscheck.run_all(6)
+    assert not ok
+    byname = {name: (count, error) for name, count, error in results}
+    for name in ("census closed forms", "knot class multiplicities"):
+        assert byname[name] == (None, "AssertionError: planted census failure")
+    failed = [name for name, (_, error) in byname.items() if error is not None]
+    assert failed == ["census closed forms", "knot class multiplicities"]
 
 
 def test_check_netto_counts():

@@ -4,8 +4,8 @@ Each case pins the sha256 of stdout for one invocation, so any change
 to how a value is rendered (fractions, run vectors, missing values,
 booleans, field order) shows up as a digest mismatch.  The cases cover
 every subcommand in each output format, including unknots, links, a
-word with a leading "-", knots without a table name, and a bound range
-on both sides of the exact ceiling.
+word with a leading "-", knots without a table name, and bound ranges
+on both sides of the exact ceiling, up to c=200.
 
 After a deliberate output change, print the new digests with
 
@@ -35,6 +35,7 @@ CASES = (
     "census 7 --per-word",
     "bound 5..9 --exact-ceiling 7",
     "bound 16..17",
+    "bound 17..100",
     "enumerate 7",
     "classes 8",
     "sample 8 6 5",
@@ -66,6 +67,9 @@ DIGESTS = {
     'bound --format human 16..17': 'f8e98a19bd365292200927fffae310f9f26e5440c3baba064b18133a74f95604',
     'bound --format json 16..17': 'caac2b4dedfdceca17f34b2b1cd9f45c208d188af8ec42f923f7dbc81d1bb589',
     'bound --format csv 16..17': '6f4c166389660c8b8ed6777196666154c1ceeeab0744d948ffc5eb4d57cb51bb',
+    'bound --format human 17..100': '7f6033bb4152c6f24f1324fa986f58cc74e13ad8400c1f8bb6fe2c6c3ed08d75',
+    'bound --format json 17..100': 'b2324c60b715a9fb2b6867190b35f261b9238134ade408524998a8fe0a64e69c',
+    'bound --format csv 17..100': '6f75402ace29c5035ef29e83d63bc00ee94091e9b51b36cbcff7225545595542',
     'enumerate --format human 7': '99dd5ab1e5e7325c1298ec9dcc9a41ae21374dc04a8b7205685726d2cbffccdb',
     'enumerate --format json 7': '8f353fd5d50dbee21336152854911947a7ca2cbeb2affcc660f4460c867bd148',
     'enumerate --format csv 7': 'ca2c3c25c94179bd6ac16b264e7a193a4b1bf4a5b8447968f0f1eb4a44ca81f8',
@@ -79,6 +83,7 @@ DIGESTS = {
     'sample --format json 10 12 42': '54e305a6350149b0ebb4b30c35d3d6bebed7eb39a14d94c37b308d250e3f277d',
     'sample --format csv 10 12 42': 'd1eed6a5c611b2bf7ddbd178ff93adc097afb9b2c1d54421c5e83722048ce9c8',
     'check 6': '29a8c055d33a94b448d58957306ce76edc1df395eb458b8628339ea5ccdb4e47',
+    'bound --format json 3..200 --exact-ceiling 3': 'ff75bbc23f2a7457ad85587745243a69517bfc3992ed1c701b8b8e08bfa82dc3',
 }
 
 
@@ -88,6 +93,7 @@ def _invocations():
         for fmt in FORMATS:
             yield f"{command} --format {fmt} {rest}"
     yield "check 6"
+    yield "bound --format json 3..200 --exact-ceiling 3"
 
 
 def stdout_digest(command):
