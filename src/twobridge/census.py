@@ -5,8 +5,9 @@ Two independent routes to the same numbers live here.  The closed forms
 counts as three Netto residue-class products) evaluate in pure integer
 arithmetic with O(1) big-integer operations per index; run_census
 enumerates every model word, aggregates the per-word diagram counts, and
-asserts that the closed forms reproduce the enumerated totals before
-reporting anything.  Averages are exact fractions; nothing in this
+checks that the closed forms reproduce the enumerated totals before
+reporting anything, raising InvariantError (also under python -O) when
+they do not.  Averages are exact fractions; nothing in this
 module (or the package) touches floating point, including the decimal
 renderings, which are computed by integer division.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagram, rational
-from .words import enumeration_tasks, expand_task
+from .words import InvariantError, enumeration_tasks, expand_task
 
 # 2cos(m*pi/3) is periodic with period 6 and always a whole number
 _TWO_COS = (2, 1, -1, -2, -1, 1)
@@ -39,7 +40,8 @@ def netto_partial_sum(k, r):
     if k < 0 or r not in (0, 1, 2):
         raise ValueError(f"need k >= 0 and r in 0..2, got k={k}, r={r}")
     total = 2 ** k + two_cos_pi_thirds(k - 2 * r)
-    assert total % 3 == 0
+    if total % 3:
+        raise InvariantError("Netto sum divisible by 3", f"k={k}, r={r}", 0, total % 3)
     return total // 3
 
 
@@ -62,7 +64,8 @@ def model_count(c):
     [1, 1, 3, 5, 11]
     """
     total = 2 ** (c - 2) + star(c)
-    assert total % 3 == 0
+    if total % 3:
+        raise InvariantError("model count divisible by 3", f"c={c}", 0, total % 3)
     return total // 3
 
 
@@ -226,7 +229,8 @@ def _resolve_threads(c, n_tasks):
 
 def run_census(c, per_word=False):
     """Enumerate, analyze and aggregate all model words of crossing number
-    c, asserting every closed-form cross-check along the way.
+    c, checking every closed form against the enumerated totals along the
+    way.
     """
     if c < 3:
         raise ValueError(f"need c >= 3, got {c}")
@@ -256,21 +260,30 @@ def run_census(c, per_word=False):
         rows.extend(t_rows)
         analyses.extend(t_analyses)
 
-    assert count == model_count(c)
+    where = f"c={c}"
+    if count != model_count(c):
+        raise InvariantError("model word count", where, model_count(c), count)
     contributions = tuple(index_contribution(c, i) for i in range(2, c))
     closed_vertical = sum(contributions)
-    assert vertical == closed_vertical
-    assert tuple(per_index) == contributions
-    for i in range(2, c):
-        assert contributions[i - 2] == contributions[c + 1 - i - 2]
+    if vertical != closed_vertical:
+        raise InvariantError("vertical total", where, closed_vertical, vertical)
+    if tuple(per_index) != contributions:
+        raise InvariantError("per-index vertical counts", where, contributions,
+                             tuple(per_index))
+    if contributions != contributions[::-1]:
+        raise InvariantError("index symmetry", where, contributions[::-1], contributions)
 
     avg_s = 2 + Fraction(viable, count)
     avg_s_upper = 2 + Fraction(vertical, count)
     avg_genus = Fraction(1 + c, 2) - avg_s / 2
     bound = _bound_from_vertical_total(c, closed_vertical)
     # the averaged genus formula must agree with summing per-word genus
-    assert avg_genus == Fraction(genus_total, count)
-    assert bound <= avg_genus <= Fraction(c - 1, 2)
+    if avg_genus != Fraction(genus_total, count):
+        raise InvariantError("average genus", where, Fraction(genus_total, count),
+                             avg_genus)
+    if not bound <= avg_genus <= Fraction(c - 1, 2):
+        raise InvariantError("genus bounds", where, f"{bound}..{Fraction(c - 1, 2)}",
+                             avg_genus)
 
     return CensusReport(
         c=c,

@@ -268,6 +268,9 @@ def main(argv=None):
     except ValueError as e:  # WordSyntaxError included
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except words.InvariantError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

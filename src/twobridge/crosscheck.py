@@ -4,8 +4,10 @@ Every fact the fast modules compute combinatorially is recomputed here
 through an independent route and compared: closed forms against
 enumeration (inside run_census), circle counts and orientations against
 honest diagram traversal, determinants against the continued-fraction p,
-multiplicity structure against the classification.  A clean run is real
-evidence; any mismatch is reported as a failure, never patched over.
+multiplicity structure against the classification.  The oracle checks
+compare against analyze itself, the record the CLI prints.  A clean run
+is real evidence; any mismatch raises InvariantError, under python -O
+too, and is reported as a failure, never patched over.
 """
 
 import functools
@@ -13,7 +15,7 @@ import random
 from math import comb
 
 from . import census, diagram, planar
-from .words import enumerate_model_words
+from .words import InvariantError, enumerate_model_words
 
 
 def expected_pattern(n):
@@ -31,13 +33,15 @@ def check_netto(k_max=30):
     for k in range(k_max + 1):
         for r in (0, 1, 2):
             direct = sum(comb(k, j) for j in range(r, k + 1, 3))
-            assert census.netto_partial_sum(k, r) == direct, (k, r)
+            closed = census.netto_partial_sum(k, r)
+            if closed != direct:
+                raise InvariantError("Netto closed form", f"k={k}, r={r}", direct, closed)
             count += 1
     return count
 
 
 def check_census_closed_forms(c_max, report):
-    # report(c) is run_census(c), which itself asserts: enumerated count =
+    # report(c) is run_census(c), which itself checks: enumerated count =
     # count formula, enumerated vertical total and per-index counts =
     # closed forms, index symmetry, genus identity, bound ordering
     count = 0
@@ -51,14 +55,18 @@ def check_oracle_agreement(c_max):
     count = 0
     for c in range(3, c_max + 1):
         for r in enumerate_model_words(c):
-            d = diagram.full_diagram(r)
-            od = planar.orient(planar.alternating_pd(d))
-            traced = planar.classify_orientations(od)
-            assert traced == [x.smoothing for x in d.crossings], r
-            s = diagram.seifert_circle_count(d)
-            assert planar.trace_seifert_circles(od) == s, r
-            lo, hi = diagram.seifert_bounds(d)
-            assert lo <= s <= hi, r
+            a = diagram.analyze(r)
+            where = f"word {a.word}"
+            od = planar.orient(planar.alternating_pd(diagram.full_diagram(r)))
+            traced = "".join(planar.classify_orientations(od))
+            if traced != a.smoothings:
+                raise InvariantError("oracle smoothings", where, traced, a.smoothings)
+            s = planar.trace_seifert_circles(od)
+            if s != a.s:
+                raise InvariantError("oracle Seifert circle count", where, s, a.s)
+            if not a.s_lower <= a.s <= a.s_upper:
+                raise InvariantError("Seifert circle bounds", where,
+                                     f"{a.s_lower}..{a.s_upper}", a.s)
             count += 3
     return count
 
@@ -70,7 +78,9 @@ def check_determinants(c_max):
             a = diagram.analyze(r)
             alt = planar.goeritz_determinant(planar.alternating_pd(diagram.full_diagram(r)))
             bil = planar.goeritz_determinant(planar.billiard_pd(a.word))
-            assert alt == bil == a.p, (a.word, alt, bil, a.p)
+            if not alt == bil == a.p:
+                raise InvariantError("Goeritz determinants (alternating, billiard)",
+                                     f"word {a.word}", (a.p, a.p), (alt, bil))
             count += 1
     return count
 
@@ -85,13 +95,16 @@ def check_orientation_patterns(max_len=40, per_length=50, seed=2026):
         for _ in range(per_length):
             w = "".join(rng.choice("+-") for _ in range(n))
             od = planar.orient(planar.billiard_pd(w))
-            assert planar.classify_orientations(od) == expected, w
+            got = planar.classify_orientations(od)
+            if got != expected:
+                raise InvariantError("billiard orientation pattern", f"word {w}",
+                                     "".join(expected), "".join(got))
             count += 1
     return count
 
 
 def check_multiplicities(c_max, report):
-    # group_rows, inside report(c) = run_census(c), asserts multiplicity
+    # group_rows, inside report(c) = run_census(c), checks multiplicity
     # in {1,2}, palindromic singles, genus agreement and the distinct-knot
     # count identity
     count = 0
@@ -104,9 +117,10 @@ def check_link_detection():
     try:
         planar.orient(planar.billiard_pd("+-", allow_link=True))
     except planar.MultiComponent as e:
-        assert e.k == 2
+        if e.k != 2:
+            raise InvariantError("link components", "word +-", 2, e.k) from e
         return 1
-    raise AssertionError("closure of '+-' should have 2 components")
+    raise InvariantError("link components", "word +-", 2, 1)
 
 
 def run_all(c_max):

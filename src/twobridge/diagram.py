@@ -23,10 +23,11 @@ right sets the viable and sequential flags.  The Seifert circle count of
 the diagram is then exactly 2 + #viable.
 
 analyze folds the pass's plain lists straight into a WordAnalysis;
-full_diagram wraps the same lists in CrossingInfo records.  All of this
-is pure run arithmetic; the planar module re-derives the same quantities
-from an actual diagram traversal and the two are checked against each
-other.
+full_diagram returns them as the per-crossing record, a tuple of one
+CrossingInfo per crossing.  All of this is pure run arithmetic; the
+planar module draws the diagram from the records' generators alone,
+re-derives the smoothings and the circle count by traversal, and the
+check battery compares those with what analyze reports.
 """
 
 from dataclasses import dataclass
@@ -58,42 +59,6 @@ class CrossingInfo:
     smoothing: str
     viable: bool
     sequential: bool
-
-
-@dataclass(frozen=True)
-class AlternatingDiagram:
-    run_word: RunWord
-    crossings: tuple
-
-    @property
-    def c(self):
-        return len(self.crossings)
-
-    def vertical_indices(self):
-        return [x.index for x in self.crossings if x.smoothing == V]
-
-    def viable_indices(self):
-        return [x.index for x in self.crossings if x.viable]
-
-    def sequential_indices(self):
-        return [x.index for x in self.crossings if x.sequential]
-
-    def smoothing_string(self):
-        return "".join(x.smoothing for x in self.crossings)
-
-    def folded_generators(self):
-        """Adjacent equal generators folded to (generator, count) pairs."""
-        return _fold(x.generator for x in self.crossings)
-
-    def exponents(self):
-        """Exponent counts of the folded word; s1^3 s2^-1 s1 s2^-1 gives
-        [3, 1, 1, 1].  These are the continued fraction entries of the knot.
-        """
-        return [k for _, k in self.folded_generators()]
-
-    def alternating_word(self):
-        """Render the braid word, e.g. "s1^3 s2^-1 s1 s2^-1"."""
-        return _braid_word(self.folded_generators())
 
 
 def _fold(generators):
@@ -137,18 +102,6 @@ def _crossing_lists(r):
     return gens, smoothings, viable, sequential
 
 
-def seifert_circle_count(d):
-    """s = 2 + number of viable vertical crossings."""
-    return 2 + sum(1 for x in d.crossings if x.viable)
-
-
-def seifert_bounds(d):
-    """(2 + #sequential, 2 + #vertical); the circle count lies between."""
-    seq = sum(1 for x in d.crossings if x.sequential)
-    vert = sum(1 for x in d.crossings if x.smoothing == V)
-    return 2 + seq, 2 + vert
-
-
 def genus(s, c):
     """Genus of an alternating knot from circle count and crossing number."""
     n = 1 - s + c
@@ -158,15 +111,19 @@ def genus(s, c):
 
 
 def full_diagram(r):
-    """The alternating diagram of a model word, one CrossingInfo per run
-    with its generator, start position, smoothing and viability flags.
+    """The per-crossing record of a model word: one CrossingInfo per run,
+    left to right, with its generator, start position, smoothing and
+    viability flags.
+
+    >>> [(x.generator, x.smoothing) for x in full_diagram(RunWord("+", (1, 2, 1)))]
+    [('s1', 'H'), ('s1', 'H'), ('s1', 'H')]
     """
     gens, smoothings, viable, sequential = _crossing_lists(r)
     starts = accumulate(r.runs, initial=1)
-    return AlternatingDiagram(r, tuple(
+    return tuple(
         CrossingInfo(i + 1, gens[i], r.sign(i), e, start,
                      smoothings[i], viable[i], sequential[i])
-        for i, (e, start) in enumerate(zip(r.runs, starts))))
+        for i, (e, start) in enumerate(zip(r.runs, starts)))
 
 
 @dataclass(frozen=True)

@@ -174,13 +174,14 @@ def billiard_pd(word, allow_link=False):
     return _build_strip(crossings)
 
 
-def alternating_pd(d):
-    """Planar diagram of an alternating plat: s1 crossings at heights
-    (0,1) with the rising diagonal over (positive), s2^-1 at (1,2) with
-    the falling diagonal over (negative).
+def alternating_pd(records):
+    """Planar diagram of an alternating plat from its per-crossing records
+    (diagram.full_diagram), reading only each record's generator: s1
+    crossings at heights (0,1) with the rising diagonal over (positive),
+    s2^-1 at (1,2) with the falling diagonal over (negative).
     """
     crossings = []
-    for x in d.crossings:
+    for x in records:
         if x.generator == SIGMA1:
             crossings.append(Crossing(lower=0, over="/"))
         else:
@@ -191,15 +192,13 @@ def alternating_pd(d):
 class OrientedDiagram:
     """A PlanarDiagram plus the direction data of one full traversal."""
 
-    def __init__(self, pd, diag_dirs, edge_order):
+    def __init__(self, pd, diag_dirs):
         self.pd = pd
-        self.diag_dirs = diag_dirs    # (crossing, diagonal name) -> +1 east / -1 west
-        self.edge_order = edge_order  # edge ids in traversal order
+        self.diag_dirs = diag_dirs  # (crossing, diagonal name) -> +1 east / -1 west
 
 
 def _trace(pd, first_in):
     ports = []
-    edge_order = []
     diag_dirs = {}
     cur = first_in
     while True:
@@ -208,10 +207,9 @@ def _trace(pd, first_in):
         ports.append(cur)
         ports.append(out)
         diag_dirs[(ci, _DIAG_NAME[corner])] = 1 if out[1] in _EAST else -1
-        edge_order.append(pd.port_end[out][0])
         cur = pd.other_end(out)
         if cur == first_in:
-            return ports, edge_order, diag_dirs
+            return ports, diag_dirs
 
 
 def orient(pd):
@@ -219,16 +217,16 @@ def orient(pd):
 
     Raises MultiComponent when the traversal does not cover everything.
     """
-    ports, edge_order, diag_dirs = _trace(pd, pd.start_port)
+    ports, diag_dirs = _trace(pd, pd.start_port)
     remaining = set(pd.ports()) - set(ports)
     if remaining:
         k = 1
         while remaining:
-            extra, _, _ = _trace(pd, min(remaining))
+            extra, _ = _trace(pd, min(remaining))
             remaining -= set(extra)
             k += 1
         raise MultiComponent(k)
-    return OrientedDiagram(pd, diag_dirs, edge_order)
+    return OrientedDiagram(pd, diag_dirs)
 
 
 def classify_orientations(od):
@@ -399,31 +397,3 @@ def goeritz_determinant(pd):
     minor = [row[:-1] for row in g[:-1]]
     return abs(_int_det(minor))
 
-
-def pd_code(od):
-    """Text PD code of an oriented diagram, one X[a,b,c,d] per crossing.
-
-    Edges are numbered 1..2n in traversal order; each crossing lists the
-    edge labels at its four ports counterclockwise starting from the
-    incoming under-strand port.
-    """
-    pd = od.pd
-    label = {}
-    for pos, ei in enumerate(od.edge_order, start=1):
-        label[ei] = pos
-    parts = []
-    for ci, cr in enumerate(pd.crossings):
-        under = "nw-se" if cr.over == "/" else "sw-ne"
-        going_east = od.diag_dirs[(ci, under)] == 1
-        if under == "nw-se":
-            first = "nw" if going_east else "se"
-        else:
-            first = "sw" if going_east else "ne"
-        ccw = {"nw": "sw", "sw": "se", "se": "ne", "ne": "nw"}
-        corner = first
-        labels = []
-        for _ in range(4):
-            labels.append(label[pd.port_end[(ci, corner)][0]])
-            corner = ccw[corner]
-        parts.append("X[{},{},{},{}]".format(*labels))
-    return " ".join(parts)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .words import RunWord
+from .words import InvariantError, RunWord
 
 # canonical (p, q*) for all 2-bridge knots through 7 crossings; q* already
 # minimized over q -> p-q and q -> q^-1 mod p
@@ -196,7 +196,8 @@ def group_rows(rows):
     Classes come back in order of first appearance.  Every class holds
     one or two words: two in general, one exactly when the single word
     is its own reversal (palindromic type), and the words of a pair
-    always agree in genus; all of that is asserted, not assumed.
+    always agree in genus; all of that is checked, not assumed, and a
+    violation raises InvariantError.
     """
     classes = {}
     for word, p, q, genus, palindromic in rows:
@@ -212,13 +213,18 @@ def group_rows(rows):
     n_palindromic = 0
     for cc, entry in classes.items():
         mult = len(entry["words"])
-        assert mult in (1, 2), (cc, entry["words"])
-        assert len(entry["genus"]) == 1, (cc, entry["genus"])
+        where = f"words {' '.join(entry['words'])}"
+        if mult not in (1, 2):
+            raise InvariantError("class multiplicity", where, "1 or 2", mult)
+        if len(entry["genus"]) != 1:
+            raise InvariantError("one genus per class", where, "one genus",
+                                 sorted(entry["genus"]))
+        # a single word is its own reversal (palindromic); a pair is not
+        if entry["palindromic"] != [mult == 1] * mult:
+            raise InvariantError("palindromic exactly when single", where,
+                                 [mult == 1] * mult, entry["palindromic"])
         if mult == 1:
-            assert entry["palindromic"] == [True], (cc, entry["words"])
             n_palindromic += 1
-        else:
-            assert not any(entry["palindromic"]), (cc, entry["words"])
         out.append(KnotClass(
             p=cc.p,
             q=entry["qs"][0],
@@ -229,5 +235,7 @@ def group_rows(rows):
             genus=entry["genus"].pop(),
         ))
     total_words = sum(k.multiplicity for k in out)
-    assert len(out) * 2 == total_words + n_palindromic
+    if len(out) * 2 != total_words + n_palindromic:
+        raise InvariantError("class count identity", f"{total_words} words",
+                             total_words + n_palindromic, len(out) * 2)
     return out

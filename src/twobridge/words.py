@@ -43,6 +43,23 @@ class NotReducedForm(ValueError):
     """Word is not in reduced run form (runs of 1 or 2, single-letter ends)."""
 
 
+class InvariantError(Exception):
+    """Two routes to one quantity disagree, or a value left the range the
+    theory proves for it: the program is wrong, not its input.  It names
+    the invariant, where it failed (a c or a word) and both values.
+    """
+
+    def __init__(self, name, where, expected, actual):
+        super().__init__(name, where, expected, actual)
+        self.name = name
+        self.where = where
+        self.expected = expected
+        self.actual = actual
+
+    def __str__(self):
+        return f"{self.name} at {self.where}: expected {self.expected}, got {self.actual}"
+
+
 def parse_word(text):
     """Parse text into a word over {+, -}; whitespace is ignored.
 
@@ -65,11 +82,6 @@ def mirror(word):
     '-++-'
     """
     return word.translate(_MIRROR)
-
-
-def reverse(word):
-    """Reverse the letter order."""
-    return word[::-1]
 
 
 _START = ("++-", "--+")
@@ -107,10 +119,6 @@ def reduce(word):
         if nxt is None:
             return word
         word = nxt
-
-
-def is_reduced(word):
-    return _one_move(word) is None
 
 
 def _other(sign):

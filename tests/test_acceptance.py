@@ -59,9 +59,10 @@ def test_criterion_03_per_word_golden_tables():
             a = got[word]
             assert a.alternating == alt, word
             d = diagram.full_diagram(words.normalize_to_model(word).run_word)
-            assert set(d.viable_indices()) == viable, word
+            assert {x.index for x in d if x.viable} == viable, word
             nonviable = golden.vertical_set(smooth) - viable
-            assert set(d.vertical_indices()) - set(d.viable_indices()) == nonviable
+            assert {x.index for x in d
+                    if x.smoothing == diagram.V and not x.viable} == nonviable
             assert a.name == name, word
             assert (a.p, a.q, a.s, a.genus) == (p, q, s, g), word
     done(3, "tables of all 5 + 11 words at c=6,7")
@@ -92,12 +93,11 @@ def test_criterion_06_oracle_seifert_equivalence_up_to_14():
     t0 = time.perf_counter()
     n = 0
     for r in model_words(3, 14):
-        d = diagram.full_diagram(r)
-        od = planar.orient(planar.alternating_pd(d))
+        a = diagram.analyze(r)
+        od = planar.orient(planar.alternating_pd(diagram.full_diagram(r)))
         s = planar.trace_seifert_circles(od)
-        assert s == diagram.seifert_circle_count(d), words.from_runs(r)
-        lo, hi = diagram.seifert_bounds(d)
-        assert lo <= s <= hi, words.from_runs(r)
+        assert s == a.s, a.word
+        assert a.s_lower <= s <= a.s_upper, a.word
         n += 1
     elapsed = time.perf_counter() - t0
     assert n == 2730

@@ -2,6 +2,7 @@
 byte-for-byte determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 import golden
-from twobridge import cli
+from twobridge import cli, diagram
 
 
 def run(argv, capsys):
@@ -93,6 +94,19 @@ def test_census_json_shape(capsys):
 def test_census_rejects_bad_c(capsys):
     code, _, err = run(["census", "2"], capsys)
     assert code == 2 and "c >= 3" in err
+
+
+def test_census_invariant_failure_is_one_line_exit_1(capsys, monkeypatch):
+    real = diagram.analyze
+
+    def one_more_viable(r):
+        a = real(r)
+        return dataclasses.replace(a, viable=a.viable + 1)
+
+    monkeypatch.setattr(diagram, "analyze", one_more_viable)
+    code, out, err = run(["census", "6"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: average genus at c=6: expected 8/5, got 11/10\n"
 
 
 # ------------------------------------------------------------------ bound
@@ -194,6 +208,29 @@ def test_check_small_battery(capsys):
     assert "OK (" in out
     for name in ("netto identities", "oracle circle counts", "link detection"):
         assert any(name in line for line in out.splitlines())
+
+
+# diagram.analyze reports s + 1, then the check battery runs; python -O
+# must not switch the oracle check off
+_PLANTED_CHECK = """
+import dataclasses, sys
+from twobridge import cli, diagram
+real = diagram.analyze
+diagram.analyze = lambda r: dataclasses.replace(real(r), s=real(r).s + 1)
+sys.exit(cli.main(["check", "6"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_check_fails_on_planted_fault(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_CHECK],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    failed = [line for line in lines if "FAIL" in line]
+    assert failed == ["oracle circle counts and orientations: FAIL (InvariantError: "
+                      "oracle Seifert circle count at word +--+: expected 2, got 3)"]
+    assert len(lines) == 7 and proc.stderr == "FAILED\n"
 
 
 def test_check_rejects_small_c_max(capsys):

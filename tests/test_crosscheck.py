@@ -1,8 +1,10 @@
 """The cross-validation battery itself: green path and error capture."""
 
+import dataclasses
+
 import pytest
 
-from twobridge import census, crosscheck
+from twobridge import census, crosscheck, diagram
 
 
 def test_run_all_green_and_counts():
@@ -34,6 +36,21 @@ def test_run_all_captures_check_failures(monkeypatch):
     assert count is None and "planted failure" in error
     # the rest of the battery still ran
     assert byname["link detection"] == (1, None)
+
+
+def test_oracle_check_reads_what_analyze_reports(monkeypatch):
+    real = diagram.analyze
+
+    def off_by_one(r):
+        a = real(r)
+        return dataclasses.replace(a, s=a.s + 1)
+
+    monkeypatch.setattr(diagram, "analyze", off_by_one)
+    results, ok = crosscheck.run_all(6)
+    assert not ok
+    failed = [name for name, _, error in results if error is not None]
+    assert failed == ["oracle circle counts and orientations"]
+    assert all(count > 0 for name, count, _ in results if name not in failed)
 
 
 def test_run_all_runs_each_census_once(monkeypatch):

@@ -1,5 +1,6 @@
-"""Alternating diagrams, smoothing classification, Seifert circle count."""
+"""Per-crossing records, smoothing classification, Seifert circle count."""
 
+import itertools
 import json
 
 import pytest
@@ -19,36 +20,64 @@ def model_words(c_lo, c_hi):
         yield from words.enumerate_model_words(c)
 
 
+def vertical_indices(d):
+    return [x.index for x in d if x.smoothing == diagram.V]
+
+
+def viable_indices(d):
+    return [x.index for x in d if x.viable]
+
+
+def sequential_indices(d):
+    return [x.index for x in d if x.sequential]
+
+
+def folded(d):
+    """Adjacent equal generators folded into (generator, count) pairs."""
+    return [(g, len(list(run))) for g, run in itertools.groupby(x.generator for x in d)]
+
+
+def exponents(d):
+    """The counts of the folded word: the continued fraction entries."""
+    return [k for _, k in folded(d)]
+
+
+def braid_word(d):
+    """The folded word written out, e.g. "s1^3 s2^-1 s1 s2^-1"."""
+    return " ".join((f"s1^{k}" if k > 1 else "s1") if g == diagram.SIGMA1 else f"s2^-{k}"
+                    for g, k in folded(d))
+
+
 # ---------------------------------------------------------- generator map
 
 def test_generator_mapping_golden():
     d = diagram.full_diagram(run_word("+--+"))
-    assert [x.generator for x in d.crossings] == [diagram.SIGMA1] * 3
-    assert d.alternating_word() == "s1^3"
+    assert [x.generator for x in d] == [diagram.SIGMA1] * 3
+    assert braid_word(d) == "s1^3"
     d = diagram.full_diagram(run_word("+-+-"))
-    assert [x.generator for x in d.crossings] == [
+    assert [x.generator for x in d] == [
         diagram.SIGMA1, diagram.SIGMA2_INV, diagram.SIGMA1, diagram.SIGMA2_INV]
 
 
 @pytest.mark.parametrize("word,runs,alt", [(r[0], r[1], r[2]) for r in ALL_ROWS])
 def test_alternating_words_golden(word, runs, alt):
     d = diagram.full_diagram(run_word(word))
-    assert d.run_word.runs == runs
-    assert d.alternating_word() == alt
+    assert tuple(x.run_length for x in d) == runs
+    assert braid_word(d) == alt
 
 
 def test_end_generators_track_crossing_parity():
     # run 1 is a single +, run c is a single whose sign alternates with c
     for r in model_words(3, 10):
         d = diagram.full_diagram(r)
-        assert d.crossings[0].generator == diagram.SIGMA1
+        assert d[0].generator == diagram.SIGMA1
         last = diagram.SIGMA1 if r.c % 2 == 1 else diagram.SIGMA2_INV
-        assert d.crossings[-1].generator == last
+        assert d[-1].generator == last
 
 
 def test_start_positions_are_cumulative():
     d = diagram.full_diagram(run_word("+--++--++-"))  # runs (1,2,2,2,2,1)
-    assert [x.start_position for x in d.crossings] == [1, 2, 4, 6, 8, 10]
+    assert [x.start_position for x in d] == [1, 2, 4, 6, 8, 10]
 
 
 def test_analyze_rejects_non_model():
@@ -66,22 +95,21 @@ def test_analyze_rejects_non_model():
 @pytest.mark.parametrize("word,smooth", [(r[0], r[3]) for r in ALL_ROWS])
 def test_smoothing_strings_golden(word, smooth):
     d = diagram.full_diagram(run_word(word))
-    assert d.smoothing_string() == smooth
+    assert "".join(x.smoothing for x in d) == smooth
 
 
 def test_end_crossings_never_vertical():
     for r in model_words(3, 10):
         d = diagram.full_diagram(r)
-        s = d.smoothing_string()
-        assert s[0] == diagram.H and s[-1] == diagram.H
+        assert d[0].smoothing == diagram.H and d[-1].smoothing == diagram.H
 
 
 def test_zero_vertical_words_are_torus_words():
     # no vertical smoothings exactly when the alternating word is s1^c
     for r in model_words(3, 11):
-        d = diagram.full_diagram(r)
-        torus = d.alternating_word() == f"s1^{r.c}"
-        assert (d.smoothing_string().count(diagram.V) == 0) == torus
+        a = diagram.analyze(r)
+        torus = a.alternating == f"s1^{r.c}"
+        assert (a.vertical == 0) == torus
         if torus:
             assert r.c % 2 == 1
             assert words.from_runs(r) == "+" + "--+" * (r.c // 2)
@@ -93,17 +121,18 @@ def test_zero_vertical_words_are_torus_words():
     "word,viable,sequential", [(r[0], r[4], r[5]) for r in ALL_ROWS])
 def test_viable_and_sequential_sets_golden(word, viable, sequential):
     d = diagram.full_diagram(run_word(word))
-    assert set(d.viable_indices()) == viable
-    assert set(d.sequential_indices()) == sequential
-    assert golden.vertical_set(d.smoothing_string()) == set(d.vertical_indices())
+    assert set(viable_indices(d)) == viable
+    assert set(sequential_indices(d)) == sequential
+    smoothings = "".join(x.smoothing for x in d)
+    assert golden.vertical_set(smoothings) == set(vertical_indices(d))
 
 
 def test_viability_count_ordering():
     for r in model_words(3, 11):
         d = diagram.full_diagram(r)
-        seq = set(d.sequential_indices())
-        via = set(d.viable_indices())
-        vert = set(d.vertical_indices())
+        seq = set(sequential_indices(d))
+        via = set(viable_indices(d))
+        vert = set(vertical_indices(d))
         assert seq <= via <= vert
         if vert:
             assert max(via) == max(vert)  # the last vertical is always viable
@@ -118,9 +147,9 @@ def test_crossing_fields_match_definitions():
              ("-", 1): diagram.SIGMA2_INV, ("-", 2): diagram.SIGMA1}
     for r in model_words(3, 11):
         d = diagram.full_diagram(r)
-        verts = [x for x in d.crossings if x.smoothing == diagram.V]
+        verts = [x for x in d if x.smoothing == diagram.V]
         nxt = dict(zip((x.index for x in verts), verts[1:]))
-        for x in d.crossings:
+        for x in d:
             assert x.generator == table[(x.run_sign, x.run_length)]
             h_residue = 1 if x.run_length == 1 else 2
             assert (x.smoothing == diagram.H) == (x.start_position % 3 == h_residue)
@@ -136,10 +165,9 @@ def test_crossing_fields_match_definitions():
 @pytest.mark.parametrize("word,s,g", [(r[0], r[6], r[7]) for r in ALL_ROWS])
 def test_seifert_count_and_genus_golden(word, s, g):
     d = diagram.full_diagram(run_word(word))
-    assert diagram.seifert_circle_count(d) == s
-    lo, hi = diagram.seifert_bounds(d)
-    assert lo <= s <= hi
-    assert diagram.genus(s, d.c) == g
+    assert 2 + len(viable_indices(d)) == s
+    assert 2 + len(sequential_indices(d)) <= s <= 2 + len(vertical_indices(d))
+    assert diagram.genus(s, len(d)) == g
 
 
 def test_genus_parity_errors():
@@ -153,8 +181,7 @@ def test_genus_parity_errors():
 
 def test_genus_range_and_parity_invariants():
     for r in model_words(3, 11):
-        d = diagram.full_diagram(r)
-        s = diagram.seifert_circle_count(d)
+        s = diagram.analyze(r).s
         assert (s + r.c) % 2 == 1
         g = diagram.genus(s, r.c)
         assert 0 <= g <= (r.c - 1) // 2
@@ -184,15 +211,15 @@ def test_analyze_agrees_with_full_diagram():
     for r in model_words(3, 12):
         a = diagram.analyze(r)
         d = diagram.full_diagram(r)
-        s = diagram.seifert_circle_count(d)
-        assert a.alternating == d.alternating_word()
-        assert a.smoothings == d.smoothing_string()
+        s = 2 + len(viable_indices(d))
+        assert a.alternating == braid_word(d)
+        assert a.smoothings == "".join(x.smoothing for x in d)
         assert (a.vertical, a.viable, a.sequential) == (
-            len(d.vertical_indices()), len(d.viable_indices()),
-            len(d.sequential_indices()))
-        assert (a.s, (a.s_lower, a.s_upper)) == (s, diagram.seifert_bounds(d))
-        assert a.genus == diagram.genus(s, d.c)
-        f = rational.continued_fraction(d.exponents())
+            len(vertical_indices(d)), len(viable_indices(d)), len(sequential_indices(d)))
+        assert (a.s, a.s_lower, a.s_upper) == (
+            s, 2 + len(sequential_indices(d)), 2 + len(vertical_indices(d)))
+        assert a.genus == diagram.genus(s, len(d))
+        f = rational.continued_fraction(exponents(d))
         assert (a.p, a.q) == (f.p, f.q)
 
 
@@ -208,7 +235,5 @@ def test_analysis_serialization_round_trip():
 
 
 def test_exponents_fold_adjacent_generators():
-    d = diagram.full_diagram(run_word("+--+-+-"))
-    assert d.exponents() == [3, 1, 1, 1]
-    d = diagram.full_diagram(run_word("+--+--+--+"))
-    assert d.exponents() == [7]
+    assert exponents(diagram.full_diagram(run_word("+--+-+-"))) == [3, 1, 1, 1]
+    assert exponents(diagram.full_diagram(run_word("+--+--+--+"))) == [7]

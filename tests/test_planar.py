@@ -82,21 +82,21 @@ def test_billiard_orientation_pattern_is_sign_independent(n):
 
 def test_orientation_matches_smoothing_rule_on_model_words():
     for r in model_words(3, 8):
-        d = full(words.from_runs(r))
+        d = diagram.full_diagram(r)
         od = planar.orient(planar.alternating_pd(d))
-        assert planar.classify_orientations(od) == [x.smoothing for x in d.crossings]
+        assert planar.classify_orientations(od) == [x.smoothing for x in d]
 
 
 # --------------------------------------------------------- Seifert circles
 
 def test_traced_circles_match_viability_count():
     for r in model_words(3, 9):
-        d = full(words.from_runs(r))
+        d = diagram.full_diagram(r)
         od = planar.orient(planar.alternating_pd(d))
         s = planar.trace_seifert_circles(od)
-        assert s == diagram.seifert_circle_count(d)
-        lo, hi = diagram.seifert_bounds(d)
-        assert lo <= s <= hi
+        assert s == 2 + sum(x.viable for x in d)
+        a = diagram.analyze(r)
+        assert s == a.s and a.s_lower <= s <= a.s_upper
 
 
 @settings(max_examples=40, deadline=None)
@@ -146,24 +146,3 @@ def test_goeritz_determinant_equals_fraction_numerator():
 def test_determinant_of_unknot_closures():
     assert planar.goeritz_determinant(planar.billiard_pd("+++")) == 1
     assert planar.goeritz_determinant(planar.billiard_pd("++-+")) == 1
-
-
-# ----------------------------------------------------------------- PD code
-
-def test_pd_code_shape_and_determinism():
-    od = planar.orient(planar.alternating_pd(full("+--+")))
-    code = planar.pd_code(od)
-    assert code == planar.pd_code(planar.orient(planar.alternating_pd(full("+--+"))))
-    tokens = code.split()
-    assert len(tokens) == 3
-    labels = []
-    for tok in tokens:
-        assert tok.startswith("X[") and tok.endswith("]")
-        labels.extend(int(x) for x in tok[2:-1].split(","))
-    # each edge label appears exactly twice across all crossings
-    assert sorted(labels) == sorted(list(range(1, 7)) * 2)
-
-
-def test_pd_code_trefoil_golden():
-    od = planar.orient(planar.alternating_pd(full("+--+")))
-    assert planar.pd_code(od) == "X[3,6,4,1] X[1,4,2,5] X[5,2,6,3]"
