@@ -51,37 +51,63 @@ def check_census_closed_forms(c_max, report):
     return count
 
 
-def check_oracle_agreement(c_max):
-    count = 0
+def check_oracle_agreement(a, pd):
+    """One model word: the planar oracle on its alternating diagram pd
+    gives the smoothings and Seifert circle count analyze reports, within
+    analyze's bounds."""
+    where = f"word {a.word}"
+    od = planar.orient(pd)
+    traced = "".join(planar.classify_orientations(od))
+    if traced != a.smoothings:
+        raise InvariantError("oracle smoothings", where, traced, a.smoothings)
+    s = planar.trace_seifert_circles(od)
+    if s != a.s:
+        raise InvariantError("oracle Seifert circle count", where, s, a.s)
+    if not a.s_lower <= a.s <= a.s_upper:
+        raise InvariantError("Seifert circle bounds", where,
+                             f"{a.s_lower}..{a.s_upper}", a.s)
+    return 3
+
+
+def check_determinants(a, pd):
+    """One model word: the Goeritz determinants of its alternating diagram
+    pd and of its billiard diagram both equal the continued-fraction p."""
+    alt = planar.goeritz_determinant(pd)
+    bil = planar.goeritz_determinant(planar.billiard_pd(a.word))
+    if not alt == bil == a.p:
+        raise InvariantError("Goeritz determinants (alternating, billiard)",
+                             f"word {a.word}", (a.p, a.p), (alt, bil))
+    return 1
+
+
+def _diagram_checks(c_max):
+    """check_oracle_agreement on every model word with c <= c_max and
+    check_determinants on those with c <= 12, in one pass: each word's
+    planar diagram is built once and dropped after both checks read it.
+    A check stops at its first failure and the other goes on.  Returns
+    [assertion count, exception or None] per check."""
+    checks = ((check_oracle_agreement, c_max), (check_determinants, 12))
+    out = [[0, None] for _ in checks]
     for c in range(3, c_max + 1):
         for r in enumerate_model_words(c):
-            a = diagram.analyze(r)
-            where = f"word {a.word}"
-            od = planar.orient(planar.alternating_pd(diagram.full_diagram(r)))
-            traced = "".join(planar.classify_orientations(od))
-            if traced != a.smoothings:
-                raise InvariantError("oracle smoothings", where, traced, a.smoothings)
-            s = planar.trace_seifert_circles(od)
-            if s != a.s:
-                raise InvariantError("oracle Seifert circle count", where, s, a.s)
-            if not a.s_lower <= a.s <= a.s_upper:
-                raise InvariantError("Seifert circle bounds", where,
-                                     f"{a.s_lower}..{a.s_upper}", a.s)
-            count += 3
-    return count
+            live = [(check, o) for (check, top), o in zip(checks, out)
+                    if c <= top and o[1] is None]
+            if not live:
+                break
+            # a build that raises is not kept, so it fails each check
+            built = functools.cache(
+                lambda: (diagram.analyze(r), planar.alternating_pd(diagram.full_diagram(r))))
+            for check, o in live:
+                try:
+                    o[0] += check(*built())
+                except Exception as e:
+                    o[1] = e
+    return out
 
 
-def check_determinants(c_max):
-    count = 0
-    for c in range(3, min(c_max, 12) + 1):
-        for r in enumerate_model_words(c):
-            a = diagram.analyze(r)
-            alt = planar.goeritz_determinant(planar.alternating_pd(diagram.full_diagram(r)))
-            bil = planar.goeritz_determinant(planar.billiard_pd(a.word))
-            if not alt == bil == a.p:
-                raise InvariantError("Goeritz determinants (alternating, billiard)",
-                                     f"word {a.word}", (a.p, a.p), (alt, bil))
-            count += 1
+def _result(count, error):
+    if error is not None:
+        raise error
     return count
 
 
@@ -131,11 +157,12 @@ def run_all(c_max):
     # each census runs once and both census checks read it; a census that
     # raises is not kept, so it raises again in the second check as well
     report = functools.cache(census.run_census)
+    diagram_checks = functools.cache(lambda: _diagram_checks(c_max))
     checks = [
         ("netto identities", lambda: check_netto()),
         ("census closed forms", lambda: check_census_closed_forms(c_max, report)),
-        ("oracle circle counts and orientations", lambda: check_oracle_agreement(c_max)),
-        ("determinant equality", lambda: check_determinants(c_max)),
+        ("oracle circle counts and orientations", lambda: _result(*diagram_checks()[0])),
+        ("determinant equality", lambda: _result(*diagram_checks()[1])),
         ("billiard orientation patterns", lambda: check_orientation_patterns()),
         ("knot class multiplicities", lambda: check_multiplicities(c_max, report)),
         ("link detection", check_link_detection),

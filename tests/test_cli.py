@@ -3,6 +3,7 @@ byte-for-byte determinism."""
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import subprocess
@@ -62,6 +63,38 @@ def test_analyze_rejects_garbage(capsys):
     assert code == 2
     assert out == ""
     assert "invalid character" in err
+
+
+def test_analyze_long_word_reduces_in_linear_time():
+    # 120,004 letters (one argument stays below the 128 KiB Linux limit):
+    # 10,000 start moves, 10,000 internal moves and 10,000 end moves away
+    # from the trefoil
+    word = "++-" * 10_000 + "+++" * 10_000 + "+--+" + "+--" * 10_000
+    proc = subprocess.run([sys.executable, "-m", "twobridge.cli", "analyze", word],
+                          capture_output=True, text=True, check=False, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "word: +--+"
+    assert "knot: 3_1" in lines
+
+
+# toggle_interior does nothing, so a reduced length 0 mod 3 leaves a word
+# that is not a model word; python -O must not switch that check off
+_PLANTED_NORMALIZE = """
+import sys
+from twobridge import cli, words
+words.toggle_interior = lambda r: r
+sys.exit(cli.main(["analyze", "--", "-+-"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_analyze_fails_on_planted_normalization_fault(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_NORMALIZE],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: model form at reduced word -+-: expected "
+                           "first sign +, c >= 3, length 1 mod 3, got +-+\n")
 
 
 # ----------------------------------------------------------------- census
@@ -189,6 +222,23 @@ def test_sample_csv_includes_kind_column(capsys):
     assert len(rows) == 5
     for r in rows[1:]:
         assert r[1] in ("model", "unknot", "link")
+
+
+# stdout sha256 of three 3,001-letter words, each of which loses hundreds
+# of triples on the way to its model word; pinned from the leftmost-move
+# reduction that reduce replaced
+SAMPLE_3001_DIGESTS = {
+    "human": "de5c76fce42b2f7abd348c6bc5564543241e85071d9efb66759d0223e4bbfd60",
+    "json": "a90bdeb0562781ebb6b5cbe0515ee86817a35592f0118ed927152f6bbc5ca7a7",
+    "csv": "3c76f627b0508bdfbc7696a97cacd07bd077859fbc587ab4a3be62ee984c69d0",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SAMPLE_3001_DIGESTS))
+def test_sample_long_words_output_pinned(fmt, capsys):
+    code, out, err = run(["sample", "--format", fmt, "3001", "3", "7"], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_3001_DIGESTS[fmt]
 
 
 def test_sample_link_length_warns_in_one_line(capsys):

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from twobridge import census, crosscheck, diagram
+from twobridge import census, crosscheck, diagram, planar
 
 
 def test_run_all_green_and_counts():
@@ -65,6 +65,47 @@ def test_run_all_runs_each_census_once(monkeypatch):
     _, ok = crosscheck.run_all(8)
     assert ok
     assert sorted(calls) == list(range(3, 9))
+
+
+def test_run_all_builds_each_diagram_once(monkeypatch):
+    calls = []
+    real = planar.alternating_pd
+
+    def counting(records):
+        calls.append(len(records))
+        return real(records)
+
+    monkeypatch.setattr(planar, "alternating_pd", counting)
+    results, ok = crosscheck.run_all(11)
+    assert ok
+    assert len(calls) == 341  # the model words with 3 <= c <= 11
+    counts = {name: count for name, count, _ in results}
+    assert counts["oracle circle counts and orientations"] == 3 * 341
+    assert counts["determinant equality"] == 341
+
+
+@pytest.mark.parametrize("name, failed", [
+    ("goeritz_determinant", ["determinant equality"]),
+    ("trace_seifert_circles", ["oracle circle counts and orientations"]),
+    ("alternating_pd", ["oracle circle counts and orientations", "determinant equality"]),
+])
+def test_diagram_checks_fail_independently(monkeypatch, name, failed):
+    # the two checks share one pass over the words; a fault in what only
+    # one of them reads fails that one, a fault in the shared diagram both
+    def faulty(*args):
+        raise AssertionError(f"planted {name} failure")
+
+    monkeypatch.setattr(planar, name, faulty)
+    results, ok = crosscheck.run_all(8)
+    assert not ok
+    byname = {check: (count, error) for check, count, error in results}
+    assert [check for check, (_, error) in byname.items() if error is not None] == failed
+    for check in failed:
+        assert byname[check] == (None, f"AssertionError: planted {name} failure")
+    if "oracle circle counts and orientations" not in failed:
+        assert byname["oracle circle counts and orientations"][0] == 3 * 42
+    if "determinant equality" not in failed:
+        assert byname["determinant equality"][0] == 42
 
 
 def test_failing_census_fails_both_census_checks(monkeypatch):

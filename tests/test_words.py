@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,58 @@ def test_reduce_golden():
     assert words.reduce("-++") == ""
     assert words.reduce("+--") == ""
     assert words.reduce("++-") == ""
+
+
+def _one_move(w):
+    # leftmost internal move first, then start-external, then end-external
+    for i in range(len(w) - 2):
+        if w[i] == w[i + 1] == w[i + 2]:
+            return w[:i] + w[i + 3:]
+    if w[:3] in ("++-", "--+"):
+        return w[3:]
+    if w[-3:] in ("-++", "+--"):
+        return w[:-3]
+    return None
+
+
+def _leftmost_reduce(word):
+    # the fixed strategy, one move at a time: the definition reduce must
+    # match, quadratic since every move rescans the word
+    while True:
+        nxt = _one_move(word)
+        if nxt is None:
+            return word
+        word = nxt
+
+
+def test_reduce_equals_leftmost_strategy_up_to_length_14():
+    checked = 0
+    for w in all_words(14):
+        assert words.reduce(w) == _leftmost_reduce(w), w
+        checked += 1
+    assert checked == 2 ** 15 - 1
+
+
+# blocks that stack deep cancellations and long start/end peels
+_BLOCKS = ("+", "-", "+++", "---", "++-", "--+", "-++", "+--")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(100, 3000), st.sampled_from([SIGNS, _BLOCKS]), st.randoms())
+def test_reduce_equals_leftmost_strategy_on_long_words(n, pieces, rng):
+    w = "".join(rng.choice(pieces) for _ in range(n))[:n]
+    assert words.reduce(w) == _leftmost_reduce(w)
+    with mock.patch.object(words, "reduce", _leftmost_reduce):
+        expected = words.normalize_to_model(w)
+    assert words.normalize_to_model(w) == expected
+
+
+def test_reduce_is_linear_on_long_words():
+    # The leftmost strategy rescans the untouched 100,000-letter prefix for
+    # each of the 50,000 deleted triples, and the whole remaining word for
+    # each of the second word's 100,000 start and end moves: minutes each.
+    assert words.reduce("+-" * 50_000 + "+++" * 50_000) == "+-" * 50_000
+    assert words.reduce("++-" * 50_000 + "+--+" + "+--" * 50_000) == "+--+"
 
 
 def _any_move_results(w):
