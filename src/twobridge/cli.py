@@ -36,13 +36,14 @@ _LINK_MESSAGE = "2-component link: out of scope"
 
 
 def cmd_analyze(args):
-    norm = words.normalize_to_model(args.word)
+    word = words.parse_word(args.word)
+    norm = words.normalize_to_model(word)
     if norm.kind != words.MODEL:
         text = "unknot" if norm.kind == words.UNKNOT else _LINK_MESSAGE
         if args.format == "json":
             _emit_json({"kind": norm.kind})
         elif args.format == "csv":
-            _emit_csv(["word", "kind"], [[words.parse_word(args.word), norm.kind]])
+            _emit_csv(["word", "kind"], [[word, norm.kind]])
         else:
             print(text)
         return 0

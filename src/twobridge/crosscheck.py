@@ -15,7 +15,7 @@ import random
 from math import comb
 
 from . import census, diagram, planar
-from .words import InvariantError, enumerate_model_words
+from .words import InvariantError, draw_letters, enumerate_model_words
 
 
 def expected_pattern(n):
@@ -119,7 +119,7 @@ def check_orientation_patterns(max_len=40, per_length=50, seed=2026):
             continue
         expected = expected_pattern(n)
         for _ in range(per_length):
-            w = "".join(rng.choice("+-") for _ in range(n))
+            w = draw_letters(rng, n)
             od = planar.orient(planar.billiard_pd(w))
             got = planar.classify_orientations(od)
             if got != expected:

@@ -9,29 +9,45 @@ Goeritz matrix.  Nothing here consults the shortcut formulas, so
 agreement between the two routes genuinely checks both.
 
 Strip layout: crossings sit left to right, spanning heights 0..2 (three
-strands).  A crossing at heights (lo, lo+1) has four ports named by
-compass corners: nw, ne at height lo+1 and sw, se at height lo.  The two
-strands through a crossing run along the diagonals sw-ne and nw-se; the
-over flag records which diagonal passes over ("/" for sw-ne, "\\" for
-nw-se).  Horizontal connectors join ports along each height line around
-the crossings.  Closure: a cap joins heights 1 and 2 at the left and the
-long strand enters at left height 0; on the right a cap joins heights
-1-2 when the crossing count is odd (long strand exits at height 0) and
+strands).  A crossing at heights (lo, lo+1) has four corners, nw and ne
+at height lo+1, sw and se at height lo.  The two strands through a
+crossing run along the diagonals sw-ne and nw-se; the over flag records
+which diagonal passes over ("/" for sw-ne, "\\" for nw-se).  Along each
+height line, every crossing's east corner joins the next crossing's west
+corner.  Closure: a cap joins heights 1 and 2 at the left and the long
+strand enters at left height 0; on the right a cap joins heights 1-2
+when the crossing count is odd (long strand exits at height 0) and
 heights 0-1 when it is even (exit at height 2); one long arc closes exit
 back to entry.
+
+Ports: corner k of crossing ci is the integer port 4*ci + k, with the
+corners numbered clockwise as drawn, nw=0, ne=1, se=2, sw=3.  A diagram
+is one list, other[port], the port at the far end of the edge leaving
+port, plus the start port where the long strand first enters a crossing.
+The strand through port p leaves the crossing at its diagonal partner
+p ^ 2, and the corner clockwise from p is (p & ~3) | ((p + 1) & 3).  The
+quadrant between corner p and its clockwise neighbour is quadrant p, so
+N, E, S, W are 0, 1, 2, 3.  A face is an orbit of the map
+p -> clockwise(other[p]) on ports: leave p, arrive at a = other[p], turn
+clockwise around a's crossing and leave again; the face holds every
+quadrant a it turns through.
+
+The trefoil as the billiard word +-+: crossing 0 (ports 0-3) and
+crossing 2 (ports 8-11) sit at heights 0-1, crossing 1 (ports 4-7) at
+heights 1-2, and the long strand enters at crossing 0's sw corner.
+
+>>> pd = billiard_pd("+-+")
+>>> pd.other, pd.start
+([4, 7, 11, 10, 0, 9, 8, 1, 6, 5, 3, 2], 3)
+>>> goeritz_determinant(pd)
+3
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .diagram import H, SIGMA1, V
-
-_CORNERS = ("nw", "ne", "se", "sw")           # clockwise as drawn
-_CW = {"nw": "ne", "ne": "se", "se": "sw", "sw": "nw"}
-_QUADRANT = {("nw", "ne"): "N", ("ne", "se"): "E",
-             ("se", "sw"): "S", ("sw", "nw"): "W"}
-_DIAG = {"sw": "ne", "ne": "sw", "nw": "se", "se": "nw"}
-_DIAG_NAME = {"sw": "sw-ne", "ne": "sw-ne", "nw": "nw-se", "se": "nw-se"}
-_EAST = {"ne", "se"}
+from .words import InvariantError
 
 
 class MultiComponent(ValueError):
@@ -48,109 +64,94 @@ class Crossing:
     over: str    # "/" if the sw-ne diagonal is over, "\\" if nw-se is
 
 
-def _is_port(node):
-    return isinstance(node[0], int)
-
-
 class PlanarDiagram:
-    """4-valent plane graph of one closed strip.
+    """4-valent plane graph of one closed strip: other[p] is the port the
+    edge leaving port p ends at, start the long strand's first port."""
 
-    edges[i] = (port_a, port_b, path): path is the full node sequence the
-    edge runs through, boundary connectors included.  start_port is the
-    first crossing port the long strand meets entering at left height 0;
-    entry_dart is the directed long-arc edge pointing at it.
-    """
-
-    def __init__(self, crossings, edges, start_port, entry_edge):
-        self.crossings = tuple(crossings)
-        self.edges = tuple(edges)
-        self.start_port = start_port
-        self.entry_edge = entry_edge
-        self.port_end = {}
-        for ei, (a, b, _) in enumerate(self.edges):
-            self.port_end[a] = (ei, 0)
-            self.port_end[b] = (ei, 1)
+    def __init__(self, crossings, other, start):
+        self.crossings = crossings
+        self.other = other
+        self.start = start
 
     @property
     def n(self):
         return len(self.crossings)
 
-    def other_end(self, port):
-        ei, end = self.port_end[port]
-        a, b, _ = self.edges[ei]
-        return b if end == 0 else a
 
-    def ports(self):
-        return [(ci, corner) for ci in range(self.n) for corner in _CORNERS]
+def _where(crossings):
+    return "strip " + " ".join(f"{cr.lower}{cr.over}" for cr in crossings)
+
+
+# boundary nodes: left ends of height lines 0..2, then right ends
+_L0, _L1, _L2, _R0, _R1, _R2 = range(6)
 
 
 def _build_strip(crossings):
     n = len(crossings)
     if n < 1:
         raise ValueError("a strip needs at least one crossing")
-
-    segments = []
+    crossings = tuple(crossings)
+    base = 4 * n          # boundary node b is node base + b
+    link = [-1] * (base + 6)
+    ends = [base + _L0, base + _L1, base + _L2]  # open east end of each line
+    for ci, cr in enumerate(crossings):
+        lo = cr.lower
+        if lo not in (0, 1):
+            raise ValueError(f"crossing {ci}: lower height must be 0 or 1, got {lo}")
+        sw = 4 * ci + 3       # sw-se on the lower line
+        link[ends[lo]] = sw
+        link[sw] = ends[lo]
+        ends[lo] = sw - 1
+        nw = 4 * ci           # nw-ne on the upper line
+        link[ends[lo + 1]] = nw
+        link[nw] = ends[lo + 1]
+        ends[lo + 1] = nw + 1
     for h in range(3):
-        stops = []
-        for ci, cr in enumerate(crossings):
-            if cr.lower == h:
-                stops.append(((ci, "sw"), (ci, "se")))
-            elif cr.lower + 1 == h:
-                stops.append(((ci, "nw"), (ci, "ne")))
-        prev = ("L", h)
-        for west, east in stops:
-            segments.append((prev, west))
-            prev = east
-        segments.append((prev, ("R", h)))
+        link[ends[h]] = base + _R0 + h
+        link[base + _R0 + h] = ends[h]
+    if -1 in link:
+        raise InvariantError("every port on one edge", _where(crossings),
+                             "no unlinked port", link.index(-1))
 
-    segments.append((("L", 1), ("L", 2)))
-    if n % 2 == 1:
-        segments.append((("R", 1), ("R", 2)))
-        exit_h = 0
-    else:
-        segments.append((("R", 0), ("R", 1)))
-        exit_h = 2
-    segments.append((("R", exit_h), ("L", 0)))
+    if n % 2 == 1:  # right cap on heights 1-2, long arc from right height 0
+        pairs = ((_L1, _L2), (_R1, _R2), (_R0, _L0))
+    else:           # right cap on heights 0-1, long arc from right height 2
+        pairs = ((_L1, _L2), (_R0, _R1), (_R2, _L0))
+    cap = [0] * 6
+    for a, b in pairs:
+        cap[a], cap[b] = b, a
+    on_strands = set()
 
-    adj = {}
-    for si, (a, b) in enumerate(segments):
-        adj.setdefault(a, []).append((si, b))
-        adj.setdefault(b, []).append((si, a))
-    for node, nbrs in adj.items():
-        assert len(nbrs) == (1 if _is_port(node) else 2), (node, nbrs)
+    def through_boundary(x):
+        # follow closure arcs from node x to a port; with six boundary
+        # nodes a strand crosses at most three arcs
+        for _ in range(4):
+            if x < base:
+                return x
+            b = x - base
+            on_strands.update((b, cap[b]))
+            x = link[base + cap[b]]
+        raise InvariantError("boundary walk reaches a port", _where(crossings),
+                             "at most 3 closure arcs", "more")
 
-    def walk(seg, node):
-        # follow the strand through degree-2 boundary nodes until a port
-        path = []
-        segs = [seg]
-        while not _is_port(node):
-            path.append(node)
-            seg, node = next((s, m) for s, m in adj[node] if s != seg)
-            segs.append(seg)
-        return path, node, segs
+    other = link[:base]
+    for b in range(6):    # the ports at the ends of the height lines
+        p = link[base + b]
+        if p < base and other[p] >= base:
+            q = through_boundary(other[p])
+            other[p], other[q] = q, p
+    if len(on_strands) != 6:
+        raise InvariantError("strip left portless cycles behind", _where(crossings),
+                             "6 boundary nodes on strands", len(on_strands))
+    # enter at left height 0 along the strip, not along the long arc
+    return PlanarDiagram(crossings, other, through_boundary(link[base + _L0]))
 
-    edges = []
-    seen_ports = {}
-    used = set()
-    for ci in range(n):
-        for corner in _CORNERS:
-            p = (ci, corner)
-            if p in seen_ports:
-                continue
-            si, node = adj[p][0]
-            mid, q, segs = walk(si, node)
-            edges.append((p, q, (p, *mid, q)))
-            seen_ports[p] = seen_ports[q] = len(edges) - 1
-            used.update(segs)
-    assert len(used) == len(segments), "strip left portless cycles behind"
 
-    # enter at left height 0 along the strip, not along the long arc,
-    # which is always the last segment built
-    long_si = len(segments) - 1
-    si, node = next((s, m) for s, m in adj[("L", 0)] if s != long_si)
-    _, start_port, _ = walk(si, node)
-    entry_edge = seen_ports[start_port]
-    return PlanarDiagram(crossings, edges, start_port, entry_edge)
+_S1 = Crossing(lower=0, over="/")
+_S2_INV = Crossing(lower=1, over="\\")
+# a billiard letter's crossing at an odd (1-based) position, then at an even one
+_BILLIARD = {"+": (_S1, Crossing(lower=1, over="/")),
+             "-": (Crossing(lower=0, over="\\"), _S2_INV)}
 
 
 def billiard_pd(word, allow_link=False):
@@ -168,9 +169,9 @@ def billiard_pd(word, allow_link=False):
         raise ValueError(f"length {n} is 2 mod 3: closure is a 2-component link")
     crossings = []
     for i, ch in enumerate(word):
-        if ch not in "+-":
+        if ch not in _BILLIARD:
             raise ValueError(f"invalid letter {ch!r} at position {i}")
-        crossings.append(Crossing(lower=i % 2, over="/" if ch == "+" else "\\"))
+        crossings.append(_BILLIARD[ch][i % 2])
     return _build_strip(crossings)
 
 
@@ -180,36 +181,31 @@ def alternating_pd(records):
     crossings at heights (0,1) with the rising diagonal over (positive),
     s2^-1 at (1,2) with the falling diagonal over (negative).
     """
-    crossings = []
-    for x in records:
-        if x.generator == SIGMA1:
-            crossings.append(Crossing(lower=0, over="/"))
-        else:
-            crossings.append(Crossing(lower=1, over="\\"))
-    return _build_strip(crossings)
+    return _build_strip([_S1 if x.generator == SIGMA1 else _S2_INV for x in records])
 
 
 class OrientedDiagram:
-    """A PlanarDiagram plus the direction data of one full traversal."""
+    """A PlanarDiagram plus the direction of one full traversal:
+    state[p] is 1 where the strand enters a crossing, 2 where it leaves."""
 
-    def __init__(self, pd, diag_dirs):
+    def __init__(self, pd, state):
         self.pd = pd
-        self.diag_dirs = diag_dirs  # (crossing, diagonal name) -> +1 east / -1 west
+        self.state = state
 
 
-def _trace(pd, first_in):
-    ports = []
-    diag_dirs = {}
-    cur = first_in
+def _trace(pd, p, state):
+    # walk one component from port p, taken as entering its crossing
+    other = pd.other
+    start = p
     while True:
-        ci, corner = cur
-        out = (ci, _DIAG[corner])
-        ports.append(cur)
-        ports.append(out)
-        diag_dirs[(ci, _DIAG_NAME[corner])] = 1 if out[1] in _EAST else -1
-        cur = pd.other_end(out)
-        if cur == first_in:
-            return ports, diag_dirs
+        state[p] = 1
+        state[p ^ 2] = 2
+        p = other[p ^ 2]
+        if p == start:
+            return
+        if state[p]:
+            raise InvariantError("strand traversal closes up", _where(pd.crossings),
+                                 f"back at port {start}", f"port {p} again")
 
 
 def orient(pd):
@@ -217,123 +213,108 @@ def orient(pd):
 
     Raises MultiComponent when the traversal does not cover everything.
     """
-    ports, diag_dirs = _trace(pd, pd.start_port)
-    remaining = set(pd.ports()) - set(ports)
-    if remaining:
-        k = 1
-        while remaining:
-            extra, _ = _trace(pd, min(remaining))
-            remaining -= set(extra)
-            k += 1
+    state = bytearray(len(pd.other))
+    _trace(pd, pd.start, state)
+    k = 1
+    p = state.find(0)
+    while p >= 0:
+        _trace(pd, p, state)
+        k += 1
+        p = state.find(0, p)
+    if k > 1:
         raise MultiComponent(k)
-    return OrientedDiagram(pd, diag_dirs)
+    return OrientedDiagram(pd, bytes(state))
 
 
 def classify_orientations(od):
     """V/H at every crossing: V when the two strands run in opposite
     horizontal directions (equivalently both up or both down), H when
-    they agree.
+    they agree.  A strand runs east when it enters at a west corner, so
+    H means nw (on nw-se) and sw (on sw-ne) are both entries or both
+    exits.
     """
-    out = []
-    for ci in range(od.pd.n):
-        same = od.diag_dirs[(ci, "sw-ne")] == od.diag_dirs[(ci, "nw-se")]
-        out.append(H if same else V)
-    return out
+    s = od.state
+    return [H if s[p] == s[p + 3] else V for p in range(0, len(s), 4)]
 
 
 def trace_seifert_circles(od):
-    """Smooth every crossing respecting orientation and count the loops."""
-    parent = {}
+    """Smooth every crossing respecting orientation and count the loops.
 
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for a, b, _ in od.pd.edges:
-        union(a, b)
-    for ci, sm in enumerate(classify_orientations(od)):
-        if sm == H:
-            union((ci, "nw"), (ci, "ne"))
-            union((ci, "sw"), (ci, "se"))
-        else:
-            union((ci, "nw"), (ci, "sw"))
-            union((ci, "ne"), (ci, "se"))
-    return len({find(p) for p in od.pd.ports()})
+    H joins nw-ne and sw-se (port p to p ^ 1), V joins nw-sw and ne-se
+    (p to p ^ 3); every port then lies on one edge and one smoothing arc,
+    so the loops are the cycles that alternate the two.
+    """
+    other = od.pd.other
+    flip = [1 if sm == H else 3 for sm in classify_orientations(od)]
+    seen = bytearray(len(other))
+    loops = 0
+    for p in range(len(other)):
+        if seen[p]:
+            continue
+        loops += 1
+        while not seen[p]:
+            q = other[p]
+            seen[p] = seen[q] = 1
+            p = q ^ flip[q >> 2]
+    return loops
 
 
 def _faces(pd):
-    """Orbit the darts into faces; also map every crossing quadrant to its
-    face.  Darts are (edge id, direction); direction 0 runs a -> b.
+    """Orbit the darts into faces.  Dart p leaves port p; face[p] is its
+    face and quadrant[a] the face of quadrant a.  Face 0 holds the long
+    strand's entry dart, the one arriving at the start port.
     """
-    def head(dart):
-        ei, d = dart
-        a, b, _ = pd.edges[ei]
-        return b if d == 0 else a
-
-    def leaving(port):
-        ei, end = pd.port_end[port]
-        return (ei, 0) if end == 0 else (ei, 1)
-
-    entry_dart = None
-    ei = pd.entry_edge
-    for d in (0, 1):
-        if head((ei, d)) == pd.start_port:
-            entry_dart = (ei, d)
-    assert entry_dart is not None
-
-    all_darts = [entry_dart]
-    all_darts += [(e, d) for e in range(len(pd.edges)) for d in (0, 1)
-                  if (e, d) != entry_dart]
-    face_of_dart = {}
-    quadrant_face = {}
+    other = pd.other
+    entry = other[pd.start]
+    if other[entry] != pd.start:
+        raise InvariantError("entry dart ends at the start port", _where(pd.crossings),
+                             pd.start, other[entry])
+    face = [-1] * len(other)
+    quadrant = [-1] * len(other)
     faces = 0
-    for start in all_darts:
-        if start in face_of_dart:
+    for first in chain((entry,), range(len(other))):
+        if face[first] >= 0:
             continue
-        fid = faces
-        faces += 1
-        dart = start
+        p = first
         while True:
-            face_of_dart[dart] = fid
-            ci, corner = head(dart)
-            q = _CW[corner]
-            key = (ci, _QUADRANT[(corner, q)])
-            assert key not in quadrant_face
-            quadrant_face[key] = fid
-            dart = leaving((ci, q))
-            if dart == start:
+            face[p] = faces
+            a = other[p]
+            if quadrant[a] >= 0:
+                raise InvariantError("each quadrant in one face", _where(pd.crossings),
+                                     f"quadrant {a} unvisited", f"in face {quadrant[a]}")
+            quadrant[a] = faces
+            p = (a & ~3) | ((a + 1) & 3)
+            if p == first:
                 break
-    assert faces == pd.n + 2, (faces, pd.n)
-    return faces, face_of_dart, quadrant_face, entry_dart
+        faces += 1
+    if faces != pd.n + 2:
+        raise InvariantError("face count n + 2", _where(pd.crossings), pd.n + 2, faces)
+    return faces, face, quadrant
 
 
-def _checkerboard(pd, faces, face_of_dart):
+def _checkerboard(pd, faces, face):
     """2-color the faces so adjacent faces across every edge differ."""
-    color = {0: 0}
+    neighbors = [[] for _ in range(faces)]
+    for p, q in enumerate(pd.other):
+        if face[p] == face[q]:
+            raise InvariantError("edge between two faces", _where(pd.crossings),
+                                 "two faces", f"face {face[p]} on both sides")
+        neighbors[face[p]].append(face[q])
+    color = [-1] * faces
+    color[0] = 0
     queue = [0]
-    neighbors = {f: set() for f in range(faces)}
-    for ei in range(len(pd.edges)):
-        f0 = face_of_dart[(ei, 0)]
-        f1 = face_of_dart[(ei, 1)]
-        assert f0 != f1, "edge bounded by one face; not a knot projection"
-        neighbors[f0].add(f1)
-        neighbors[f1].add(f0)
     while queue:
         f = queue.pop()
         for g in neighbors[f]:
-            if g in color:
-                assert color[g] != color[f], "faces are not checkerboard-colorable"
-            else:
+            if color[g] < 0:
                 color[g] = 1 - color[f]
                 queue.append(g)
-    assert len(color) == faces, "disconnected face graph"
+            elif color[g] == color[f]:
+                raise InvariantError("checkerboard colouring", _where(pd.crossings),
+                                     f"faces {f} and {g} differ", "same colour")
+    if -1 in color:
+        raise InvariantError("connected face graph", _where(pd.crossings),
+                             faces, faces - color.count(-1))
     return color
 
 
@@ -354,10 +335,12 @@ def _int_det(m):
                     break
             else:
                 return 0
-        for i in range(k + 1, size):
+        ak = a[k]
+        for ai in a[k + 1:]:
+            aik = ai[k]
             for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
+                ai[j] = (ai[j] * ak[k] - aik * ak[j]) // prev
+        prev = ak[k]
     return sign * a[size - 1][size - 1]
 
 
@@ -370,21 +353,23 @@ def goeritz_determinant(pd):
     white faces at its opposite corners; either color class and either
     global sign convention give the same absolute determinant.
     """
-    faces, face_of_dart, quadrant_face, entry_dart = _faces(pd)
-    color = _checkerboard(pd, faces, face_of_dart)
-    white = 1 - color[face_of_dart[entry_dart]]
+    faces, face, quadrant = _faces(pd)
+    color = _checkerboard(pd, faces, face)
+    white = 1 - color[0]
 
-    white_faces = sorted(f for f in range(faces) if color[f] == white)
+    white_faces = [f for f in range(faces) if color[f] == white]
     index = {f: i for i, f in enumerate(white_faces)}
     k = len(white_faces)
     g = [[0] * k for _ in range(k)]
     for ci, cr in enumerate(pd.crossings):
-        f_n = quadrant_face[(ci, "N")]
-        f_s = quadrant_face[(ci, "S")]
-        f_e = quadrant_face[(ci, "E")]
-        f_w = quadrant_face[(ci, "W")]
-        assert color[f_n] == color[f_s] and color[f_e] == color[f_w]
-        assert color[f_n] != color[f_e]
+        f_n, f_e, f_s, f_w = quadrant[4 * ci:4 * ci + 4]
+        if color[f_n] != color[f_s] or color[f_e] != color[f_w]:
+            raise InvariantError("opposite quadrants share a colour", _where(pd.crossings),
+                                 f"crossing {ci}: N=S and E=W",
+                                 (color[f_n], color[f_e], color[f_s], color[f_w]))
+        if color[f_n] == color[f_e]:
+            raise InvariantError("adjacent quadrants differ in colour", _where(pd.crossings),
+                                 f"crossing {ci}: N != E", (color[f_n], color[f_e]))
         shaded_ns = color[f_n] != white
         eta = 1 if (cr.over == "/") == shaded_ns else -1
         fa, fb = ((f_e, f_w) if shaded_ns else (f_n, f_s))
@@ -393,7 +378,6 @@ def goeritz_determinant(pd):
             g[ia][ib] -= eta
             g[ib][ia] -= eta
     for i in range(k):
-        g[i][i] = -sum(g[i][j] for j in range(k) if j != i)
+        g[i][i] = -sum(g[i])  # off-diagonal entries only so far
     minor = [row[:-1] for row in g[:-1]]
     return abs(_int_det(minor))
-

@@ -66,6 +66,10 @@ def parse_word(text):
     >>> parse_word(" +- -+ ")
     '+--+'
     """
+    word = "".join(text.split())
+    if not word.strip("+-"):
+        return word
+    # something else is in there: find it and report its position
     out = []
     for pos, ch in enumerate(text):
         if ch in _ALPHABET:
@@ -337,9 +341,34 @@ def sample(n, count, seed):
     if n % 3 == 2:
         warnings.warn(f"length {n} is 2 mod 3: every sampled closure is a 2-component link")
     rng = random.Random(seed)
-    return _sample_stream(rng, n, count)
+    return (draw_letters(rng, n) for _ in range(count))
 
 
-def _sample_stream(rng, n, count):
-    for _ in range(count):
-        yield "".join(rng.choice("+-") for _ in range(n))
+# top byte of one 32-bit draw: rng.choice("+-") rejects it when bit 7 is
+# set and draws again, else bit 6 picks the letter
+_TOP_BYTE_LETTER = bytes(b"+-"[t >> 6 & 1] for t in range(256))
+_TOP_BYTE_REJECTED = bytes(range(0x80, 0x100))
+
+
+def draw_letters(rng, n):
+    """The n letters that n calls of rng.choice("+-") return, leaving rng
+    in the same state, from a few getrandbits calls.
+
+    choice draws 32-bit words until the top two bits fall below 2 and
+    returns the letter at bit 30.  getrandbits(32*k) draws k such words,
+    least significant first, so each word's top byte is every fourth
+    byte of the little-endian result.  A word yields at most one letter,
+    so asking for as many words as letters are missing never draws past
+    the last letter.
+
+    >>> import random
+    >>> draw_letters(random.Random(2), 8)
+    '+++-+--+'
+    """
+    parts = []
+    while n:
+        top = rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
+        letters = top.translate(_TOP_BYTE_LETTER, _TOP_BYTE_REJECTED)
+        parts.append(letters)
+        n -= len(letters)
+    return b"".join(parts).decode("ascii")

@@ -58,6 +58,12 @@ def test_analyze_csv(capsys):
     assert len(rows) == 2
 
 
+def test_analyze_csv_non_model_word_is_parsed(capsys):
+    code, out, _ = run(["analyze", " + -\u00a0", "--format", "csv"], capsys)
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [["word", "kind"], ["+-", "link"]]
+
+
 def test_analyze_rejects_garbage(capsys):
     code, out, err = run(["analyze", "+-x"], capsys)
     assert code == 2
@@ -280,6 +286,37 @@ def test_check_fails_on_planted_fault(flags):
     failed = [line for line in lines if "FAIL" in line]
     assert failed == ["oracle circle counts and orientations: FAIL (InvariantError: "
                       "oracle Seifert circle count at word +--+: expected 2, got 3)"]
+    assert len(lines) == 7 and proc.stderr == "FAILED\n"
+
+
+# the Goeritz pass reads a diagram whose edges at crossing 0's nw and ne
+# corners are swapped, so its face orbit no longer traces a plane graph;
+# python -O must not switch the structural checks off
+_PLANTED_PLANAR = """
+import sys
+from twobridge import cli, planar
+real = planar.goeritz_determinant
+
+def twisted(pd):
+    other = list(pd.other)
+    a, b = other[0], other[1]
+    other[0], other[1], other[a], other[b] = b, a, 1, 0
+    return real(planar.PlanarDiagram(pd.crossings, other, pd.start))
+
+planar.goeritz_determinant = twisted
+sys.exit(cli.main(["check", "6"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_check_fails_on_planted_planar_fault(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_PLANAR],
+                          capture_output=True, text=True, check=False, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    failed = [line for line in lines if "FAIL" in line]
+    assert failed == ["determinant equality: FAIL (InvariantError: face count n + 2 "
+                      "at strip 0/ 0/ 0/: expected 5, got 3)"]
     assert len(lines) == 7 and proc.stderr == "FAILED\n"
 
 

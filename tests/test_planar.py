@@ -2,8 +2,11 @@
 tracing, Goeritz determinants.  Everything here is independent of the
 smoothing shortcut, which is what makes the agreement tests meaningful."""
 
+import hashlib
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -50,6 +53,46 @@ def test_link_closure_has_two_components():
     pd = planar.billiard_pd("+-+-+", allow_link=True)
     with pytest.raises(planar.MultiComponent):
         planar.orient(pd)
+
+
+def test_ports_pair_up_into_edges():
+    # other is a fixed-point-free involution on the 4n ports, and the long
+    # strand enters at a crossing at heights 0-1 through its sw corner
+    for n in range(1, 9):
+        for t in itertools.product("+-", repeat=n):
+            pd = planar.billiard_pd("".join(t), allow_link=True)
+            assert sorted(pd.other) == list(range(4 * n))
+            assert all(pd.other[q] == p != q for p, q in enumerate(pd.other))
+            assert pd.start % 4 == 3 and pd.crossings[pd.start // 4].lower == 0
+
+
+# n crossings all at heights 1-2: for odd n the right cap joins heights 1-2
+# and the long arc meets the empty height-0 line at both ends, a closed
+# loop through no crossing; python -O must not switch that check off
+_ALL_UPPER = """
+from twobridge import planar, words
+for n in range(1, 12, 2):
+    try:
+        planar._build_strip([planar.Crossing(lower=1, over="\\\\")] * n)
+    except words.InvariantError as e:
+        print(e.name, e.expected, e.actual, sep=" / ")
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_all_upper_odd_strips_raise_named_error(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _ALL_UPPER],
+                          capture_output=True, text=True, check=False, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    line = "strip left portless cycles behind / 6 boundary nodes on strands / 4"
+    assert proc.stdout.splitlines() == [line] * 6
+
+
+def test_all_upper_even_strips_build():
+    # the empty height-0 line lies on the strand through both caps
+    for n in range(2, 13, 2):
+        pd = planar._build_strip([planar.Crossing(lower=1, over="\\")] * n)
+        assert sorted(pd.other) == list(range(4 * n))
 
 
 def test_closures_are_knots_when_length_allows():
@@ -146,3 +189,38 @@ def test_goeritz_determinant_equals_fraction_numerator():
 def test_determinant_of_unknot_closures():
     assert planar.goeritz_determinant(planar.billiard_pd("+++")) == 1
     assert planar.goeritz_determinant(planar.billiard_pd("++-+")) == 1
+
+
+# ------------------------------------------------------ pinned outputs
+
+def oracle_row(word, pd):
+    try:
+        od = planar.orient(pd)
+    except planar.MultiComponent as e:
+        return (word, "link", e.k)
+    return (word, "".join(planar.classify_orientations(od)),
+            planar.trace_seifert_circles(od), planar.goeritz_determinant(pd))
+
+
+def digest(rows):
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(repr(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+# The digests were computed with the tuple-keyed strip graph that the
+# integer-port diagrams replaced: the rewrite reports the same smoothings,
+# circle counts, determinants and link component counts.
+
+def test_oracle_pinned_on_billiard_words_up_to_length_12():
+    rows = (oracle_row(w, planar.billiard_pd(w, allow_link=True))
+            for n in range(1, 13)
+            for w in map("".join, itertools.product("+-", repeat=n)))
+    assert digest(rows) == "ec4edd3bb90ddaa8d09927a90a7f88c1ee1efabde2a798c6eecec81daaeb3081"
+
+
+def test_oracle_pinned_on_model_words_up_to_c13():
+    rows = (oracle_row(words.from_runs(r), planar.alternating_pd(diagram.full_diagram(r)))
+            for r in model_words(3, 13))
+    assert digest(rows) == "d80ed95739470bc3b25208955b430ebe1a80ab44bfd4e20f8736aa86ad96f07f"

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -32,6 +33,49 @@ def test_parse_rejects_bad_characters():
         words.parse_word("+-x+")
     with pytest.raises(words.WordSyntaxError):
         words.parse_word("01")
+
+
+def parse_by_scan(text):
+    # the per-character definition parse_word's fast path must agree with
+    out = []
+    for pos, ch in enumerate(text):
+        if ch in SIGNS:
+            out.append(ch)
+        elif not ch.isspace():
+            raise words.WordSyntaxError(f"invalid character {ch!r} at position {pos}")
+    return "".join(out)
+
+
+def test_parse_accepts_non_ascii_spaces():
+    assert words.parse_word("+\u00a0-\u2003-\u3000+\x1c") == "+--+"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("+- x", "invalid character 'x' at position 3"),
+    ("  \t-", None),
+    ("+\u00a0-y+", "invalid character 'y' at position 3"),
+    ("+\u3000\u200b-", "invalid character '\\u200b' at position 2"),
+    ("+-\u00e9", "invalid character '\u00e9' at position 2"),
+])
+def test_parse_error_positions_count_whitespace(text, message):
+    if message is None:
+        assert words.parse_word(text) == parse_by_scan(text)
+        return
+    with pytest.raises(words.WordSyntaxError) as exc:
+        words.parse_word(text)
+    assert str(exc.value) == message
+
+
+@given(st.text(alphabet="+- \t\n\u00a0\u2003\u200bx", max_size=12))
+def test_parse_matches_per_character_scan(text):
+    try:
+        want = parse_by_scan(text)
+    except words.WordSyntaxError as e:
+        with pytest.raises(words.WordSyntaxError) as exc:
+            words.parse_word(text)
+        assert str(exc.value) == str(e)
+    else:
+        assert words.parse_word(text) == want
 
 
 def test_mirror_and_reverse():
@@ -304,6 +348,18 @@ def test_sample_is_deterministic():
     assert a == b
     assert all(len(w) == 10 and set(w) <= set(SIGNS) for w in a)
     assert a != list(words.sample(10, 20, seed=8))
+
+
+@pytest.mark.parametrize("n, seeds", [
+    (0, 20), (1, 200), (2, 200), (3, 200), (7, 200), (100, 200), (3001, 20),
+])
+def test_draw_letters_matches_choice_letters_and_state(n, seeds):
+    # one rng.choice("+-") per letter is the definition; the batched draw
+    # must give the same letters and leave the generator where it would
+    for seed in range(seeds):
+        want, got = random.Random(seed), random.Random(seed)
+        assert words.draw_letters(got, n) == "".join(want.choice(SIGNS) for _ in range(n))
+        assert got.getstate() == want.getstate()
 
 
 def test_sample_warns_on_link_lengths():
