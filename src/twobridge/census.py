@@ -1,21 +1,58 @@
 """Exact counting and census aggregation over model words.
 
-Two independent routes to the same numbers live here.  The closed forms
-(Netto partial sums, the model-count formula, the per-index vertical
-counts as three Netto residue-class products) evaluate in pure integer
-arithmetic with O(1) big-integer operations per index; run_census
-enumerates every model word, aggregates the per-word diagram counts, and
-checks that the closed forms reproduce the enumerated totals before
-reporting anything, raising InvariantError (also under python -O) when
-they do not.  Averages are exact fractions; nothing in this
-module (or the package) touches floating point, including the decimal
-renderings, which are computed by integer division.
+Three routes to the same numbers live here.  The closed forms (Netto
+partial sums, the model-count formula, the per-index vertical counts as
+three Netto residue-class products, the palindromic and knot-class
+counts) evaluate in pure integer arithmetic with O(1) big-integer
+operations each.  The run scan, scan_totals, gives the census totals
+(word count and vertical, viable and sequential crossings) in O(c)
+big-integer steps; scan_census builds the report from it and the closed
+forms, with no enumeration, so it serves any c.  run_census enumerates
+every model word, aggregates the per-word diagram counts, and checks
+the closed forms and the scan against the enumerated values before
+reporting anything.  Every check raises InvariantError, also under
+python -O.
+
+The scan reads the runs left to right.  Run i (0-based) of a model word
+has length e = 1 or 2 (1 for the first and last run) and generator
+(i + e) & 1, and it smooths vertically iff its 1-based start position
+is not e mod 3 (see diagram).  A vertical crossing is viable when the
+next vertical crossing has its generator or there is none, and
+sequential when that next one is the crossing right after it.  So all
+that the rest of a word needs to know about a prefix is the state
+
+    (start mod 3, generator of the last vertical crossing or None,
+     whether that crossing is the previous one)
+
+of which there are at most 3 * 5 = 15 (12 are reachable, at most 7 at
+once).  A new vertical crossing settles the pending one (viable if the
+generators match, sequential if they also sit side by side) and becomes
+pending itself; a horizontal one leaves it pending, no longer adjacent.  A word
+is accepted when its letter length is 1 mod 3, that is when the start
+after its last run is 2 mod 3, and the crossing still pending there is
+viable.  Each word is one path through the states and settles each of
+its flags exactly once along it, and every total is a sum of flags, so
+carrying (count, vertical, viable, sequential) summed over the prefixes
+in each state gives the totals exactly.
+
+A knot class holds two model words, or one whose run vector is its own
+reversal (words.is_palindromic_type), so there are (model_count +
+palindromic_count) / 2 classes.  A palindromic run vector is fixed by
+its half: single end runs, h = (c - 2) // 2 interior pairs, and a free
+middle run when c is odd.  With d doubled pairs and x = 0 or 1 for the
+middle, its length c + 2d + x must be 1 mod 3, which fixes d mod 3, so
+each choice of x contributes one Netto sum N(h, r).
+
+Averages are exact fractions; nothing in this module (or the package)
+touches floating point, including the decimal renderings, which are
+computed by integer division.
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import diagram, rational
 from .words import InvariantError, enumeration_tasks, expand_task
@@ -67,6 +104,81 @@ def model_count(c):
     if total % 3:
         raise InvariantError("model count divisible by 3", f"c={c}", 0, total % 3)
     return total // 3
+
+
+def palindromic_count(c):
+    """Number of model words with c runs whose run vector is its own
+    reversal: the sum of N(h, r) over the middle choices x, where h =
+    (c - 2) // 2 and c + 2r + x = 1 (mod 3).
+
+    >>> [palindromic_count(c) for c in range(3, 11)]
+    [1, 1, 1, 1, 3, 3, 5, 5]
+    """
+    if c < 3:
+        raise ValueError(f"need c >= 3, got {c}")
+    h = (c - 2) // 2
+    # 2 is its own inverse mod 3, so c + 2r + x = 1 gives r = 2(1 - c - x)
+    return sum(netto_partial_sum(h, 2 * (1 - c - x) % 3)
+               for x in ((0, 1) if c % 2 else (0,)))
+
+
+def knot_class_count(c):
+    """Number of 2-bridge knot classes with crossing number c, a knot and
+    its mirror image counted once: (model_count + palindromic_count) / 2.
+
+    >>> [knot_class_count(c) for c in range(3, 11)]
+    [1, 1, 2, 3, 7, 12, 24, 45]
+    """
+    total = model_count(c) + palindromic_count(c)
+    if total % 2:
+        raise InvariantError("knot class count divisible by 2", f"c={c}", 0, total % 2)
+    return total // 2
+
+
+class CensusTotals(NamedTuple):
+    """Sums over all model words of one crossing number."""
+
+    count: int
+    vertical: int
+    viable: int
+    sequential: int
+
+
+def scan_totals(c):
+    """The census totals of crossing number c by the run scan described in
+    the module docstring: O(c) big-integer steps over at most 15 states.
+
+    >>> scan_totals(6)
+    CensusTotals(count=5, vertical=14, viable=9, sequential=4)
+    """
+    if c < 3:
+        raise ValueError(f"need c >= 3, got {c}")
+    # (start mod 3, pending generator or None, pending is the previous
+    # crossing) -> (count, vertical, viable, sequential) of its prefixes
+    states = {(1, None, False): (1, 0, 0, 0)}
+    for i in range(c):
+        lengths = (1, 2) if 0 < i < c - 1 else (1,)
+        step = {}
+        for (start, pending, adjacent), sums in states.items():
+            n, vert, viab, seq = sums
+            for e in lengths:
+                g = (i + e) & 1
+                if start == e:  # horizontal: the pending crossing waits
+                    key, add = ((start + e) % 3, pending, False), sums
+                else:  # vertical: settle the pending crossing, take its place
+                    settled = n if pending == g else 0
+                    key = ((start + e) % 3, g, True)
+                    add = (n, vert + n, viab + settled, seq + (settled if adjacent else 0))
+                acc = step.get(key)
+                step[key] = add if acc is None else (
+                    acc[0] + add[0], acc[1] + add[1], acc[2] + add[2], acc[3] + add[3])
+        states = step
+    totals = (0, 0, 0, 0)
+    for (start, pending, _), (n, vert, viab, seq) in states.items():
+        if start == 2:  # letter length 1 mod 3; the last vertical crossing is viable
+            last = 0 if pending is None else n
+            totals = tuple(map(sum, zip(totals, (n, vert, viab + last, seq))))
+    return CensusTotals(*totals)
 
 
 def delta_single(i, d1):
@@ -153,7 +265,7 @@ class CensusReport(rational.Record):
     avg_genus_lower_closed_form: Fraction
     closed_form_vertical_total: int
     per_index_contributions: tuple
-    knot_classes: tuple
+    knot_classes: tuple = None
     analyses: tuple = None
 
     CSV_COLUMNS = (
@@ -227,10 +339,64 @@ def _resolve_threads(c, n_tasks):
     return min(cpus, n_tasks)
 
 
+def _report(c, totals, knot_classes=None, analyses=None):
+    """The CensusReport of crossing number c with the given totals: checks
+    the count and vertical total against their closed forms, derives the
+    averages and the bound, and checks that the average genus lies
+    between the bound and (c - 1)/2."""
+    where = f"c={c}"
+    count, vertical, viable, sequential = totals
+    if count != model_count(c):
+        raise InvariantError("model word count", where, model_count(c), count)
+    contributions = tuple(index_contribution(c, i) for i in range(2, c))
+    closed_vertical = sum(contributions)
+    if vertical != closed_vertical:
+        raise InvariantError("vertical total", where, closed_vertical, vertical)
+    avg_s = 2 + Fraction(viable, count)
+    avg_genus = Fraction(1 + c, 2) - avg_s / 2
+    bound = _bound_from_vertical_total(c, closed_vertical)
+    if not bound <= avg_genus <= Fraction(c - 1, 2):
+        raise InvariantError("genus bounds", where, f"{bound}..{Fraction(c - 1, 2)}",
+                             avg_genus)
+    return CensusReport(
+        c=c,
+        star=star(c),
+        word_count=count,
+        vertical_total=vertical,
+        viable_total=viable,
+        sequential_total=sequential,
+        avg_s=avg_s,
+        avg_s_upper=2 + Fraction(vertical, count),
+        avg_genus=avg_genus,
+        avg_genus_lower_closed_form=bound,
+        closed_form_vertical_total=closed_vertical,
+        per_index_contributions=contributions,
+        knot_classes=knot_classes,
+        analyses=analyses,
+    )
+
+
+def scan_census(c):
+    """The census report of crossing number c from scan_totals and the
+    closed forms, with no enumeration, for any c >= 3.  It holds no word
+    lists: knot_classes and analyses are None, and knot_class_count(c)
+    counts the classes.
+
+    >>> scan_census(7).avg_genus
+    Fraction(20, 11)
+    """
+    rep = _report(c, scan_totals(c))
+    # each word's genus (c - 1 - viable) / 2 is whole, so their sum is too
+    genus_total = rep.avg_genus * rep.word_count
+    if genus_total.denominator != 1:
+        raise InvariantError("genus parity", f"c={c}", "a whole genus total", genus_total)
+    return rep
+
+
 def run_census(c, per_word=False):
     """Enumerate, analyze and aggregate all model words of crossing number
-    c, checking every closed form against the enumerated totals along the
-    way.
+    c, checking the closed forms, the scan and the knot class count
+    against the enumerated values along the way.
     """
     if c < 3:
         raise ValueError(f"need c >= 3, got {c}")
@@ -261,43 +427,23 @@ def run_census(c, per_word=False):
         analyses.extend(t_analyses)
 
     where = f"c={c}"
-    if count != model_count(c):
-        raise InvariantError("model word count", where, model_count(c), count)
-    contributions = tuple(index_contribution(c, i) for i in range(2, c))
-    closed_vertical = sum(contributions)
-    if vertical != closed_vertical:
-        raise InvariantError("vertical total", where, closed_vertical, vertical)
+    totals = CensusTotals(count, vertical, viable, sequential)
+    rep = _report(c, totals, tuple(rational.group_rows(rows)),
+                  tuple(analyses) if per_word else None)
+    contributions = rep.per_index_contributions
     if tuple(per_index) != contributions:
         raise InvariantError("per-index vertical counts", where, contributions,
                              tuple(per_index))
     if contributions != contributions[::-1]:
         raise InvariantError("index symmetry", where, contributions[::-1], contributions)
-
-    avg_s = 2 + Fraction(viable, count)
-    avg_s_upper = 2 + Fraction(vertical, count)
-    avg_genus = Fraction(1 + c, 2) - avg_s / 2
-    bound = _bound_from_vertical_total(c, closed_vertical)
     # the averaged genus formula must agree with summing per-word genus
-    if avg_genus != Fraction(genus_total, count):
+    if rep.avg_genus != Fraction(genus_total, count):
         raise InvariantError("average genus", where, Fraction(genus_total, count),
-                             avg_genus)
-    if not bound <= avg_genus <= Fraction(c - 1, 2):
-        raise InvariantError("genus bounds", where, f"{bound}..{Fraction(c - 1, 2)}",
-                             avg_genus)
-
-    return CensusReport(
-        c=c,
-        star=star(c),
-        word_count=count,
-        vertical_total=vertical,
-        viable_total=viable,
-        sequential_total=sequential,
-        avg_s=avg_s,
-        avg_s_upper=avg_s_upper,
-        avg_genus=avg_genus,
-        avg_genus_lower_closed_form=bound,
-        closed_form_vertical_total=closed_vertical,
-        per_index_contributions=contributions,
-        knot_classes=tuple(rational.group_rows(rows)),
-        analyses=tuple(analyses) if per_word else None,
-    )
+                             rep.avg_genus)
+    scanned = scan_totals(c)
+    if scanned != totals:
+        raise InvariantError("scan totals", where, totals, scanned)
+    if len(rep.knot_classes) != knot_class_count(c):
+        raise InvariantError("knot class count", where, len(rep.knot_classes),
+                             knot_class_count(c))
+    return rep

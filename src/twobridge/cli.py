@@ -72,7 +72,10 @@ def _word_line(a):
 
 
 def cmd_census(args):
-    rep = census.run_census(args.c, per_word=args.per_word)
+    if args.per_word or args.format == "json":  # these print every word or class
+        rep = census.run_census(args.c, per_word=args.per_word)
+    else:
+        rep = census.scan_census(args.c)
     if args.format == "json":
         _emit_json(rep)
     elif args.format == "csv":
@@ -92,7 +95,7 @@ def cmd_census(args):
         print(f"avg genus lower bound: {rational.format_rational(rep.avg_genus_lower)}")
         contributions = rational.csv_cell(rep.per_index_contributions)
         print(f"vertical contributions by index (2..{rep.c - 1}): {contributions}")
-        print(f"knot classes: {len(rep.knot_classes)}")
+        print(f"knot classes: {census.knot_class_count(rep.c)}")
         if args.per_word:
             print()
             for a in rep.analyses:
@@ -121,7 +124,7 @@ def cmd_bound(args):
         bound = census.lower_bound_avg_genus(c)
         exact = None
         if c <= args.exact_ceiling:
-            exact = census.run_census(c).avg_genus
+            exact = census.scan_census(c).avg_genus
         rows.append((c, bound, exact))
     columns = ("c", "avg_genus_lower", "avg_genus")
     if args.format == "json":
@@ -234,7 +237,7 @@ def _build_parser():
     sp = sub.add_parser("bound", help="closed-form lower bound on average genus")
     sp.add_argument("range", help="crossing number N or range A..B")
     sp.add_argument("--exact-ceiling", type=int, default=16,
-                    help="largest c for which the exact average is enumerated")
+                    help="largest c for which the exact average is printed")
     fmt(sp)
     sp.set_defaults(func=cmd_bound)
 

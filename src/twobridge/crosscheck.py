@@ -15,7 +15,7 @@ import random
 from math import comb
 
 from . import census, diagram, planar
-from .words import InvariantError, draw_letters, enumerate_model_words
+from .words import ENUMERATION_CEILING, InvariantError, draw_letters, enumerate_model_words
 
 
 def expected_pattern(n):
@@ -43,7 +43,8 @@ def check_netto(k_max=30):
 def check_census_closed_forms(c_max, report):
     # report(c) is run_census(c), which itself checks: enumerated count =
     # count formula, enumerated vertical total and per-index counts =
-    # closed forms, index symmetry, genus identity, bound ordering
+    # closed forms, index symmetry, genus identity, bound ordering, and
+    # enumerated totals = scan_totals, class count = knot_class_count
     count = 0
     for c in range(3, c_max + 1):
         report(c)
@@ -154,6 +155,9 @@ def run_all(c_max):
     (name, assertion count or None, error text or None)."""
     if c_max < 3:
         raise ValueError(f"need c_max >= 3, got {c_max}")
+    if c_max > ENUMERATION_CEILING:
+        raise ValueError(f"c_max={c_max} is above the enumeration ceiling "
+                         f"{ENUMERATION_CEILING}")
     # each census runs once and both census checks read it; a census that
     # raises is not kept, so it raises again in the second check as well
     report = functools.cache(census.run_census)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import accumulate, groupby
 
 from . import rational
-from .words import RunWord, from_runs, is_palindromic_type
+from .words import InvariantError, RunWord, from_runs, is_palindromic_type
 
 SIGMA1 = "s1"
 SIGMA2_INV = "s2^-1"
@@ -45,8 +45,9 @@ H = "H"
 _GENERATOR = (SIGMA2_INV, SIGMA1)
 
 
-class ParityError(ValueError):
-    """1 - s + c came out odd or negative; upstream produced a non-knot."""
+class ParityError(InvariantError):
+    """1 - s + c came out odd or negative: no knot diagram has that circle
+    count and crossing number, so the code that counted them is wrong."""
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,8 @@ def genus(s, c):
     """Genus of an alternating knot from circle count and crossing number."""
     n = 1 - s + c
     if n < 0 or n % 2:
-        raise ParityError(f"1 - s + c = {n} is not a nonnegative even number")
+        raise ParityError("genus parity", f"s={s}, c={c}",
+                          "a nonnegative even 1 - s + c", n)
     return n // 2
 
 

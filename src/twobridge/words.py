@@ -236,6 +236,14 @@ def is_palindromic_type(r):
     return r.runs == r.runs[::-1]
 
 
+# The largest crossing number whose model words are ever listed one by
+# one: model_count(26) = 5,592,405 words, and each step up doubles that.
+# enumeration_tasks (so enumerate_model_words and run_census) and
+# crosscheck.run_all refuse a larger c with ValueError, which the CLI
+# reports as a usage error; census.scan_census needs no word list.
+ENUMERATION_CEILING = 26
+
+
 def double_counts(c):
     """Interior double counts d with c + d = 1 mod 3 and 0 <= d <= c - 2."""
     return range((1 - c) % 3, c - 1, 3)
@@ -264,6 +272,8 @@ def enumeration_tasks(c):
     """
     if c < 3:
         raise ValueError(f"model words need at least 3 runs, got c={c}")
+    if c > ENUMERATION_CEILING:
+        raise ValueError(f"c={c} is above the enumeration ceiling {ENUMERATION_CEILING}")
     tasks = []
     for d in double_counts(c):
         if d == 0:

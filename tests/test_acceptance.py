@@ -82,11 +82,17 @@ def test_criterion_04_index_contribution_examples():
 def test_criterion_05_count_formula_up_to_24():
     t0 = time.perf_counter()
     for c in range(3, 25):
-        enumerated = sum(1 for _ in words.enumerate_model_words(c))
+        model = words.enumerate_model_words(c)
+        if c <= 20:
+            model = list(model)
+            palindromes = sum(map(words.is_palindromic_type, model))
+            assert palindromes == census.palindromic_count(c), c
+        enumerated = sum(1 for _ in model)
         assert enumerated == census.model_count(c) == (
             2 ** (c - 2) + census.star(c)) // 3, c
     elapsed = time.perf_counter() - t0
-    done(5, "enumerated counts match (2^(c-2)+*)/3 for 3<=c<=24", elapsed, 60.0)
+    done(5, "enumerated counts match (2^(c-2)+*)/3 for 3<=c<=24, "
+            "palindromic counts for c<=20", elapsed, 60.0)
 
 
 def test_criterion_06_oracle_seifert_equivalence_up_to_14():

@@ -1,6 +1,9 @@
 """Counting formulas, closed-form vertical totals, the average-genus
-lower bound, and the enumerated census that cross-checks them."""
+lower bound, the run scan, and the enumerated census that cross-checks
+them."""
 
+import dataclasses
+import functools
 import json
 import math
 from fractions import Fraction
@@ -324,3 +327,59 @@ def test_report_serialization():
     row = rep.csv_row()
     assert len(row) == len(census.CensusReport.CSV_COLUMNS)
     assert row[census.CensusReport.CSV_COLUMNS.index("avg_s")] == "19/5"
+
+
+# --------------------------------------------------------------- run scan
+
+scanned = functools.cache(census.scan_totals)
+
+# fitted on four values of c, never derived: (a c + b) 2^c + (d c + e) (-1)^c
+_FITTED = {
+    "viable": (Fraction(1, 24), Fraction(-7, 72), Fraction(-1, 3), Fraction(11, 9)),
+    "vertical": (Fraction(1, 18), Fraction(-7, 54), Fraction(2, 9), Fraction(-10, 27)),
+    "sequential": (Fraction(1, 36), Fraction(-5, 54), Fraction(-2, 9), Fraction(16, 27)),
+}
+
+
+def test_scan_equals_enumerated_totals():
+    for c in range(3, 17):
+        rep = census.run_census(c)
+        assert scanned(c) == (rep.word_count, rep.vertical_total, rep.viable_total,
+                              rep.sequential_total), c
+
+
+def test_scan_count_and_vertical_match_closed_forms():
+    for c in range(3, 301):
+        assert scanned(c).count == census.model_count(c), c
+        assert scanned(c).vertical == census.closed_form_vertical_total(c), c
+
+
+def test_scan_matches_fitted_closed_forms():
+    for c in range(3, 301):
+        for name, (a, b, d, e) in _FITTED.items():
+            fitted = (a * c + b) * 2 ** c + (d * c + e) * (-1) ** c
+            assert getattr(scanned(c), name) == fitted, (c, name)
+
+
+def test_scan_census_equals_run_census_without_word_lists():
+    for c in (3, 6, 7, 12):
+        enumerated = census.run_census(c)
+        assert census.scan_census(c) == dataclasses.replace(enumerated, knot_classes=None)
+
+
+def test_palindromic_count_follows_half_length_model_count():
+    for c in range(3, 301):
+        assert census.palindromic_count(c) == census.model_count((c + 1) // 2 + 1), c
+
+
+def test_knot_class_count_golden():
+    # 2-bridge knots up to mirror image by crossing number (Ernst-Sumners)
+    assert [census.knot_class_count(c) for c in range(3, 13)] == [
+        1, 1, 2, 3, 7, 12, 24, 45, 91, 176]
+
+
+def test_run_census_checks_class_count(monkeypatch):
+    monkeypatch.setattr(census, "knot_class_count", lambda c: 4)
+    with pytest.raises(words.InvariantError,
+                       match="knot class count at c=6: expected 3, got 4"):
+        census.run_census(6)

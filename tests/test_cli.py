@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import golden
-from twobridge import cli, diagram
+from twobridge import census, cli, diagram, words
 
 
 def run(argv, capsys):
@@ -103,6 +103,31 @@ def test_analyze_fails_on_planted_normalization_fault(flags):
                            "first sign +, c >= 3, length 1 mod 3, got +-+\n")
 
 
+# analyze's kernel marks one crossing too many viable, so 1 - s + c is odd;
+# that is a program fault (exit 1), not a usage error, also under python -O
+_PLANTED_PARITY = """
+import sys
+from twobridge import cli, diagram
+real = diagram._crossing_lists
+
+def one_more_viable(r):
+    gens, smoothings, viable, sequential = real(r)
+    return gens, smoothings, viable + [True], sequential
+
+diagram._crossing_lists = one_more_viable
+sys.exit(cli.main(["analyze", "+-+-"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_analyze_parity_fault_exits_1(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_PARITY],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: genus parity at s=4, c=4: expected a "
+                           "nonnegative even 1 - s + c, got 1\n")
+
+
 # ----------------------------------------------------------------- census
 
 def test_census_human_pinned_values(capsys):
@@ -143,9 +168,75 @@ def test_census_invariant_failure_is_one_line_exit_1(capsys, monkeypatch):
         return dataclasses.replace(a, viable=a.viable + 1)
 
     monkeypatch.setattr(diagram, "analyze", one_more_viable)
-    code, out, err = run(["census", "6"], capsys)
+    # the json form enumerates; human and csv read the scan, not analyze
+    code, out, err = run(["census", "6", "--format", "json"], capsys)
     assert code == 1 and out == ""
     assert err == "error: average genus at c=6: expected 8/5, got 11/10\n"
+
+
+def test_census_aggregates_need_no_enumeration(capsys):
+    code, out, _ = run(["census", "1000"], capsys)
+    assert code == 0
+    assert f"words: {census.model_count(1000)} (star -1)" in out.splitlines()
+    assert out.endswith(f"knot classes: {census.knot_class_count(1000)}\n")
+    code, out, _ = run(["census", "1000", "--format", "csv"], capsys)
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert int(row[header.index("word_count")]) == census.model_count(1000)
+
+
+_ABOVE_CEILING = str(words.ENUMERATION_CEILING + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", _ABOVE_CEILING, "--per-word"],
+    ["census", _ABOVE_CEILING, "--format", "json"],
+    ["classes", _ABOVE_CEILING],
+    ["enumerate", _ABOVE_CEILING],
+    ["check", _ABOVE_CEILING],
+], ids=["per-word", "json", "classes", "enumerate", "check"])
+def test_enumerating_paths_refuse_above_ceiling(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"above the enumeration ceiling {words.ENUMERATION_CEILING}" in err
+
+
+def test_enumeration_ceiling_is_inclusive():
+    assert census.model_count(words.ENUMERATION_CEILING) == 5_592_405
+    assert words.enumeration_tasks(words.ENUMERATION_CEILING)
+
+
+# scan_totals reports one viable crossing too many; python -O must not
+# switch the checks off on the path that does not enumerate
+_PLANTED_SCAN = """
+import sys
+from twobridge import census, cli
+real = census.scan_totals
+census.scan_totals = lambda c: real(c)._replace(viable=real(c).viable + 1)
+sys.exit(cli.main(["census", "8"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_census_fails_on_planted_scan_fault(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_SCAN],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: genus parity at c=8: expected a whole genus "
+                           "total, got 87/2\n")
+
+
+def test_check_fails_on_planted_scan_fault(capsys, monkeypatch):
+    real = census.scan_totals
+    monkeypatch.setattr(census, "scan_totals",
+                        lambda c: real(c)._replace(viable=real(c).viable + 1))
+    code, out, err = run(["check", "6"], capsys)
+    assert code == 1 and err == "FAILED\n"
+    failed = [line for line in out.splitlines() if "FAIL" in line]
+    assert [line.split(":")[0] for line in failed] == [
+        "census closed forms", "knot class multiplicities"]
+    assert all("InvariantError: scan totals at c=3" in line for line in failed)
 
 
 # ------------------------------------------------------------------ bound
