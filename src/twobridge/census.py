@@ -48,14 +48,12 @@ touches floating point, including the decimal renderings, which are
 computed by integer division.
 """
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import diagram, rational
-from .words import InvariantError, enumeration_tasks, expand_task
+from .words import InvariantError, enumerate_model_words
 
 # 2cos(m*pi/3) is periodic with period 6 and always a whole number
 _TWO_COS = (2, 1, -1, -2, -1, 1)
@@ -300,45 +298,6 @@ class CensusReport(rational.Record):
         return out
 
 
-def _census_task(args):
-    c, d, first, per_word = args
-    count = vertical = viable = sequential = genus_total = 0
-    per_index = [0] * max(c - 2, 0)
-    rows = []
-    analyses = []
-    for r in expand_task(c, d, first):
-        a = diagram.analyze(r)
-        count += 1
-        vertical += a.vertical
-        viable += a.viable
-        sequential += a.sequential
-        genus_total += a.genus
-        for pos, sm in enumerate(a.smoothings):
-            if sm == diagram.V:
-                per_index[pos - 1] += 1  # V never occurs at crossing 1 or c
-        rows.append(a.knot_row)
-        if per_word:
-            analyses.append(a)
-    return count, vertical, viable, sequential, genus_total, per_index, rows, analyses
-
-
-# below this many model words, spawning processes costs more than the census
-_POOL_MIN_WORDS = 1 << 14
-
-
-def _resolve_threads(c, n_tasks):
-    """Worker processes for a census: one below _POOL_MIN_WORDS model
-    words, else one per usable CPU (so taskset and cpusets limit it),
-    never more than tasks.  Any count gives the same report."""
-    if model_count(c) < _POOL_MIN_WORDS:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_tasks)
-
-
 def _report(c, totals, knot_classes=None, analyses=None):
     """The CensusReport of crossing number c with the given totals: checks
     the count and vertical total against their closed forms, derives the
@@ -400,31 +359,23 @@ def run_census(c, per_word=False):
     """
     if c < 3:
         raise ValueError(f"need c >= 3, got {c}")
-    tasks = [(c, d, first, per_word) for d, first in enumeration_tasks(c)]
-    workers = _resolve_threads(c, len(tasks))
-    if workers == 1:
-        results = map(_census_task, tasks)
-    else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            results = list(pool.map(_census_task, tasks,
-                                    chunksize=max(1, len(tasks) // (4 * workers))))
-        finally:
-            pool.shutdown()
-
     count = vertical = viable = sequential = genus_total = 0
-    per_index = [0] * max(c - 2, 0)
+    per_index = [0] * (c - 2)
     rows = []
     analyses = []
-    for t_count, t_vert, t_viab, t_seq, t_gen, t_idx, t_rows, t_analyses in results:
-        count += t_count
-        vertical += t_vert
-        viable += t_viab
-        sequential += t_seq
-        genus_total += t_gen
-        per_index = [a + b for a, b in zip(per_index, t_idx)]
-        rows.extend(t_rows)
-        analyses.extend(t_analyses)
+    for r in enumerate_model_words(c):
+        a = diagram.analyze(r)
+        count += 1
+        vertical += a.vertical
+        viable += a.viable
+        sequential += a.sequential
+        genus_total += a.genus
+        for pos, sm in enumerate(a.smoothings):
+            if sm == diagram.V:
+                per_index[pos - 1] += 1  # V never occurs at crossing 1 or c
+        rows.append(a.knot_row)
+        if per_word:
+            analyses.append(a)
 
     where = f"c={c}"
     totals = CensusTotals(count, vertical, viable, sequential)

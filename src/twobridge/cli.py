@@ -121,11 +121,11 @@ def cmd_bound(args):
     lo, hi = _parse_range(args.range)
     rows = []
     for c in range(lo, hi + 1):
-        bound = census.lower_bound_avg_genus(c)
-        exact = None
-        if c <= args.exact_ceiling:
-            exact = census.scan_census(c).avg_genus
-        rows.append((c, bound, exact))
+        if c <= args.exact_ceiling:  # one report holds both columns
+            rep = census.scan_census(c)
+            rows.append((c, rep.avg_genus_lower, rep.avg_genus))
+        else:
+            rows.append((c, census.lower_bound_avg_genus(c), None))
     columns = ("c", "avg_genus_lower", "avg_genus")
     if args.format == "json":
         _emit_json([dict(zip(columns, row)) for row in rows])

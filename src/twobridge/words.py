@@ -267,8 +267,8 @@ def enumeration_tasks(c):
     """Split the c enumeration into independent units (d, first_double).
 
     Expanding the units in list order with expand_task reproduces
-    enumerate_model_words(c) exactly; the units can also be handed to
-    worker processes, since any aggregation downstream is a sum.
+    enumerate_model_words(c) exactly.  The split stays because
+    bench/run.py traces both functions and counts words from expand_task.
     """
     if c < 3:
         raise ValueError(f"model words need at least 3 runs, got c={c}")
@@ -329,9 +329,13 @@ def normalize_to_model(word):
         return Normalized(UNKNOT)
     if len(w) % 3 == 2:
         return Normalized(LINK)
-    r = to_runs(mirror(w) if w[0] == MINUS else w)
-    if r.length % 3 == 0:
-        r = toggle_interior(r)
+    try:
+        r = to_runs(mirror(w) if w[0] == MINUS else w)
+        if r.length % 3 == 0:
+            r = toggle_interior(r)
+    except NotReducedForm as e:  # reduce returned a word outside run form
+        raise InvariantError("reduced run form", f"reduced word {w}",
+                             "runs of 1 or 2, single-letter ends", e) from e
     if not r.is_model:
         raise InvariantError("model form", f"reduced word {w}",
                              "first sign +, c >= 3, length 1 mod 3", from_runs(r))

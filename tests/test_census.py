@@ -222,82 +222,6 @@ def test_census_agrees_with_bound_ordering():
         assert rep.avg_genus_lower_closed_form <= rep.avg_genus <= Fraction(c - 1, 2)
 
 
-def _usable_cpus(monkeypatch, n):
-    monkeypatch.setattr(census.os, "sched_getaffinity",
-                        lambda pid: set(range(n)), raising=False)
-
-
-def test_census_thread_count_does_not_change_report(monkeypatch):
-    # with the cutoff at 0, c=8 runs through a real two-process pool
-    serial = census.run_census(8, per_word=True)
-    sizes = []
-
-    class CountingPool(census.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(census, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(census, "_POOL_MIN_WORDS", 0)
-    _usable_cpus(monkeypatch, 2)
-    assert census.run_census(8, per_word=True) == serial
-    assert sizes == [2]
-
-
-def test_resolve_threads_is_clamped(monkeypatch):
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
-    _usable_cpus(monkeypatch, 4)
-    assert census.model_count(17) < census._POOL_MIN_WORDS <= census.model_count(18)
-    assert census._resolve_threads(17, 100) == 1  # small census
-    assert census._resolve_threads(18, 100) == 4  # the affinity mask, not cpu_count
-    assert census._resolve_threads(18, 3) == 3
-    _usable_cpus(monkeypatch, 1)
-    assert census._resolve_threads(40, 100) == 1
-    # without sched_getaffinity the CPU count decides
-    monkeypatch.delattr(census.os, "sched_getaffinity", raising=False)
-    assert census._resolve_threads(18, 100) == 64
-    monkeypatch.setattr(census.os, "cpu_count", lambda: None)
-    assert census._resolve_threads(18, 100) == 1
-
-
-def _record_pool_sizes(monkeypatch):
-    """Swap the pool for a stand-in that records the size it was asked
-    for and starts no process; returns the recorded sizes."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
-    return sizes
-
-
-def test_census_pool_never_exceeds_cpu_count(monkeypatch):
-    serial = census.run_census(8)
-    n_tasks = len(list(words.enumeration_tasks(8)))
-    sizes = _record_pool_sizes(monkeypatch)
-    monkeypatch.setattr(census, "_POOL_MIN_WORDS", 0)
-    for cpus in (2, n_tasks + 5):
-        _usable_cpus(monkeypatch, cpus)
-        assert census.run_census(8) == serial
-    assert sizes == [2, n_tasks]
-
-
-def test_census_one_usable_cpu_starts_no_pool(monkeypatch):
-    sizes = _record_pool_sizes(monkeypatch)
-    monkeypatch.setattr(census, "_POOL_MIN_WORDS", 0)
-    _usable_cpus(monkeypatch, 1)
-    census.run_census(8)
-    assert sizes == []
-
-
 def test_census_per_word_rows_match_reference_tables():
     rep = census.run_census(7, per_word=True)
     assert rep.analyses is not None

@@ -103,6 +103,26 @@ def test_analyze_fails_on_planted_normalization_fault(flags):
                            "first sign +, c >= 3, length 1 mod 3, got +-+\n")
 
 
+# reduce leaves its input as it is, so to_runs meets a run of three; a
+# program fault (exit 1), not a usage error, also under python -O
+_PLANTED_REDUCE = """
+import sys
+from twobridge import cli, words
+words.reduce = lambda word: word
+sys.exit(cli.main(["analyze", "+++-"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_analyze_unreduced_run_form_exits_1(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_REDUCE],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: reduced run form at reduced word +++-: expected "
+                           "runs of 1 or 2, single-letter ends, got run lengths "
+                           "must be 1 or 2: (3, 1)\n")
+
+
 # analyze's kernel marks one crossing too many viable, so 1 - s + c is odd;
 # that is a program fault (exit 1), not a usage error, also under python -O
 _PLANTED_PARITY = """
@@ -269,6 +289,21 @@ def test_bound_single_value_json(capsys):
                                    "decimal": "1.818182"}}]
 
 
+def test_bound_computes_each_index_contribution_once(capsys, monkeypatch):
+    # below the exact ceiling one scan_census report holds both columns
+    calls = []
+    real = census.index_contribution
+
+    def counting(c, i):
+        calls.append((c, i))
+        return real(c, i)
+
+    monkeypatch.setattr(census, "index_contribution", counting)
+    code, out, _ = run(["bound", "3..16"], capsys)
+    assert code == 0 and len(out.splitlines()) == 14
+    assert len(calls) == len(set(calls)) == sum(c - 2 for c in range(3, 17)) == 105
+
+
 def test_bound_rejects_malformed_range(capsys):
     for bad in ("abc", "7..5", "2..4", ""):
         code, _, err = run(["bound", bad], capsys)
@@ -431,6 +466,17 @@ def test_console_script_runs():
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0
     assert "knot: 3_1" in proc.stdout
+
+
+def test_cli_import_loads_no_process_machinery():
+    # the CLI runs in one process, so starting it need not import the
+    # process pool and everything it pulls in
+    probe = ("import sys, twobridge.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith(('concurrent', 'multiprocessing'))))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_repeat_invocations_byte_identical(capsys):
