@@ -8,7 +8,9 @@ sampling is seeded.
 """
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import sys
 import warnings
@@ -27,9 +29,22 @@ def _emit_json(obj):
     sys.stdout.write("\n")
 
 
-def _knot_display(p, q):
-    cc = rational.canonical_class(rational.KnotFraction(p, q))
-    return rational.knot_name(cc) or f"{cc.p}/{cc.q_star}"
+@contextlib.contextmanager
+def _exact_output():
+    """Write exact values of any size: since Python 3.11 turning an int of
+    more than 4,300 digits into a string raises ValueError unless the
+    limit is lifted.  It is lifted only while output is written, so every
+    int() of user input keeps its guard, and restored afterwards."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:  # before 3.11 there is no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
 
 
 _LINK_MESSAGE = "2-component link: out of scope"
@@ -48,27 +63,28 @@ def cmd_analyze(args):
             print(text)
         return 0
     a = diagram.analyze(norm.run_word)
-    if args.format == "json":
-        _emit_json(a)
-    elif args.format == "csv":
-        _emit_csv(diagram.WordAnalysis.CSV_COLUMNS, [a.csv_row()])
-    else:
-        print(f"word: {a.word}")
-        print(f"runs: {rational.csv_cell(a.runs)}")
-        print(f"alternating: {a.alternating}")
-        print(f"smoothings: {a.smoothings}")
-        print(f"vertical: {a.vertical}  viable: {a.viable}  sequential: {a.sequential}")
-        print(f"seifert circles: {a.s}  (bounds {a.s_lower}..{a.s_upper})")
-        print(f"genus: {a.genus}")
-        print(f"fraction: {a.p}/{a.q}")
-        print(f"knot: {_knot_display(a.p, a.q)}")
-        print(f"palindromic type: {'yes' if a.palindromic else 'no'}")
+    with _exact_output():
+        if args.format == "json":
+            _emit_json(a)
+        elif args.format == "csv":
+            _emit_csv(diagram.WordAnalysis.CSV_COLUMNS, [a.csv_row()])
+        else:
+            print(f"word: {a.word}")
+            print(f"runs: {rational.csv_cell(a.runs)}")
+            print(f"alternating: {a.alternating}")
+            print(f"smoothings: {a.smoothings}")
+            print(f"vertical: {a.vertical}  viable: {a.viable}  sequential: {a.sequential}")
+            print(f"seifert circles: {a.s}  (bounds {a.s_lower}..{a.s_upper})")
+            print(f"genus: {a.genus}")
+            print(f"fraction: {a.p}/{a.q}")
+            print(f"knot: {rational.knot_label(a)}")
+            print(f"palindromic type: {'yes' if a.palindromic else 'no'}")
     return 0
 
 
 def _word_line(a):
     return (f"{a.word}  {a.alternating}  smoothings={a.smoothings}  "
-            f"s={a.s}  genus={a.genus}  knot={_knot_display(a.p, a.q)}")
+            f"s={a.s}  genus={a.genus}  knot={rational.knot_label(a)}")
 
 
 def cmd_census(args):
@@ -76,30 +92,31 @@ def cmd_census(args):
         rep = census.run_census(args.c, per_word=args.per_word)
     else:
         rep = census.scan_census(args.c)
-    if args.format == "json":
-        _emit_json(rep)
-    elif args.format == "csv":
-        if args.per_word:
-            _emit_csv(diagram.WordAnalysis.CSV_COLUMNS,
-                      [a.csv_row() for a in rep.analyses])
+    with _exact_output():
+        if args.format == "json":
+            _emit_json(rep)
+        elif args.format == "csv":
+            if args.per_word:
+                _emit_csv(diagram.WordAnalysis.CSV_COLUMNS,
+                          [a.csv_row() for a in rep.analyses])
+            else:
+                _emit_csv(census.CensusReport.CSV_COLUMNS, [rep.csv_row()])
         else:
-            _emit_csv(census.CensusReport.CSV_COLUMNS, [rep.csv_row()])
-    else:
-        print(f"c: {rep.c}")
-        print(f"words: {rep.word_count} (star {rep.star:+d})")
-        print(f"totals: vertical {rep.vertical_total}, viable {rep.viable_total}, "
-              f"sequential {rep.sequential_total}")
-        print(f"avg seifert circles: {rational.format_rational(rep.avg_s)}")
-        print(f"avg seifert circles upper bound: {rational.format_rational(rep.avg_s_upper)}")
-        print(f"avg genus: {rational.format_rational(rep.avg_genus)}")
-        print(f"avg genus lower bound: {rational.format_rational(rep.avg_genus_lower)}")
-        contributions = rational.csv_cell(rep.per_index_contributions)
-        print(f"vertical contributions by index (2..{rep.c - 1}): {contributions}")
-        print(f"knot classes: {census.knot_class_count(rep.c)}")
-        if args.per_word:
-            print()
-            for a in rep.analyses:
-                print(_word_line(a))
+            print(f"c: {rep.c}")
+            print(f"words: {rep.word_count} (star {rep.star:+d})")
+            print(f"totals: vertical {rep.vertical_total}, viable {rep.viable_total}, "
+                  f"sequential {rep.sequential_total}")
+            print(f"avg seifert circles: {rational.format_rational(rep.avg_s)}")
+            print(f"avg seifert circles upper bound: {rational.format_rational(rep.avg_s_upper)}")
+            print(f"avg genus: {rational.format_rational(rep.avg_genus)}")
+            print(f"avg genus lower bound: {rational.format_rational(rep.avg_genus_lower)}")
+            contributions = rational.csv_cell(rep.per_index_contributions)
+            print(f"vertical contributions by index (2..{rep.c - 1}): {contributions}")
+            print(f"knot classes: {census.knot_class_count(rep.c)}")
+            if args.per_word:
+                print()
+                for a in rep.analyses:
+                    print(_word_line(a))
     return 0
 
 
@@ -127,26 +144,30 @@ def cmd_bound(args):
         else:
             rows.append((c, census.lower_bound_avg_genus(c), None))
     columns = ("c", "avg_genus_lower", "avg_genus")
-    if args.format == "json":
-        _emit_json([dict(zip(columns, row)) for row in rows])
-    elif args.format == "csv":
-        _emit_csv(columns, rows)
-    else:
-        for c, b, e in rows:
-            line = f"c={c}  avg genus lower bound: {rational.format_rational(b)}"
-            if e is not None:
-                line += f"  avg genus: {rational.format_rational(e)}"
-            print(line)
+    with _exact_output():
+        if args.format == "json":
+            _emit_json([dict(zip(columns, row)) for row in rows])
+        elif args.format == "csv":
+            _emit_csv(columns, rows)
+        else:
+            for c, b, e in rows:
+                line = f"c={c}  avg genus lower bound: {rational.format_rational(b)}"
+                if e is not None:
+                    line += f"  avg genus: {rational.format_rational(e)}"
+                print(line)
     return 0
 
 
 def cmd_enumerate(args):
-    model = list(words.enumerate_model_words(args.c))
+    model = words.enumerate_model_words(args.c)
+    # the first word is drawn before any output, so a refused c (above the
+    # enumeration ceiling) writes nothing, not even the CSV header
+    model = itertools.chain([next(model)], model)
     if args.format == "json":
-        _emit_json(model)
+        _emit_json(list(model))
     elif args.format == "csv":
         _emit_csv(["word", "first_sign", "runs"],
-                  [[words.from_runs(r), r.first_sign, r] for r in model])
+                  ([words.from_runs(r), r.first_sign, r] for r in model))
     else:
         for r in model:
             print(words.from_runs(r))
@@ -161,7 +182,7 @@ def cmd_classes(args):
         _emit_csv(rational.KnotClass.CSV_COLUMNS, [k.csv_row() for k in classes])
     else:
         for k in classes:
-            print(f"{_knot_display(k.p, k.q)}: p={k.p} q={k.q} q_star={k.q_star} "
+            print(f"{rational.knot_label(k)}: p={k.p} q={k.q} q_star={k.q_star} "
                   f"multiplicity={k.multiplicity} words: {rational.csv_cell(k.words)}")
     return 0
 
@@ -177,21 +198,22 @@ def cmd_sample(args):
         norm = words.normalize_to_model(w)
         a = diagram.analyze(norm.run_word) if norm.kind == words.MODEL else None
         records.append((w, norm.kind, a))
-    if args.format == "json":
-        _emit_json([{"sampled": w, "kind": kind, "analysis": a}
-                    for w, kind, a in records])
-    elif args.format == "csv":
-        header = ["sampled", "kind", *diagram.WordAnalysis.CSV_COLUMNS]
-        blank = [None] * len(diagram.WordAnalysis.CSV_COLUMNS)
-        _emit_csv(header, [[w, kind, *(a.csv_row() if a else blank)]
-                           for w, kind, a in records])
-    else:
-        for w, kind, a in records:
-            if a is None:
-                print(f"{w} -> {kind}")
-            else:
-                print(f"{w} -> {a.word}  s={a.s}  genus={a.genus}  "
-                      f"knot={_knot_display(a.p, a.q)}")
+    with _exact_output():
+        if args.format == "json":
+            _emit_json([{"sampled": w, "kind": kind, "analysis": a}
+                        for w, kind, a in records])
+        elif args.format == "csv":
+            header = ["sampled", "kind", *diagram.WordAnalysis.CSV_COLUMNS]
+            blank = [None] * len(diagram.WordAnalysis.CSV_COLUMNS)
+            _emit_csv(header, [[w, kind, *(a.csv_row() if a else blank)]
+                               for w, kind, a in records])
+        else:
+            for w, kind, a in records:
+                if a is None:
+                    print(f"{w} -> {kind}")
+                else:
+                    print(f"{w} -> {a.word}  s={a.s}  genus={a.genus}  "
+                          f"knot={rational.knot_label(a)}")
     return 0
 
 
@@ -273,7 +295,8 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 2
     except words.InvariantError as e:
-        print(f"error: {e}", file=sys.stderr)
+        with _exact_output():  # its expected and actual values can be huge
+            print(f"error: {e}", file=sys.stderr)
         return 1
 
 

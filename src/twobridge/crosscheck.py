@@ -40,14 +40,14 @@ def check_netto(k_max=30):
     return count
 
 
-def check_census_closed_forms(c_max, report):
-    # report(c) is run_census(c), which itself checks: enumerated count =
-    # count formula, enumerated vertical total and per-index counts =
-    # closed forms, index symmetry, genus identity, bound ordering, and
-    # enumerated totals = scan_totals, class count = knot_class_count
+def check_census_closed_forms(c_max, class_count):
+    # class_count(c) runs run_census(c), which itself checks: enumerated count =
+    # count formula, enumerated vertical total and per-index counts = closed
+    # forms, index symmetry, genus identity, bound ordering, and enumerated
+    # totals = scan_totals, class count = knot_class_count
     count = 0
     for c in range(3, c_max + 1):
-        report(c)
+        class_count(c)
         count += 5 + (c - 2)
     return count
 
@@ -130,13 +130,12 @@ def check_orientation_patterns(max_len=40, per_length=50, seed=2026):
     return count
 
 
-def check_multiplicities(c_max, report):
-    # group_rows, inside report(c) = run_census(c), checks multiplicity
-    # in {1,2}, palindromic singles, genus agreement and the distinct-knot
-    # count identity
+def check_multiplicities(c_max, class_count):
+    # group_rows, inside run_census(c) behind class_count(c), checks
+    # multiplicity in {1,2}, palindromic singles and genus agreement
     count = 0
     for c in range(3, c_max + 1):
-        count += len(report(c).knot_classes)
+        count += class_count(c)
     return count
 
 
@@ -158,17 +157,18 @@ def run_all(c_max):
     if c_max > ENUMERATION_CEILING:
         raise ValueError(f"c_max={c_max} is above the enumeration ceiling "
                          f"{ENUMERATION_CEILING}")
-    # each census runs once and both census checks read it; a census that
-    # raises is not kept, so it raises again in the second check as well
-    report = functools.cache(census.run_census)
+    # each census runs once and both census checks read its class count, not
+    # its report; a census that raises is not kept, so it raises again in the
+    # second check as well
+    class_count = functools.cache(lambda c: len(census.run_census(c).knot_classes))
     diagram_checks = functools.cache(lambda: _diagram_checks(c_max))
     checks = [
         ("netto identities", lambda: check_netto()),
-        ("census closed forms", lambda: check_census_closed_forms(c_max, report)),
+        ("census closed forms", lambda: check_census_closed_forms(c_max, class_count)),
         ("oracle circle counts and orientations", lambda: _result(*diagram_checks()[0])),
         ("determinant equality", lambda: _result(*diagram_checks()[1])),
         ("billiard orientation patterns", lambda: check_orientation_patterns()),
-        ("knot class multiplicities", lambda: check_multiplicities(c_max, report)),
+        ("knot class multiplicities", lambda: check_multiplicities(c_max, class_count)),
         ("link detection", check_link_detection),
     ]
     results = []

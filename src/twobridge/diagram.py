@@ -143,6 +143,7 @@ class WordAnalysis(rational.Record):
     genus: int
     p: int
     q: int
+    q_star: int  # the knot class (p, q_star), left out of the output
     name: str
     palindromic: bool
 
@@ -154,8 +155,8 @@ class WordAnalysis(rational.Record):
 
     @property
     def knot_row(self):
-        """(word, p, q, genus, palindromic), the row rational.group_rows takes."""
-        return self.word, self.p, self.q, self.genus, self.palindromic
+        """((p, q_star), word, q, genus, palindromic), the row rational.group_rows takes."""
+        return (self.p, self.q_star), self.word, self.q, self.genus, self.palindromic
 
 
 def analyze(r):
@@ -166,6 +167,7 @@ def analyze(r):
     n_sequential = sum(sequential)
     folded = _fold(gens)
     frac = rational.continued_fraction([k for _, k in folded])
+    cc = rational.canonical_class(frac)
     return WordAnalysis(
         word=from_runs(r),
         runs=r,
@@ -180,6 +182,7 @@ def analyze(r):
         genus=genus(2 + n_viable, len(gens)),
         p=frac.p,
         q=frac.q,
-        name=rational.knot_name(rational.canonical_class(frac)),
+        q_star=cc.q_star,
+        name=rational.KNOT_NAMES.get(cc),
         palindromic=is_palindromic_type(r),
     )

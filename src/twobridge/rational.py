@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 from .words import InvariantError, RunWord
 
-# canonical (p, q*) for all 2-bridge knots through 7 crossings; q* already
-# minimized over q -> p-q and q -> q^-1 mod p
+# table names of the 2-bridge knots through 7 crossings, keyed by canonical
+# class (p, q*) as canonical_class returns it (q* minimized over p-q, q^-1 mod p)
 KNOT_NAMES = {
     (3, 1): "3_1",
     (5, 2): "4_1",
@@ -100,9 +100,9 @@ def canonical_class(f):
     return CanonicalClass(p, min(q, p - q, qinv, p - qinv))
 
 
-def knot_name(cc):
-    """Table name like "6_2" for knots through 7 crossings, else None."""
-    return KNOT_NAMES.get((cc.p, cc.q_star))
+def knot_label(record):
+    """A word analysis's or knot class's table name, else "p/q_star"."""
+    return record.name or f"{record.p}/{record.q_star}"
 
 
 def decimal_string(x, places=6):
@@ -191,7 +191,7 @@ class KnotClass(Record):
 
 
 def group_rows(rows):
-    """Group per-word rows (word, p, q, genus, palindromic) by knot type.
+    """Group per-word rows ((p, q_star), word, q, genus, palindromic) by class.
 
     Classes come back in order of first appearance.  Every class holds
     one or two words: two in general, one exactly when the single word
@@ -200,42 +200,30 @@ def group_rows(rows):
     violation raises InvariantError.
     """
     classes = {}
-    for word, p, q, genus, palindromic in rows:
-        cc = canonical_class(KnotFraction(p, q))
-        entry = classes.setdefault(cc, {"words": [], "qs": [], "genus": set(),
-                                        "palindromic": []})
-        entry["words"].append(word)
-        entry["qs"].append(q)
-        entry["genus"].add(genus)
-        entry["palindromic"].append(palindromic)
+    for row in rows:
+        classes.setdefault(row[0], []).append(row)
 
     out = []
-    n_palindromic = 0
-    for cc, entry in classes.items():
-        mult = len(entry["words"])
-        where = f"words {' '.join(entry['words'])}"
+    for (p, q_star), members in classes.items():
+        _, words, qs, genera, palindromic = zip(*members)
+        mult = len(members)
+        where = f"words {' '.join(words)}"
         if mult not in (1, 2):
             raise InvariantError("class multiplicity", where, "1 or 2", mult)
-        if len(entry["genus"]) != 1:
+        if len(set(genera)) != 1:
             raise InvariantError("one genus per class", where, "one genus",
-                                 sorted(entry["genus"]))
+                                 sorted(set(genera)))
         # a single word is its own reversal (palindromic); a pair is not
-        if entry["palindromic"] != [mult == 1] * mult:
+        if palindromic != (mult == 1,) * mult:
             raise InvariantError("palindromic exactly when single", where,
-                                 [mult == 1] * mult, entry["palindromic"])
-        if mult == 1:
-            n_palindromic += 1
+                                 [mult == 1] * mult, list(palindromic))
         out.append(KnotClass(
-            p=cc.p,
-            q=entry["qs"][0],
-            q_star=cc.q_star,
-            name=knot_name(cc),
+            p=p,
+            q=qs[0],
+            q_star=q_star,
+            name=KNOT_NAMES.get((p, q_star)),
             multiplicity=mult,
-            words=tuple(entry["words"]),
-            genus=entry["genus"].pop(),
+            words=words,
+            genus=genera[0],
         ))
-    total_words = sum(k.multiplicity for k in out)
-    if len(out) * 2 != total_words + n_palindromic:
-        raise InvariantError("class count identity", f"{total_words} words",
-                             total_words + n_palindromic, len(out) * 2)
     return out

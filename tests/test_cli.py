@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import golden
-from twobridge import census, cli, diagram, words
+from twobridge import census, cli, diagram, rational, words
 
 
 def run(argv, capsys):
@@ -194,6 +194,19 @@ def test_census_invariant_failure_is_one_line_exit_1(capsys, monkeypatch):
     assert err == "error: average genus at c=6: expected 8/5, got 11/10\n"
 
 
+def test_invariant_failure_with_huge_values_is_one_line(capsys, monkeypatch):
+    # an exact value above the interpreter's int/str digit limit
+    huge = "1" + "0" * 5000
+
+    def planted(c):
+        raise words.InvariantError("planted", f"c={c}", 10 ** 5000, 0)
+
+    monkeypatch.setattr(census, "scan_census", planted)
+    code, out, err = run(["census", "7"], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: planted at c=7: expected {huge}, got 0\n"
+
+
 def test_census_aggregates_need_no_enumeration(capsys):
     code, out, _ = run(["census", "1000"], capsys)
     assert code == 0
@@ -213,8 +226,9 @@ _ABOVE_CEILING = str(words.ENUMERATION_CEILING + 1)
     ["census", _ABOVE_CEILING, "--format", "json"],
     ["classes", _ABOVE_CEILING],
     ["enumerate", _ABOVE_CEILING],
+    ["enumerate", _ABOVE_CEILING, "--format", "csv"],
     ["check", _ABOVE_CEILING],
-], ids=["per-word", "json", "classes", "enumerate", "check"])
+], ids=["per-word", "json", "classes", "enumerate", "enumerate-csv", "check"])
 def test_enumerating_paths_refuse_above_ceiling(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
@@ -305,10 +319,35 @@ def test_bound_computes_each_index_contribution_once(capsys, monkeypatch):
 
 
 def test_bound_rejects_malformed_range(capsys):
-    for bad in ("abc", "7..5", "2..4", ""):
+    # a bound of 5,000 digits: int() of user input keeps Python's guard
+    for bad in ("abc", "7..5", "2..4", "", "9" * 5000):
         code, _, err = run(["bound", bad], capsys)
         assert code == 2, bad
         assert err
+
+
+# an exact line longer than the interpreter's int/str digit limit,
+# which main lifts while it writes output and restores before returning
+_BIG_BOUND = """
+import sys
+from twobridge import cli
+sys.set_int_max_str_digits(640)
+code = cli.main(["bound", "2200"])
+print(sys.get_int_max_str_digits())
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python before 3.11 has no int/str digit limit")
+def test_bound_prints_values_above_the_digit_limit():
+    proc = subprocess.run([sys.executable, "-c", _BIG_BOUND],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    b = census.lower_bound_avg_genus(2200)
+    assert len(str(b.denominator)) > 640
+    assert proc.stdout == (f"c=2200  avg genus lower bound: "
+                           f"{rational.format_rational(b)}\n640\n")
 
 
 # -------------------------------------------------------------- enumerate
@@ -325,6 +364,23 @@ def test_enumerate_order_and_formats(capsys):
 
 
 # ---------------------------------------------------------------- classes
+
+@pytest.mark.parametrize("argv", [["census", "10", "--per-word"], ["classes", "10"]],
+                         ids=["census-per-word", "classes"])
+def test_each_word_is_classified_once(argv, capsys, monkeypatch):
+    # analyze decides a word's class; grouping and labels read it
+    calls = []
+    real = rational.canonical_class
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(rational, "canonical_class", counting)
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    assert len(calls) == census.model_count(10) == 85
+
 
 def test_classes_output(capsys):
     code, out, _ = run(["classes", "6"], capsys)

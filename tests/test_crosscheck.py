@@ -1,6 +1,8 @@
 """The cross-validation battery itself: green path and error capture."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -65,6 +67,31 @@ def test_run_all_runs_each_census_once(monkeypatch):
     _, ok = crosscheck.run_all(8)
     assert ok
     assert sorted(calls) == list(range(3, 9))
+
+
+def test_run_all_keeps_no_census_report(monkeypatch):
+    # the census checks read only class counts, so by the time the diagram
+    # checks build their first planar diagram no report is alive
+    reports = []
+    alive = []
+    real_census, real_pd = census.run_census, planar.alternating_pd
+
+    def tracked(c, *args, **kwargs):
+        rep = real_census(c, *args, **kwargs)
+        reports.append(weakref.ref(rep))
+        return rep
+
+    def first_build(records):
+        if not alive:
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in reports))
+        return real_pd(records)
+
+    monkeypatch.setattr(census, "run_census", tracked)
+    monkeypatch.setattr(planar, "alternating_pd", first_build)
+    _, ok = crosscheck.run_all(8)
+    assert ok
+    assert len(reports) == 6 and alive == [0]
 
 
 def test_run_all_builds_each_diagram_once(monkeypatch):

@@ -49,7 +49,7 @@ def test_fractions_from_alternating_words_golden(row):
     exponents = [len(list(run)) for _, run in itertools.groupby(x.generator for x in d)]
     f = rational.continued_fraction(exponents)
     assert (f.p, f.q) == (p, q)
-    assert rational.knot_name(rational.canonical_class(f)) == name
+    assert rational.KNOT_NAMES.get(rational.canonical_class(f)) == name
 
 
 # -------------------------------------------------------- canonical class
@@ -122,6 +122,27 @@ def test_group_multiplicity_structure():
                 r1 = words.normalize_to_model(w1).run_word
                 r2 = words.normalize_to_model(w2).run_word
                 assert r1.runs == r2.runs[::-1]
+
+
+# ((p, q_star), word, q, genus, palindromic) rows, as WordAnalysis.knot_row gives
+# them, each planted so that exactly one of group_rows' checks fires
+_CC = (7, 2)
+
+
+@pytest.mark.parametrize("rows, name, actual", [
+    ([(_CC, "+--+-+-", 2, 1, False), (_CC, "+-+-+--", 4, 1, False),
+      (_CC, "+-+--+-", 3, 1, False)], "class multiplicity", 3),
+    ([(_CC, "+--+-+-", 2, 1, False), (_CC, "+-+-+--", 4, 2, False)],
+     "one genus per class", [1, 2]),
+    ([(_CC, "+--+-+-", 2, 1, True), (_CC, "+-+-+--", 4, 1, True)],
+     "palindromic exactly when single", [True, True]),
+], ids=["multiplicity", "genus", "palindromic"])
+def test_group_rows_checks_fire(rows, name, actual):
+    with pytest.raises(words.InvariantError) as info:
+        rational.group_rows(rows)
+    e = info.value
+    assert (e.name, e.actual) == (name, actual)
+    assert e.where == "words " + " ".join(row[1] for row in rows)
 
 
 def test_distinct_knot_counts_match_reference():
