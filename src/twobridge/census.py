@@ -1,17 +1,18 @@
 """Exact counting and census aggregation over model words.
 
 Three routes to the same numbers live here.  The closed forms (Netto
-partial sums, the model-count formula, the per-index vertical counts as
-three Netto residue-class products, the palindromic and knot-class
-counts) evaluate in pure integer arithmetic with O(1) big-integer
-operations each.  The run scan, scan_totals, gives the census totals
-(word count and vertical, viable and sequential crossings) in O(c)
-big-integer steps; scan_census builds the report from it and the closed
-forms, with no enumeration, so it serves any c.  run_census enumerates
-every model word, aggregates the per-word diagram counts, and checks
-the closed forms and the scan against the enumerated values before
-reporting anything.  Every check raises InvariantError, also under
-python -O.
+partial sums, the model-count formula, the census totals of
+closed_form_totals, the palindromic and knot-class counts) evaluate in
+pure integer arithmetic with O(1) big-integer operations each.  The
+per-index vertical counts, three Netto residue-class products each, sum
+to the vertical total in O(c) steps and are its check route.  The run
+scan, scan_totals, gives the census totals (word count and vertical,
+viable and sequential crossings) in O(c) big-integer steps; scan_census
+builds the report from it, with no enumeration, so it serves any c, and
+checks it against the closed forms.  run_census enumerates every model
+word, aggregates the per-word diagram counts, and checks the closed
+forms and the scan against the enumerated values before reporting
+anything.  Every check raises InvariantError, also under python -O.
 
 The scan reads the runs left to right.  Run i (0-based) of a model word
 has length e = 1 or 2 (1 for the first and last run) and generator
@@ -34,6 +35,30 @@ viable.  Each word is one path through the states and settles each of
 its flags exactly once along it, and every total is a sum of flags, so
 carrying (count, vertical, viable, sequential) summed over the prefixes
 in each state gives the totals exactly.
+
+The totals in closed form, for every c >= 3, with s = (-1)^c:
+
+    count      = (2^(c-2) - s) / 3                (model_count; star(c) = -s)
+    vertical   = ((3c - 7) 2^c + (12c - 20) s) / 54
+    viable     = ((3c - 7) 2^c + (88 - 24c) s) / 72
+    sequential = ((3c - 10) 2^c + (64 - 24c) s) / 108
+
+They were fitted to the scan; a transfer-matrix dimension bound (Stanley,
+Enumerative Combinatorics Vol. 1, 4.7) proves them.  A scan step is
+linear in the sums carried per state key, and a key is one of the
+3 * 3 * 2 = 18 tuples (start mod 3, pending generator None, 0 or 1,
+adjacent), so the carried vector has at most 72 entries.  An interior
+step depends on i only through its parity.  So for c = 2k + p with p
+fixed, the scan is a fixed first step, k - 1 applications of one
+two-step matrix A of size at most 72 x 72, at most one more interior
+step, the last run and the acceptance sum: each total is u A^(k-1) w for
+fixed u and w, and by Cayley-Hamilton it satisfies a linear recurrence
+in k of order at most 72.  Each closed form is (a k + b) 4^k + (d k + e)
+for fixed p, which satisfies the recurrence of (x - 4)^2 (x - 1)^2.  The
+difference of the two satisfies the product recurrence, of order at
+most 76, so it is zero for every k once it is zero on 76 consecutive
+values of k.  tests/test_census.py compares them on c = 3..300, 149
+values of each parity, which proves the closed forms for every c.
 
 A knot class holds two model words, or one whose run vector is its own
 reversal (words.is_palindromic_type), so there are (model_count +
@@ -74,10 +99,15 @@ def netto_partial_sum(k, r):
     """
     if k < 0 or r not in (0, 1, 2):
         raise ValueError(f"need k >= 0 and r in 0..2, got k={k}, r={r}")
-    total = 2 ** k + two_cos_pi_thirds(k - 2 * r)
-    if total % 3:
-        raise InvariantError("Netto sum divisible by 3", f"k={k}, r={r}", 0, total % 3)
-    return total // 3
+    return _exact_quotient(2 ** k + two_cos_pi_thirds(k - 2 * r), 3, "Netto sum",
+                           f"k={k}, r={r}")
+
+
+def _exact_quotient(total, divisor, name, where):
+    """total // divisor, checking that the division is exact."""
+    if total % divisor:
+        raise InvariantError(f"{name} divisible by {divisor}", where, 0, total % divisor)
+    return total // divisor
 
 
 def star(c):
@@ -98,10 +128,7 @@ def model_count(c):
     >>> [model_count(c) for c in range(3, 8)]
     [1, 1, 3, 5, 11]
     """
-    total = 2 ** (c - 2) + star(c)
-    if total % 3:
-        raise InvariantError("model count divisible by 3", f"c={c}", 0, total % 3)
-    return total // 3
+    return _exact_quotient(2 ** (c - 2) + star(c), 3, "model count", f"c={c}")
 
 
 def palindromic_count(c):
@@ -127,10 +154,8 @@ def knot_class_count(c):
     >>> [knot_class_count(c) for c in range(3, 11)]
     [1, 1, 2, 3, 7, 12, 24, 45]
     """
-    total = model_count(c) + palindromic_count(c)
-    if total % 2:
-        raise InvariantError("knot class count divisible by 2", f"c={c}", 0, total % 2)
-    return total // 2
+    return _exact_quotient(model_count(c) + palindromic_count(c), 2, "knot class count",
+                           f"c={c}")
 
 
 class CensusTotals(NamedTuple):
@@ -179,6 +204,25 @@ def scan_totals(c):
     return CensusTotals(*totals)
 
 
+def closed_form_totals(c):
+    """The census totals of crossing number c by the closed forms proved in
+    the module docstring: O(1) big-integer operations.
+
+    >>> closed_form_totals(6)
+    CensusTotals(count=5, vertical=14, viable=9, sequential=4)
+    """
+    where = f"c={c}"
+    count = model_count(c)  # raises ValueError below c = 3
+    power, sign = 2 ** c, (-1) ** c
+    return CensusTotals(
+        count,
+        _exact_quotient((3 * c - 7) * power + (12 * c - 20) * sign, 54, "vertical total", where),
+        _exact_quotient((3 * c - 7) * power + (88 - 24 * c) * sign, 72, "viable total", where),
+        _exact_quotient((3 * c - 10) * power + (64 - 24 * c) * sign, 108,
+                        "sequential total", where),
+    )
+
+
 def delta_single(i, d1):
     """1 when a single run at crossing i, with d1 doubles before it,
     starts at a letter position that is not 1 mod 3 (so smooths V)."""
@@ -222,14 +266,13 @@ def index_contribution(c, i):
 
 def closed_form_vertical_total(c):
     """Total vertical crossings over all model words of crossing number c,
-    with no enumeration: the sum of index_contribution over 2 <= i <= c-1.
+    in closed form; index_contribution summed over 2 <= i <= c-1 is its
+    O(c) check route.
 
     >>> closed_form_vertical_total(6), closed_form_vertical_total(7)
     (14, 32)
     """
-    if c < 3:
-        raise ValueError(f"need c >= 3, got {c}")
-    return sum(index_contribution(c, i) for i in range(2, c))
+    return closed_form_totals(c).vertical
 
 
 def lower_bound_avg_genus(c):
@@ -300,17 +343,20 @@ class CensusReport(rational.Record):
 
 def _report(c, totals, knot_classes=None, analyses=None):
     """The CensusReport of crossing number c with the given totals: checks
-    the count and vertical total against their closed forms, derives the
-    averages and the bound, and checks that the average genus lies
-    between the bound and (c - 1)/2."""
+    the count, the vertical total and the summed per-index contributions
+    against their closed forms, derives the averages and the bound, and
+    checks that the average genus lies between the bound and (c - 1)/2."""
     where = f"c={c}"
     count, vertical, viable, sequential = totals
     if count != model_count(c):
         raise InvariantError("model word count", where, model_count(c), count)
-    contributions = tuple(index_contribution(c, i) for i in range(2, c))
-    closed_vertical = sum(contributions)
+    closed_vertical = closed_form_vertical_total(c)
     if vertical != closed_vertical:
         raise InvariantError("vertical total", where, closed_vertical, vertical)
+    contributions = tuple(index_contribution(c, i) for i in range(2, c))
+    if sum(contributions) != closed_vertical:
+        raise InvariantError("vertical total by index", where, closed_vertical,
+                             sum(contributions))
     avg_s = 2 + Fraction(viable, count)
     avg_genus = Fraction(1 + c, 2) - avg_s / 2
     bound = _bound_from_vertical_total(c, closed_vertical)
@@ -336,20 +382,28 @@ def _report(c, totals, knot_classes=None, analyses=None):
 
 
 def scan_census(c):
-    """The census report of crossing number c from scan_totals and the
-    closed forms, with no enumeration, for any c >= 3.  It holds no word
-    lists: knot_classes and analyses are None, and knot_class_count(c)
-    counts the classes.
+    """The census report of crossing number c from scan_totals, checked
+    against the closed forms, with no enumeration, for any c >= 3.  It
+    holds no word lists: knot_classes and analyses are None, and
+    knot_class_count(c) counts the classes.
 
     >>> scan_census(7).avg_genus
     Fraction(20, 11)
     """
-    rep = _report(c, scan_totals(c))
+    totals = scan_totals(c)
+    rep = _report(c, totals)
     # each word's genus (c - 1 - viable) / 2 is whole, so their sum is too
     genus_total = rep.avg_genus * rep.word_count
     if genus_total.denominator != 1:
         raise InvariantError("genus parity", f"c={c}", "a whole genus total", genus_total)
+    _check_closed_form_totals(c, totals)
     return rep
+
+
+def _check_closed_form_totals(c, totals):
+    closed = closed_form_totals(c)
+    if totals != closed:
+        raise InvariantError("closed-form totals", f"c={c}", closed, totals)
 
 
 def run_census(c, per_word=False):
@@ -394,6 +448,7 @@ def run_census(c, per_word=False):
     scanned = scan_totals(c)
     if scanned != totals:
         raise InvariantError("scan totals", where, totals, scanned)
+    _check_closed_form_totals(c, totals)
     if len(rep.knot_classes) != knot_class_count(c):
         raise InvariantError("knot class count", where, len(rep.knot_classes),
                              knot_class_count(c))

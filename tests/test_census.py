@@ -1,4 +1,4 @@
-"""Counting formulas, closed-form vertical totals, the average-genus
+"""Counting formulas, closed-form census totals, the average-genus
 lower bound, the run scan, and the enumerated census that cross-checks
 them."""
 
@@ -257,12 +257,12 @@ def test_report_serialization():
 
 scanned = functools.cache(census.scan_totals)
 
-# fitted on four values of c, never derived: (a c + b) 2^c + (d c + e) (-1)^c
-_FITTED = {
-    "viable": (Fraction(1, 24), Fraction(-7, 72), Fraction(-1, 3), Fraction(11, 9)),
-    "vertical": (Fraction(1, 18), Fraction(-7, 54), Fraction(2, 9), Fraction(-10, 27)),
-    "sequential": (Fraction(1, 36), Fraction(-5, 54), Fraction(-2, 9), Fraction(16, 27)),
-}
+# the census module docstring's proof: for a fixed parity of c, a scanned
+# total satisfies a recurrence of order at most 18 state keys x 4 sums, a
+# closed form one of order 4, so equality on 76 consecutive values of each
+# parity holds for every c
+_RECURRENCE_ORDER_BOUND = 18 * 4 + 4
+_CERTIFIED = range(3, 301)
 
 
 def test_scan_equals_enumerated_totals():
@@ -278,11 +278,63 @@ def test_scan_count_and_vertical_match_closed_forms():
         assert scanned(c).vertical == census.closed_form_vertical_total(c), c
 
 
-def test_scan_matches_fitted_closed_forms():
-    for c in range(3, 301):
-        for name, (a, b, d, e) in _FITTED.items():
-            fitted = (a * c + b) * 2 ** c + (d * c + e) * (-1) ** c
-            assert getattr(scanned(c), name) == fitted, (c, name)
+def test_closed_form_totals_equal_scan_for_every_c():
+    for first in (0, 1):  # consecutive values of one parity: c = 3, 5, ... and 4, 6, ...
+        assert len(_CERTIFIED[first::2]) >= _RECURRENCE_ORDER_BOUND
+    for c in _CERTIFIED:
+        assert census.closed_form_totals(c) == scanned(c), c
+
+
+def _minimal_recurrence(seq):
+    """Berlekamp-Massey over the rationals: the coefficients [1, a1, ..., aL]
+    of least L with seq[n] + a1 seq[n-1] + ... + aL seq[n-L] = 0 for every
+    n >= L, that is, of the characteristic polynomial x^L + a1 x^(L-1) + ... + aL."""
+    conn, prev = [Fraction(1)], [Fraction(1)]
+    order, shift, prev_d = 0, 1, Fraction(1)
+    for n, x in enumerate(seq):
+        d = x + sum(conn[i] * seq[n - i] for i in range(1, order + 1))
+        if d == 0:
+            shift += 1
+            continue
+        saved = conn[:]
+        conn += [Fraction(0)] * (len(prev) + shift - len(conn))
+        for i, y in enumerate(prev):
+            conn[i + shift] -= d / prev_d * y
+        if 2 * order <= n:
+            order, prev, prev_d, shift = n + 1 - order, saved, d, 1
+        else:
+            shift += 1
+    return conn[:order + 1]
+
+
+def test_minimal_recurrence_recovers_known_sequences():
+    assert _minimal_recurrence([2 ** n for n in range(10)]) == [1, -2]
+    assert _minimal_recurrence([n * 3 ** n for n in range(12)]) == [1, -6, 9]
+    fibonacci = [0, 1]
+    while len(fibonacci) < 12:
+        fibonacci.append(fibonacci[-1] + fibonacci[-2])
+    assert _minimal_recurrence(fibonacci) == [1, -1, -1]
+
+
+def test_scanned_totals_satisfy_the_closed_form_recurrences():
+    # in steps of 2: (x - 4)^2 (x - 1)^2 for the crossing totals, and
+    # (x - 4)(x - 1) for the word count, whose (-1)^c term has no factor c
+    want = {"count": [1, -5, 4], "vertical": [1, -10, 33, -40, 16],
+            "viable": [1, -10, 33, -40, 16], "sequential": [1, -10, 33, -40, 16]}
+    for first in (0, 1):
+        totals = [scanned(c) for c in _CERTIFIED[first::2]]
+        for name, poly in want.items():
+            seq = [getattr(t, name) for t in totals]
+            assert _minimal_recurrence(seq) == poly, (first, name)
+
+
+def test_closed_form_totals_check_divisibility():
+    assert census.closed_form_totals(7) == census.CensusTotals(11, 32, 26, 14)
+    with pytest.raises(ValueError, match="c >= 3"):
+        census.closed_form_totals(2)
+    with pytest.raises(words.InvariantError,
+                       match="^vertical total divisible by 54 at c=6: expected 0, got 1$"):
+        census._exact_quotient(14 * 54 + 1, 54, "vertical total", "c=6")
 
 
 def test_scan_census_equals_run_census_without_word_lists():

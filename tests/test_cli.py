@@ -261,6 +261,47 @@ def test_census_fails_on_planted_scan_fault(flags):
                            "total, got 87/2\n")
 
 
+# closed_form_totals reports two viable crossings too many: the scan's
+# genus parity cannot see it, the comparison with the closed forms can
+_PLANTED_CLOSED_FORM = """
+import sys
+from twobridge import census, cli
+real = census.closed_form_totals
+census.closed_form_totals = lambda c: real(c)._replace(viable=real(c).viable + 2)
+sys.exit(cli.main(["census", "40"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_census_fails_on_planted_closed_form_fault(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_CLOSED_FORM],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    closed = census.closed_form_totals(40)
+    assert proc.stderr == (f"error: closed-form totals at c=40: expected "
+                           f"{closed._replace(viable=closed.viable + 2)}, got {closed}\n")
+
+
+# index_contribution counts one vertical crossing too many at index 5 only
+_PLANTED_INDEX = """
+import sys
+from twobridge import census, cli
+real = census.index_contribution
+census.index_contribution = lambda c, i: real(c, i) + (i == 5)
+sys.exit(cli.main(["census", "20"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_census_fails_on_planted_index_contribution_fault(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_INDEX],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    vertical = census.closed_form_vertical_total(20)
+    assert proc.stderr == (f"error: vertical total by index at c=20: expected "
+                           f"{vertical}, got {vertical + 1}\n")
+
+
 def test_check_fails_on_planted_scan_fault(capsys, monkeypatch):
     real = census.scan_totals
     monkeypatch.setattr(census, "scan_totals",
@@ -316,6 +357,36 @@ def test_bound_computes_each_index_contribution_once(capsys, monkeypatch):
     code, out, _ = run(["bound", "3..16"], capsys)
     assert code == 0 and len(out.splitlines()) == 14
     assert len(calls) == len(set(calls)) == sum(c - 2 for c in range(3, 17)) == 105
+
+
+def test_bound_above_the_exact_ceiling_sums_no_index_contribution(capsys, monkeypatch):
+    # the bound reads the vertical total's closed form, not its O(c) check route
+    calls = []
+    real = census.index_contribution
+
+    def counting(c, i):
+        calls.append((c, i))
+        return real(c, i)
+
+    monkeypatch.setattr(census, "index_contribution", counting)
+    code, out, _ = run(["bound", "17..2000"], capsys)
+    assert code == 0 and len(out.splitlines()) == 1984
+    assert calls == []
+
+
+# stdout sha256 of long and huge bound runs, pinned when the bound still
+# summed the index contributions of each c
+BOUND_DIGESTS = {
+    "3..2000": "ba65fb11a5ca8a8ffcdf2bac19a89b4742b78513a7d7cfc789d64742faa0447f",
+    "15000": "4096a863c24b10a2ea8bc1f8df17a991677fb7558254e392edbc3bc5c36cd62a",
+}
+
+
+@pytest.mark.parametrize("bound_range", sorted(BOUND_DIGESTS))
+def test_bound_output_pinned(bound_range, capsys):
+    code, out, _ = run(["bound", bound_range], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUND_DIGESTS[bound_range]
 
 
 def test_bound_rejects_malformed_range(capsys):
