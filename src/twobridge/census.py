@@ -7,12 +7,13 @@ pure integer arithmetic with O(1) big-integer operations each.  The
 per-index vertical counts, three Netto residue-class products each, sum
 to the vertical total in O(c) steps and are its check route.  The run
 scan, scan_totals, gives the census totals (word count and vertical,
-viable and sequential crossings) in O(c) big-integer steps; scan_census
-builds the report from it, with no enumeration, so it serves any c, and
-checks it against the closed forms.  run_census enumerates every model
-word, aggregates the per-word diagram counts, and checks the closed
-forms and the scan against the enumerated values before reporting
-anything.  Every check raises InvariantError, also under python -O.
+viable and sequential crossings) in O(c) big-integer steps.  A
+CensusReport stores the totals and derives the averages and the bound
+from them.  scan_census builds it from the scan, with no enumeration,
+so it serves any c; run_census builds it from every model word and also
+checks the scan and the per-index counts against what it enumerates.
+Both check the totals against the closed forms before returning, and
+every check raises InvariantError, also under python -O.
 
 The scan reads the runs left to right.  Run i (0-based) of a model word
 has length e = 1 or 2 (1 for the first and last run) and generator
@@ -73,6 +74,7 @@ touches floating point, including the decimal renderings, which are
 computed by integer division.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -275,37 +277,40 @@ def closed_form_vertical_total(c):
     return closed_form_totals(c).vertical
 
 
+def per_index_contributions(c):
+    """index_contribution(c, i) for 2 <= i <= c-1, checked to sum to the
+    vertical total's closed form: O(c) big-integer steps."""
+    contributions = tuple(index_contribution(c, i) for i in range(2, c))
+    closed = closed_form_vertical_total(c)
+    if sum(contributions) != closed:
+        raise InvariantError("vertical total by index", f"c={c}", closed, sum(contributions))
+    return contributions
+
+
 def lower_bound_avg_genus(c):
-    """Exact lower bound on the average genus over the c census.
+    """Exact lower bound on the average genus over the c census, the paper's
+    (c-1)/2 - 3V / (2(2^(c-2) + star(c))) for the vertical total V: since
+    2^(c-2) + star(c) = 3 model_count(c), it is (c-1)/2 - V / (2 model_count(c)).
 
     >>> lower_bound_avg_genus(6)
     Fraction(11, 10)
     >>> lower_bound_avg_genus(7)
     Fraction(17, 11)
     """
-    return _bound_from_vertical_total(c, closed_form_vertical_total(c))
-
-
-def _bound_from_vertical_total(c, vertical_total):
-    """The bound (c-1)/2 - 3V / (2(2^(c-2) + star(c))) for vertical total V."""
-    denominator = 2 * (2 ** (c - 2) + star(c))
-    return Fraction(c - 1, 2) - Fraction(3, denominator) * vertical_total
+    closed = closed_form_totals(c)
+    return Fraction(c - 1, 2) - Fraction(closed.vertical, 2 * closed.count)
 
 
 @dataclass(frozen=True)
 class CensusReport(rational.Record):
+    """The census totals of crossing number c (and the knot classes and word
+    analyses of an enumerated census); every other value derives from them."""
+
     c: int
-    star: int
     word_count: int
     vertical_total: int
     viable_total: int
     sequential_total: int
-    avg_s: Fraction
-    avg_s_upper: Fraction
-    avg_genus: Fraction
-    avg_genus_lower_closed_form: Fraction
-    closed_form_vertical_total: int
-    per_index_contributions: tuple
     knot_classes: tuple = None
     analyses: tuple = None
 
@@ -316,9 +321,37 @@ class CensusReport(rational.Record):
     )
 
     @property
+    def star(self):
+        return star(self.c)
+
+    @property
+    def avg_s(self):
+        return 2 + Fraction(self.viable_total, self.word_count)
+
+    @property
+    def avg_s_upper(self):
+        return 2 + Fraction(self.vertical_total, self.word_count)
+
+    @property
+    def avg_genus(self):
+        return Fraction(1 + self.c, 2) - self.avg_s / 2
+
+    @property
     def avg_genus_lower(self):
-        """The output name of avg_genus_lower_closed_form."""
-        return self.avg_genus_lower_closed_form
+        """lower_bound_avg_genus(c) once the totals equal their closed forms."""
+        return Fraction(1 + self.c, 2) - self.avg_s_upper / 2
+
+    avg_genus_lower_closed_form = avg_genus_lower
+
+    @property
+    def closed_form_vertical_total(self):
+        """The vertical total, which _check compares with its closed form."""
+        return self.vertical_total
+
+    @functools.cached_property
+    def per_index_contributions(self):
+        """Computed on first use: only human and JSON output print them."""
+        return per_index_contributions(self.c)
 
     def to_json(self):
         """JSON object with the three totals nested under "totals"."""
@@ -326,11 +359,8 @@ class CensusReport(rational.Record):
             "c": self.c,
             "star": self.star,
             "word_count": self.word_count,
-            "totals": {
-                "vertical": self.vertical_total,
-                "viable": self.viable_total,
-                "sequential": self.sequential_total,
-            },
+            "totals": {"vertical": self.vertical_total, "viable": self.viable_total,
+                       "sequential": self.sequential_total},
         }
         for name in ("avg_s", "avg_s_upper", "avg_genus", "avg_genus_lower",
                      "closed_form_vertical_total", "per_index_contributions",
@@ -341,44 +371,17 @@ class CensusReport(rational.Record):
         return out
 
 
-def _report(c, totals, knot_classes=None, analyses=None):
-    """The CensusReport of crossing number c with the given totals: checks
-    the count, the vertical total and the summed per-index contributions
-    against their closed forms, derives the averages and the bound, and
-    checks that the average genus lies between the bound and (c - 1)/2."""
-    where = f"c={c}"
-    count, vertical, viable, sequential = totals
-    if count != model_count(c):
-        raise InvariantError("model word count", where, model_count(c), count)
-    closed_vertical = closed_form_vertical_total(c)
-    if vertical != closed_vertical:
-        raise InvariantError("vertical total", where, closed_vertical, vertical)
-    contributions = tuple(index_contribution(c, i) for i in range(2, c))
-    if sum(contributions) != closed_vertical:
-        raise InvariantError("vertical total by index", where, closed_vertical,
-                             sum(contributions))
-    avg_s = 2 + Fraction(viable, count)
-    avg_genus = Fraction(1 + c, 2) - avg_s / 2
-    bound = _bound_from_vertical_total(c, closed_vertical)
-    if not bound <= avg_genus <= Fraction(c - 1, 2):
-        raise InvariantError("genus bounds", where, f"{bound}..{Fraction(c - 1, 2)}",
-                             avg_genus)
-    return CensusReport(
-        c=c,
-        star=star(c),
-        word_count=count,
-        vertical_total=vertical,
-        viable_total=viable,
-        sequential_total=sequential,
-        avg_s=avg_s,
-        avg_s_upper=2 + Fraction(vertical, count),
-        avg_genus=avg_genus,
-        avg_genus_lower_closed_form=bound,
-        closed_form_vertical_total=closed_vertical,
-        per_index_contributions=contributions,
-        knot_classes=knot_classes,
-        analyses=analyses,
-    )
+def _check(rep):
+    """Compare the totals with closed_form_totals, then check the genus bounds."""
+    where = f"c={rep.c}"
+    totals = CensusTotals(rep.word_count, rep.vertical_total, rep.viable_total,
+                          rep.sequential_total)
+    closed = closed_form_totals(rep.c)
+    if totals != closed:
+        raise InvariantError("closed-form totals", where, closed, totals)
+    if not rep.avg_genus_lower <= rep.avg_genus <= Fraction(rep.c - 1, 2):
+        raise InvariantError("genus bounds", where,
+                             f"{rep.avg_genus_lower}..{Fraction(rep.c - 1, 2)}", rep.avg_genus)
 
 
 def scan_census(c):
@@ -390,26 +393,19 @@ def scan_census(c):
     >>> scan_census(7).avg_genus
     Fraction(20, 11)
     """
-    totals = scan_totals(c)
-    rep = _report(c, totals)
+    rep = CensusReport(c, *scan_totals(c))
     # each word's genus (c - 1 - viable) / 2 is whole, so their sum is too
     genus_total = rep.avg_genus * rep.word_count
     if genus_total.denominator != 1:
         raise InvariantError("genus parity", f"c={c}", "a whole genus total", genus_total)
-    _check_closed_form_totals(c, totals)
+    _check(rep)
     return rep
-
-
-def _check_closed_form_totals(c, totals):
-    closed = closed_form_totals(c)
-    if totals != closed:
-        raise InvariantError("closed-form totals", f"c={c}", closed, totals)
 
 
 def run_census(c, per_word=False):
     """Enumerate, analyze and aggregate all model words of crossing number
-    c, checking the closed forms, the scan and the knot class count
-    against the enumerated values along the way.
+    c, checking the scan, the closed forms, the per-index counts and the
+    knot class count against the enumerated values along the way.
     """
     if c < 3:
         raise ValueError(f"need c >= 3, got {c}")
@@ -433,14 +429,8 @@ def run_census(c, per_word=False):
 
     where = f"c={c}"
     totals = CensusTotals(count, vertical, viable, sequential)
-    rep = _report(c, totals, tuple(rational.group_rows(rows)),
-                  tuple(analyses) if per_word else None)
-    contributions = rep.per_index_contributions
-    if tuple(per_index) != contributions:
-        raise InvariantError("per-index vertical counts", where, contributions,
-                             tuple(per_index))
-    if contributions != contributions[::-1]:
-        raise InvariantError("index symmetry", where, contributions[::-1], contributions)
+    rep = CensusReport(c, *totals, tuple(rational.group_rows(rows)),
+                       tuple(analyses) if per_word else None)
     # the averaged genus formula must agree with summing per-word genus
     if rep.avg_genus != Fraction(genus_total, count):
         raise InvariantError("average genus", where, Fraction(genus_total, count),
@@ -448,7 +438,13 @@ def run_census(c, per_word=False):
     scanned = scan_totals(c)
     if scanned != totals:
         raise InvariantError("scan totals", where, totals, scanned)
-    _check_closed_form_totals(c, totals)
+    _check(rep)
+    contributions = rep.per_index_contributions
+    if tuple(per_index) != contributions:
+        raise InvariantError("per-index vertical counts", where, contributions,
+                             tuple(per_index))
+    if contributions != contributions[::-1]:
+        raise InvariantError("index symmetry", where, contributions[::-1], contributions)
     if len(rep.knot_classes) != knot_class_count(c):
         raise InvariantError("knot class count", where, len(rep.knot_classes),
                              knot_class_count(c))

@@ -101,7 +101,8 @@ def cmd_census(args):
                           [a.csv_row() for a in rep.analyses])
             else:
                 _emit_csv(census.CensusReport.CSV_COLUMNS, [rep.csv_row()])
-        else:
+        else:  # the per-index counts are checked before the first line is printed
+            contributions = rational.csv_cell(rep.per_index_contributions)
             print(f"c: {rep.c}")
             print(f"words: {rep.word_count} (star {rep.star:+d})")
             print(f"totals: vertical {rep.vertical_total}, viable {rep.viable_total}, "
@@ -110,7 +111,6 @@ def cmd_census(args):
             print(f"avg seifert circles upper bound: {rational.format_rational(rep.avg_s_upper)}")
             print(f"avg genus: {rational.format_rational(rep.avg_genus)}")
             print(f"avg genus lower bound: {rational.format_rational(rep.avg_genus_lower)}")
-            contributions = rational.csv_cell(rep.per_index_contributions)
             print(f"vertical contributions by index (2..{rep.c - 1}): {contributions}")
             print(f"knot classes: {census.knot_class_count(rep.c)}")
             if args.per_word:

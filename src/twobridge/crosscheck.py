@@ -41,11 +41,11 @@ def check_netto(k_max=30):
 
 
 def check_census_closed_forms(c_max, class_count):
-    # class_count(c) runs run_census(c), which itself checks: enumerated count =
-    # count formula, enumerated vertical total = its closed form = summed
-    # index contributions, per-index counts = index_contribution, index
-    # symmetry, bound ordering, genus identity, and enumerated totals =
-    # scan_totals = closed_form_totals, class count = knot_class_count
+    # class_count(c) runs run_census(c), which itself checks, in order: genus
+    # identity, enumerated totals = scan_totals, enumerated totals =
+    # closed_form_totals and bound ordering, per-index counts =
+    # index_contribution (summing to the vertical total's closed form), index
+    # symmetry, and class count = knot_class_count
     count = 0
     for c in range(3, c_max + 1):
         class_count(c)

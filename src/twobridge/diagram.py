@@ -166,7 +166,11 @@ def analyze(r):
     n_viable = sum(viable)
     n_sequential = sum(sequential)
     folded = _fold(gens)
-    frac = rational.continued_fraction([k for _, k in folded])
+    try:
+        frac = rational.continued_fraction([k for _, k in folded])
+    except ValueError as e:  # every model word has a knot fraction
+        raise InvariantError("knot fraction", f"word {from_runs(r)}",
+                             "p odd, 0 < q < p, coprime", e) from e
     cc = rational.canonical_class(frac)
     return WordAnalysis(
         word=from_runs(r),

@@ -240,6 +240,17 @@ def test_census_knot_classes():
     assert got == golden.CLASSES_C7
 
 
+def test_census_report_stores_only_what_was_counted():
+    assert [f.name for f in dataclasses.fields(census.CensusReport)] == [
+        "c", "word_count", "vertical_total", "viable_total", "sequential_total",
+        "knot_classes", "analyses"]
+    rep = census.scan_census(9)
+    assert rep.avg_genus_lower == rep.avg_genus_lower_closed_form == \
+        census.lower_bound_avg_genus(9)
+    assert rep.closed_form_vertical_total == census.closed_form_vertical_total(9)
+    assert rep.per_index_contributions == census.per_index_contributions(9)
+
+
 def test_report_serialization():
     rep = census.run_census(6, per_word=True)
     blob = json.loads(json.dumps(rep.to_json()))

@@ -21,6 +21,20 @@ def run(argv, capsys):
     return code, out, err
 
 
+@pytest.fixture
+def index_calls(monkeypatch):
+    """The (c, i) of every census.index_contribution call, in call order."""
+    calls = []
+    real = census.index_contribution
+
+    def counting(c, i):
+        calls.append((c, i))
+        return real(c, i)
+
+    monkeypatch.setattr(census, "index_contribution", counting)
+    return calls
+
+
 # ---------------------------------------------------------------- analyze
 
 def test_analyze_human(capsys):
@@ -146,6 +160,31 @@ def test_analyze_parity_fault_exits_1(flags):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == ("error: genus parity at s=4, c=4: expected a "
                            "nonnegative even 1 - s + c, got 1\n")
+
+
+# continued_fraction adds one to the last exponent, so p comes out even;
+# KnotFraction's ValueError is a program fault here (exit 1), not a usage
+# error, also under python -O
+_PLANTED_FRACTION = """
+import sys
+from twobridge import cli, rational
+real = rational.continued_fraction
+rational.continued_fraction = lambda exponents: real([*exponents[:-1], exponents[-1] + 1])
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+@pytest.mark.parametrize("argv, word, fraction", [
+    (["analyze", "+--+-+-"], "+--+-+-", "18/5"),
+    (["census", "7", "--format", "json"], "+-+-+-+", "34/21"),
+], ids=["analyze", "census-json"])
+def test_knot_fraction_fault_exits_1(flags, argv, word, fraction):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_FRACTION, *argv],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (f"error: knot fraction at word {word}: expected p odd, "
+                           f"0 < q < p, coprime, got p must be odd, got {fraction}\n")
 
 
 # ----------------------------------------------------------------- census
@@ -302,6 +341,27 @@ def test_census_fails_on_planted_index_contribution_fault(flags):
                            f"{vertical}, got {vertical + 1}\n")
 
 
+@pytest.mark.parametrize("argv, indices", [
+    (["census", "40", "--format", "csv"], []),
+    (["census", "40"], [(40, i) for i in range(2, 40)]),
+    (["census", "12", "--format", "json"], [(12, i) for i in range(2, 12)]),
+], ids=["csv", "human", "json"])
+def test_census_computes_index_contributions_only_where_printed(argv, indices, capsys,
+                                                                index_calls):
+    # the CSV row holds no per-index counts; human and JSON output compute
+    # each once, JSON through run_census's check
+    code, _, _ = run(argv, capsys)
+    assert code == 0 and index_calls == indices
+
+
+def test_census_csv_output_pinned(capsys):
+    # stdout sha256 pinned when every report still summed its index contributions
+    code, out, _ = run(["census", "3000", "--format", "csv"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a0675dd9ebfa5592a118b3bbb96444173686b51c26119f061344784469b43c92")
+
+
 def test_check_fails_on_planted_scan_fault(capsys, monkeypatch):
     real = census.scan_totals
     monkeypatch.setattr(census, "scan_totals",
@@ -344,34 +404,19 @@ def test_bound_single_value_json(capsys):
                                    "decimal": "1.818182"}}]
 
 
-def test_bound_computes_each_index_contribution_once(capsys, monkeypatch):
-    # below the exact ceiling one scan_census report holds both columns
-    calls = []
-    real = census.index_contribution
-
-    def counting(c, i):
-        calls.append((c, i))
-        return real(c, i)
-
-    monkeypatch.setattr(census, "index_contribution", counting)
+def test_bound_computes_each_index_contribution_once(capsys, index_calls):
+    # below the exact ceiling one scan_census report holds both columns, and
+    # neither reads the per-index counts, so none is computed
     code, out, _ = run(["bound", "3..16"], capsys)
     assert code == 0 and len(out.splitlines()) == 14
-    assert len(calls) == len(set(calls)) == sum(c - 2 for c in range(3, 17)) == 105
+    assert index_calls == []
 
 
-def test_bound_above_the_exact_ceiling_sums_no_index_contribution(capsys, monkeypatch):
+def test_bound_above_the_exact_ceiling_sums_no_index_contribution(capsys, index_calls):
     # the bound reads the vertical total's closed form, not its O(c) check route
-    calls = []
-    real = census.index_contribution
-
-    def counting(c, i):
-        calls.append((c, i))
-        return real(c, i)
-
-    monkeypatch.setattr(census, "index_contribution", counting)
     code, out, _ = run(["bound", "17..2000"], capsys)
     assert code == 0 and len(out.splitlines()) == 1984
-    assert calls == []
+    assert index_calls == []
 
 
 # stdout sha256 of long and huge bound runs, pinned when the bound still
