@@ -85,9 +85,10 @@ def check_determinants(a, pd):
 def _diagram_checks(c_max):
     """check_oracle_agreement on every model word with c <= c_max and
     check_determinants on those with c <= 12, in one pass: each word's
-    planar diagram is built once and dropped after both checks read it.
-    A check stops at its first failure and the other goes on.  Returns
-    [assertion count, exception or None] per check."""
+    analysis and planar diagram, drawn from its generator list alone, are
+    built once and read by both checks.  A build that raises fails every
+    live check; a check stops at its first failure and the other goes
+    on.  Returns [assertion count, exception or None] per check."""
     checks = ((check_oracle_agreement, c_max), (check_determinants, 12))
     out = [[0, None] for _ in checks]
     for c in range(3, c_max + 1):
@@ -96,12 +97,15 @@ def _diagram_checks(c_max):
                     if c <= top and o[1] is None]
             if not live:
                 break
-            # a build that raises is not kept, so it fails each check
-            built = functools.cache(
-                lambda: (diagram.analyze(r), planar.alternating_pd(diagram.full_diagram(r))))
+            try:
+                built = diagram.analyze(r), planar.alternating_pd(diagram.generators(r))
+            except Exception as e:
+                for _, o in live:
+                    o[1] = e
+                continue
             for check, o in live:
                 try:
-                    o[0] += check(*built())
+                    o[0] += check(*built)
                 except Exception as e:
                     o[1] = e
     return out

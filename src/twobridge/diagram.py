@@ -25,7 +25,7 @@ the diagram is then exactly 2 + #viable.
 analyze folds the pass's plain lists straight into a WordAnalysis;
 full_diagram returns them as the per-crossing record, a tuple of one
 CrossingInfo per crossing.  All of this is pure run arithmetic; the
-planar module draws the diagram from the records' generators alone,
+planar module draws the diagram from the generator list alone,
 re-derives the smoothings and the circle count by traversal, and the
 check battery compares those with what analyze reports.
 """
@@ -72,6 +72,11 @@ def _braid_word(folded):
         for g, k in folded)
 
 
+def generators(r):
+    """The braid generator of each crossing of a model word, left to right."""
+    return [_GENERATOR[(i + e) & 1] for i, e in enumerate(r.runs)]
+
+
 def _crossing_lists(r):
     """The per-word kernel: parallel lists (generators, smoothings,
     viable, sequential) with one entry per crossing.
@@ -83,11 +88,10 @@ def _crossing_lists(r):
     """
     if not r.is_model:
         raise ValueError(f"not a model word: {r}")
-    gens = []
+    gens = generators(r)
     smoothings = []
     start = 1
-    for i, e in enumerate(r.runs):
-        gens.append(_GENERATOR[(i + e) & 1])
+    for e in r.runs:
         smoothings.append(H if start % 3 == e else V)
         start += e
     c = len(gens)

@@ -175,13 +175,15 @@ def billiard_pd(word, allow_link=False):
     return _build_strip(crossings)
 
 
-def alternating_pd(records):
-    """Planar diagram of an alternating plat from its per-crossing records
-    (diagram.full_diagram), reading only each record's generator: s1
-    crossings at heights (0,1) with the rising diagonal over (positive),
-    s2^-1 at (1,2) with the falling diagonal over (negative).
+def alternating_pd(generators):
+    """Planar diagram of an alternating plat from its generator list
+    (diagram.generators): s1 at heights (0,1), rising diagonal over
+    (positive); s2^-1 at (1,2), falling diagonal over (negative).
+
+    >>> goeritz_determinant(alternating_pd(["s1", "s1", "s1"]))  # +--+
+    3
     """
-    return _build_strip([_S1 if x.generator == SIGMA1 else _S2_INV for x in records])
+    return _build_strip([_S1 if g == SIGMA1 else _S2_INV for g in generators])
 
 
 class OrientedDiagram:

@@ -100,7 +100,7 @@ def test_criterion_06_oracle_seifert_equivalence_up_to_14():
     n = 0
     for r in model_words(3, 14):
         a = diagram.analyze(r)
-        od = planar.orient(planar.alternating_pd(diagram.full_diagram(r)))
+        od = planar.orient(planar.alternating_pd(diagram.generators(r)))
         s = planar.trace_seifert_circles(od)
         assert s == a.s, a.word
         assert a.s_lower <= s <= a.s_upper, a.word
@@ -160,8 +160,7 @@ def test_criterion_10_determinants_up_to_12():
     n = 0
     for r in model_words(3, 12):
         a = diagram.analyze(r)
-        d = diagram.full_diagram(r)
-        det_alt = planar.goeritz_determinant(planar.alternating_pd(d))
+        det_alt = planar.goeritz_determinant(planar.alternating_pd(diagram.generators(r)))
         det_bil = planar.goeritz_determinant(planar.billiard_pd(a.word))
         assert det_alt == det_bil == a.p, a.word
         n += 1

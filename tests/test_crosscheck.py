@@ -81,11 +81,11 @@ def test_run_all_keeps_no_census_report(monkeypatch):
         reports.append(weakref.ref(rep))
         return rep
 
-    def first_build(records):
+    def first_build(generators):
         if not alive:
             gc.collect()
             alive.append(sum(ref() is not None for ref in reports))
-        return real_pd(records)
+        return real_pd(generators)
 
     monkeypatch.setattr(census, "run_census", tracked)
     monkeypatch.setattr(planar, "alternating_pd", first_build)
@@ -98,9 +98,9 @@ def test_run_all_builds_each_diagram_once(monkeypatch):
     calls = []
     real = planar.alternating_pd
 
-    def counting(records):
-        calls.append(len(records))
-        return real(records)
+    def counting(generators):
+        calls.append(len(generators))
+        return real(generators)
 
     monkeypatch.setattr(planar, "alternating_pd", counting)
     results, ok = crosscheck.run_all(11)
@@ -111,18 +111,42 @@ def test_run_all_builds_each_diagram_once(monkeypatch):
     assert counts["determinant equality"] == 341
 
 
-@pytest.mark.parametrize("name, failed", [
-    ("goeritz_determinant", ["determinant equality"]),
-    ("trace_seifert_circles", ["oracle circle counts and orientations"]),
-    ("alternating_pd", ["oracle circle counts and orientations", "determinant equality"]),
-])
-def test_diagram_checks_fail_independently(monkeypatch, name, failed):
+def test_run_all_draws_no_per_crossing_records(monkeypatch):
+    # the oracle draws each diagram from the generator list, never from
+    # full_diagram's CrossingInfo records
+    calls = []
+    real = diagram.full_diagram
+
+    def counting(r):
+        calls.append(r)
+        return real(r)
+
+    monkeypatch.setattr(diagram, "full_diagram", counting)
+    _, ok = crosscheck.run_all(8)
+    assert ok
+    assert calls == []
+
+
+_PLANTED_DIAGRAM_FAULTS = [
+    (planar, "goeritz_determinant", ["determinant equality"]),
+    (planar, "trace_seifert_circles", ["oracle circle counts and orientations"]),
+    (planar, "alternating_pd", ["oracle circle counts and orientations", "determinant equality"]),
+    # the kernel reads the same generator list, so the census checks fail too
+    (diagram, "generators", ["census closed forms", "oracle circle counts and orientations",
+                             "determinant equality", "knot class multiplicities"]),
+]
+
+
+# ids name the planted function and its index, not the module
+@pytest.mark.parametrize("module, name, failed", _PLANTED_DIAGRAM_FAULTS, ids=[
+    f"{name}-failed{i}" for i, (_, name, _) in enumerate(_PLANTED_DIAGRAM_FAULTS)])
+def test_diagram_checks_fail_independently(monkeypatch, module, name, failed):
     # the two checks share one pass over the words; a fault in what only
-    # one of them reads fails that one, a fault in the shared diagram both
+    # one of them reads fails that one, a fault in the shared build both
     def faulty(*args):
         raise AssertionError(f"planted {name} failure")
 
-    monkeypatch.setattr(planar, name, faulty)
+    monkeypatch.setattr(module, name, faulty)
     results, ok = crosscheck.run_all(8)
     assert not ok
     byname = {check: (count, error) for check, count, error in results}

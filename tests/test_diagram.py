@@ -212,6 +212,7 @@ def test_analyze_agrees_with_full_diagram():
         a = diagram.analyze(r)
         d = diagram.full_diagram(r)
         s = 2 + len(viable_indices(d))
+        assert diagram.generators(r) == [x.generator for x in d]
         assert a.alternating == braid_word(d)
         assert a.smoothings == "".join(x.smoothing for x in d)
         assert (a.vertical, a.viable, a.sequential) == (

@@ -16,8 +16,8 @@ import golden
 from twobridge import crosscheck, diagram, planar, words
 
 
-def full(word):
-    return diagram.full_diagram(words.normalize_to_model(word).run_word)
+def generators(word):
+    return diagram.generators(words.normalize_to_model(word).run_word)
 
 
 def model_words(c_lo, c_hi):
@@ -126,7 +126,7 @@ def test_billiard_orientation_pattern_is_sign_independent(n):
 def test_orientation_matches_smoothing_rule_on_model_words():
     for r in model_words(3, 8):
         d = diagram.full_diagram(r)
-        od = planar.orient(planar.alternating_pd(d))
+        od = planar.orient(planar.alternating_pd([x.generator for x in d]))
         assert planar.classify_orientations(od) == [x.smoothing for x in d]
 
 
@@ -135,7 +135,7 @@ def test_orientation_matches_smoothing_rule_on_model_words():
 def test_traced_circles_match_viability_count():
     for r in model_words(3, 9):
         d = diagram.full_diagram(r)
-        od = planar.orient(planar.alternating_pd(d))
+        od = planar.orient(planar.alternating_pd([x.generator for x in d]))
         s = planar.trace_seifert_circles(od)
         assert s == 2 + sum(x.viable for x in d)
         a = diagram.analyze(r)
@@ -151,7 +151,7 @@ def test_kernel_matches_oracle_on_long_words(n, seed):
     assume(norm.kind == words.MODEL)
     r = norm.run_word
     a = diagram.analyze(r)
-    od = planar.orient(planar.alternating_pd(diagram.full_diagram(r)))
+    od = planar.orient(planar.alternating_pd(diagram.generators(r)))
     assert a.smoothings == "".join(planar.classify_orientations(od))
     assert a.s == planar.trace_seifert_circles(od)
 
@@ -172,16 +172,14 @@ def test_billiard_circle_count_is_sign_independent():
 
 @pytest.mark.parametrize("word,p", [(r[0], r[8]) for r in golden.ROWS_SMALL])
 def test_goeritz_determinant_known_small_knots(word, p):
-    d = full(word)
-    assert planar.goeritz_determinant(planar.alternating_pd(d)) == p
+    assert planar.goeritz_determinant(planar.alternating_pd(generators(word))) == p
     assert planar.goeritz_determinant(planar.billiard_pd(word)) == p
 
 
 def test_goeritz_determinant_equals_fraction_numerator():
     for r in model_words(3, 9):
         a = diagram.analyze(r)
-        d = diagram.full_diagram(r)
-        det_alt = planar.goeritz_determinant(planar.alternating_pd(d))
+        det_alt = planar.goeritz_determinant(planar.alternating_pd(diagram.generators(r)))
         det_bil = planar.goeritz_determinant(planar.billiard_pd(a.word))
         assert det_alt == det_bil == a.p, a.word
 
@@ -221,6 +219,6 @@ def test_oracle_pinned_on_billiard_words_up_to_length_12():
 
 
 def test_oracle_pinned_on_model_words_up_to_c13():
-    rows = (oracle_row(words.from_runs(r), planar.alternating_pd(diagram.full_diagram(r)))
+    rows = (oracle_row(words.from_runs(r), planar.alternating_pd(diagram.generators(r)))
             for r in model_words(3, 13))
     assert digest(rows) == "d80ed95739470bc3b25208955b430ebe1a80ab44bfd4e20f8736aa86ad96f07f"
