@@ -14,24 +14,29 @@ mod 3 alone decides how the orientation smooths the crossing:
     single run:  horizontal iff start = 1 (mod 3)
     double run:  horizontal iff start = 2 (mod 3)
 
-so a run of length e smooths horizontally iff start = e (mod 3).  One
-left-to-right pass over the runs yields every generator and smoothing.
-A vertically-smoothed crossing is viable when the next vertical crossing
-sits at the same height, or when it is the last vertical crossing; a
-right-to-left sweep that carries the nearest vertical crossing to the
-right sets the viable and sequential flags.  The Seifert circle count of
-the diagram is then exactly 2 + #viable.
+so a run of length e smooths horizontally iff start = e (mod 3).  A
+vertically-smoothed crossing is viable when the next vertical crossing
+sits at the same height, or when it is the last vertical crossing; it is
+sequential when that next vertical crossing is also the very next
+crossing.  The Seifert circle count of the diagram is then exactly
+2 + #viable.
 
-analyze folds the pass's plain lists straight into a WordAnalysis;
-full_diagram returns them as the per-crossing record, a tuple of one
-CrossingInfo per crossing.  All of this is pure run arithmetic; the
-planar module draws the diagram from the generator list alone,
-re-derives the smoothings and the circle count by traversal, and the
-check battery compares those with what analyze reports.
+analyze reads each word's runs once.  Its pass (_scan) goes left to
+right over the runs and their generators, yields the smoothing string,
+the vertical count and the folded exponents, and settles viability as
+census.scan_totals does: each new vertical crossing settles the pending
+one, viable if the two generators match and sequential if they are also
+adjacent; the crossing still pending at the end is viable.  full_diagram,
+the check route, sets the flags by a right-to-left sweep that carries
+the nearest vertical crossing to the right, and returns one CrossingInfo
+per crossing.  Both take their generators from generators(r), the one
+place the generator rule is written.  The planar module draws the
+diagram from that list alone, re-derives the smoothings and the circle
+count by traversal, and the check battery compares them with analyze.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 from . import rational
 from .words import InvariantError, RunWord, from_runs, is_palindromic_type
@@ -62,14 +67,13 @@ class CrossingInfo:
     sequential: bool
 
 
-def _fold(generators):
-    return [(g, len(list(run))) for g, run in groupby(generators)]
-
-
-def _braid_word(folded):
-    return " ".join(
-        (SIGMA1 if k == 1 else f"s1^{k}") if g == SIGMA1 else f"s2^-{k}"
-        for g, k in folded)
+def _braid_word(first, exponents):
+    """The folded word written out, e.g. "s1^3 s2^-1 s1 s2^-1".  Adjacent
+    folds differ, so with two generators they alternate from first."""
+    s1_at = 0 if first == SIGMA1 else 1
+    return " ".join([
+        (SIGMA1 if k == 1 else f"s1^{k}") if j & 1 == s1_at else f"s2^-{k}"
+        for j, k in enumerate(exponents)])
 
 
 def generators(r):
@@ -77,14 +81,64 @@ def generators(r):
     return [_GENERATOR[(i + e) & 1] for i, e in enumerate(r.runs)]
 
 
-def _crossing_lists(r):
-    """The per-word kernel: parallel lists (generators, smoothings,
-    viable, sequential) with one entry per crossing.
+def _scan(r, gens):
+    """analyze's kernel, the one left-to-right pass over the runs and
+    their generators described in the module docstring: the smoothing
+    string, the vertical, viable and sequential counts, and the exponents
+    of the folded generators (the continued fraction entries)."""
+    smoothings = []
+    exponents = []
+    vertical = viable = sequential = 0
+    pending = None    # generator of the last vertical crossing so far
+    adjacent = False  # the pending crossing is the previous one
+    start = 1
+    prev, k = gens[0], 0
+    for e, g in zip(r.runs, gens):
+        if g == prev:
+            k += 1
+        else:
+            exponents.append(k)
+            prev, k = g, 1
+        if start % 3 == e:
+            smoothings.append(H)
+            adjacent = False
+        else:
+            smoothings.append(V)
+            vertical += 1
+            if pending == g:
+                viable += 1
+                if adjacent:
+                    sequential += 1
+            pending, adjacent = g, True
+        start += e
+    exponents.append(k)
+    if pending is not None:
+        viable += 1
+    return "".join(smoothings), vertical, viable, sequential, exponents
+
+
+def genus(s, c):
+    """Genus of an alternating knot from circle count and crossing number."""
+    n = 1 - s + c
+    if n < 0 or n % 2:
+        raise ParityError("genus parity", f"s={s}, c={c}",
+                          "a nonnegative even 1 - s + c", n)
+    return n // 2
+
+
+def full_diagram(r):
+    """The per-crossing record of a model word: one CrossingInfo per run,
+    left to right, with its generator, start position, smoothing and
+    viability flags.  This is the check route for analyze: a
+    right-to-left sweep sets the flags.
 
     Viable: the next vertical crossing (in index order) has the same
     generator, or there is none.  Sequential: the immediately following
     crossing is vertical with the same generator, which forces viability
     of this one but is strictly stronger.
+
+    >>> [(x.generator, x.smoothing) for x in full_diagram(RunWord("+", (1, 2, 1)))]
+    [('s1', 'H'), ('s1', 'H'), ('s1', 'H')]
     """
     if not r.is_model:
         raise ValueError(f"not a model word: {r}")
@@ -104,27 +158,6 @@ def _crossing_lists(r):
             viable[i] = next_gen is None or next_gen == g
             sequential[i] = next_i == i + 1 and next_gen == g
             next_gen, next_i = g, i
-    return gens, smoothings, viable, sequential
-
-
-def genus(s, c):
-    """Genus of an alternating knot from circle count and crossing number."""
-    n = 1 - s + c
-    if n < 0 or n % 2:
-        raise ParityError("genus parity", f"s={s}, c={c}",
-                          "a nonnegative even 1 - s + c", n)
-    return n // 2
-
-
-def full_diagram(r):
-    """The per-crossing record of a model word: one CrossingInfo per run,
-    left to right, with its generator, start position, smoothing and
-    viability flags.
-
-    >>> [(x.generator, x.smoothing) for x in full_diagram(RunWord("+", (1, 2, 1)))]
-    [('s1', 'H'), ('s1', 'H'), ('s1', 'H')]
-    """
-    gens, smoothings, viable, sequential = _crossing_lists(r)
     starts = accumulate(r.runs, initial=1)
     return tuple(
         CrossingInfo(i + 1, gens[i], r.sign(i), e, start,
@@ -164,33 +197,25 @@ class WordAnalysis(rational.Record):
 
 
 def analyze(r):
-    """Full per-word record: diagram counts, genus, fraction, knot name."""
-    gens, smoothings, viable, sequential = _crossing_lists(r)
-    vertical = smoothings.count(V)
-    n_viable = sum(viable)
-    n_sequential = sum(sequential)
-    folded = _fold(gens)
+    """Full per-word record: diagram counts, genus, fraction, knot name.
+
+    >>> a = analyze(RunWord("+", (1, 2, 1, 1, 1, 1)))  # +--+-+-
+    >>> a.alternating, a.smoothings, a.s, a.genus, a.name
+    ('s1^3 s2^-1 s1 s2^-1', 'HHHVVH', 3, 2, '6_2')
+    """
+    if not r.is_model:
+        raise ValueError(f"not a model word: {r}")
+    gens = generators(r)
+    smoothings, vertical, viable, sequential, exponents = _scan(r, gens)
+    word = from_runs(r)
     try:
-        frac = rational.continued_fraction([k for _, k in folded])
+        frac = rational.continued_fraction(exponents)
     except ValueError as e:  # every model word has a knot fraction
-        raise InvariantError("knot fraction", f"word {from_runs(r)}",
+        raise InvariantError("knot fraction", f"word {word}",
                              "p odd, 0 < q < p, coprime", e) from e
     cc = rational.canonical_class(frac)
+    s = 2 + viable
     return WordAnalysis(
-        word=from_runs(r),
-        runs=r,
-        alternating=_braid_word(folded),
-        smoothings="".join(smoothings),
-        vertical=vertical,
-        viable=n_viable,
-        sequential=n_sequential,
-        s=2 + n_viable,
-        s_lower=2 + n_sequential,
-        s_upper=2 + vertical,
-        genus=genus(2 + n_viable, len(gens)),
-        p=frac.p,
-        q=frac.q,
-        q_star=cc.q_star,
-        name=rational.KNOT_NAMES.get(cc),
-        palindromic=is_palindromic_type(r),
-    )
+        word, r, _braid_word(gens[0], exponents), smoothings, vertical, viable,
+        sequential, s, 2 + sequential, 2 + vertical, genus(s, len(gens)),
+        frac.p, frac.q, cc.q_star, rational.KNOT_NAMES.get(cc), is_palindromic_type(r))

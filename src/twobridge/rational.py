@@ -74,7 +74,7 @@ def continued_fraction(exponents):
     >>> continued_fraction([1, 1, 1, 1, 1, 1, 1])
     KnotFraction(p=21, q=13)
     """
-    if not exponents or any(a < 1 for a in exponents):
+    if not exponents or min(exponents) < 1:
         raise ValueError(f"exponents must be positive integers: {exponents}")
     num, den = exponents[-1], 1
     for a in reversed(exponents[:-1]):

@@ -158,7 +158,7 @@ class RunWord:
             raise NotReducedForm(f"first sign must be + or -: {self.first_sign!r}")
         if not self.runs:
             raise NotReducedForm("empty run vector")
-        if any(e not in (1, 2) for e in self.runs):
+        if self.runs.count(1) + self.runs.count(2) != len(self.runs):
             raise NotReducedForm(f"run lengths must be 1 or 2: {self.runs}")
         if self.runs[0] != 1 or self.runs[-1] != 1:
             raise NotReducedForm(f"first and last runs must be single letters: {self.runs}")
@@ -205,12 +205,8 @@ def from_runs(r):
     >>> from_runs(RunWord("+", (1, 2, 1)))
     '+--+'
     """
-    sign = r.first_sign
-    parts = []
-    for n in r.runs:
-        parts.append(sign * n)
-        sign = _other(sign)
-    return "".join(parts)
+    signs = (r.first_sign, _other(r.first_sign))
+    return "".join([signs[i & 1] * n for i, n in enumerate(r.runs)])
 
 
 def toggle_interior(r):

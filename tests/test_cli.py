@@ -142,13 +142,13 @@ def test_analyze_unreduced_run_form_exits_1(flags):
 _PLANTED_PARITY = """
 import sys
 from twobridge import cli, diagram
-real = diagram._crossing_lists
+real = diagram._scan
 
-def one_more_viable(r):
-    gens, smoothings, viable, sequential = real(r)
-    return gens, smoothings, viable + [True], sequential
+def one_more_viable(r, gens):
+    smoothings, vertical, viable, sequential, exponents = real(r, gens)
+    return smoothings, vertical, viable + 1, sequential, exponents
 
-diagram._crossing_lists = one_more_viable
+diagram._scan = one_more_viable
 sys.exit(cli.main(["analyze", "+-+-"]))
 """
 

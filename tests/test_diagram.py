@@ -207,21 +207,51 @@ def test_analyze_golden(row):
     assert a.palindromic == pal
 
 
+def assert_analyze_agrees_with_full_diagram(r):
+    a = diagram.analyze(r)
+    d = diagram.full_diagram(r)
+    s = 2 + len(viable_indices(d))
+    assert diagram.generators(r) == [x.generator for x in d]
+    assert a.word == words.from_runs(r)
+    assert a.alternating == braid_word(d)
+    assert a.smoothings == "".join(x.smoothing for x in d)
+    assert (a.vertical, a.viable, a.sequential) == (
+        len(vertical_indices(d)), len(viable_indices(d)), len(sequential_indices(d)))
+    assert (a.s, a.s_lower, a.s_upper) == (
+        s, 2 + len(sequential_indices(d)), 2 + len(vertical_indices(d)))
+    assert a.genus == diagram.genus(s, len(d))
+    f = rational.continued_fraction(exponents(d))
+    assert (a.p, a.q) == (f.p, f.q)
+    return a, d
+
+
 def test_analyze_agrees_with_full_diagram():
-    for r in model_words(3, 12):
-        a = diagram.analyze(r)
-        d = diagram.full_diagram(r)
-        s = 2 + len(viable_indices(d))
-        assert diagram.generators(r) == [x.generator for x in d]
-        assert a.alternating == braid_word(d)
-        assert a.smoothings == "".join(x.smoothing for x in d)
-        assert (a.vertical, a.viable, a.sequential) == (
-            len(vertical_indices(d)), len(viable_indices(d)), len(sequential_indices(d)))
-        assert (a.s, a.s_lower, a.s_upper) == (
-            s, 2 + len(sequential_indices(d)), 2 + len(vertical_indices(d)))
-        assert a.genus == diagram.genus(s, len(d))
-        f = rational.continued_fraction(exponents(d))
-        assert (a.p, a.q) == (f.p, f.q)
+    # analyze's forward pass against full_diagram's backward sweep
+    for r in model_words(3, 14):
+        assert_analyze_agrees_with_full_diagram(r)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_analyze_agrees_with_full_diagram_on_long_words(seed):
+    long_words = [n.run_word for n in map(words.normalize_to_model, words.sample(3001, 15, seed))
+                  if n.kind == words.MODEL]
+    assert long_words
+    for r in long_words:
+        assert r.c > 500
+        assert_analyze_agrees_with_full_diagram(r)
+
+
+def test_analyze_without_vertical_crossings():
+    a, _ = assert_analyze_agrees_with_full_diagram(run_word("+--+--+"))
+    assert (a.smoothings, a.vertical, a.viable, a.sequential, a.s) == ("HHHHH", 0, 0, 0, 2)
+
+
+def test_analyze_counts_a_last_vertical_crossing_at_c_minus_1():
+    # the crossing still pending at the end of the pass is viable
+    a, d = assert_analyze_agrees_with_full_diagram(run_word("+--+-+-"))
+    assert a.smoothings == "HHHVVH"
+    assert vertical_indices(d)[-1] == len(d) - 1 and d[-2].viable
+    assert (a.vertical, a.viable, a.sequential, a.s) == (2, 1, 0, 3)
 
 
 def test_analysis_serialization_round_trip():
