@@ -7,35 +7,21 @@ pure integer arithmetic with O(1) big-integer operations each.  The
 per-index vertical counts, three Netto residue-class products each, sum
 to the vertical total in O(c) steps and are its check route.  The run
 scan, scan_totals, gives the census totals (word count and vertical,
-viable and sequential crossings) in O(c) big-integer steps.  A
-CensusReport stores the totals and derives the averages and the bound
+viable and sequential crossings) in O(c) big-integer steps: it sums
+diagram.STEP over its states, each carrying (count, vertical, viable,
+sequential) summed over the prefixes that end there.  Run i (0-based)
+has length 1 or 2, 1 for the first and last run.  A word is accepted
+when its letter length is 1 mod 3, that is when the start after its
+last run is 2 mod 3, and diagram.ENDS_VIABLE then counts the crossing
+still pending.  Each word is one path through the states that settles
+each flag once, so the sums give the totals exactly.
+
+A CensusReport stores the totals and derives the averages and the bound
 from them.  scan_census builds it from the scan, with no enumeration,
 so it serves any c; run_census builds it from every model word and also
 checks the scan and the per-index counts against what it enumerates.
 Both check the totals against the closed forms before returning, and
 every check raises InvariantError, also under python -O.
-
-The scan reads the runs left to right.  Run i (0-based) of a model word
-has length e = 1 or 2 (1 for the first and last run) and generator
-(i + e) & 1, and it smooths vertically iff its 1-based start position
-is not e mod 3 (see diagram).  A vertical crossing is viable when the
-next vertical crossing has its generator or there is none, and
-sequential when that next one is the crossing right after it.  So all
-that the rest of a word needs to know about a prefix is the state
-
-    (start mod 3, generator of the last vertical crossing or None,
-     whether that crossing is the previous one)
-
-of which there are at most 3 * 5 = 15 (12 are reachable, at most 7 at
-once).  A new vertical crossing settles the pending one (viable if the
-generators match, sequential if they also sit side by side) and becomes
-pending itself; a horizontal one leaves it pending, no longer adjacent.  A word
-is accepted when its letter length is 1 mod 3, that is when the start
-after its last run is 2 mod 3, and the crossing still pending there is
-viable.  Each word is one path through the states and settles each of
-its flags exactly once along it, and every total is a sum of flags, so
-carrying (count, vertical, viable, sequential) summed over the prefixes
-in each state gives the totals exactly.
 
 The totals in closed form, for every c >= 3, with s = (-1)^c:
 
@@ -46,9 +32,8 @@ The totals in closed form, for every c >= 3, with s = (-1)^c:
 
 They were fitted to the scan; a transfer-matrix dimension bound (Stanley,
 Enumerative Combinatorics Vol. 1, 4.7) proves them.  A scan step is
-linear in the sums carried per state key, and a key is one of the
-3 * 3 * 2 = 18 tuples (start mod 3, pending generator None, 0 or 1,
-adjacent), so the carried vector has at most 72 entries.  An interior
+linear in the sums carried per state, one of the len(diagram.STATES) =
+18 tuples, so the carried vector has at most 72 entries.  An interior
 step depends on i only through its parity.  So for c = 2k + p with p
 fixed, the scan is a fixed first step, k - 1 applications of one
 two-step matrix A of size at most 72 x 72, at most one more interior
@@ -171,40 +156,32 @@ class CensusTotals(NamedTuple):
 
 
 def scan_totals(c):
-    """The census totals of crossing number c by the run scan described in
-    the module docstring: O(c) big-integer steps over at most 15 states.
+    """The census totals of crossing number c: diagram.STEP summed over at
+    most 7 live states, in O(c) big-integer steps.
 
     >>> scan_totals(6)
     CensusTotals(count=5, vertical=14, viable=9, sequential=4)
     """
     if c < 3:
         raise ValueError(f"need c >= 3, got {c}")
-    # (start mod 3, pending generator or None, pending is the previous
-    # crossing) -> (count, vertical, viable, sequential) of its prefixes
-    states = {(1, None, False): (1, 0, 0, 0)}
+    # state index -> (count, vertical, viable, sequential) of its prefixes
+    states = {diagram.START: (1, 0, 0, 0)}
     for i in range(c):
-        lengths = (1, 2) if 0 < i < c - 1 else (1,)
-        step = {}
-        for (start, pending, adjacent), sums in states.items():
-            n, vert, viab, seq = sums
-            for e in lengths:
-                g = (i + e) & 1
-                if start == e:  # horizontal: the pending crossing waits
-                    key, add = ((start + e) % 3, pending, False), sums
-                else:  # vertical: settle the pending crossing, take its place
-                    settled = n if pending == g else 0
-                    key = ((start + e) % 3, g, True)
-                    add = (n, vert + n, viab + settled, seq + (settled if adjacent else 0))
-                acc = step.get(key)
-                step[key] = add if acc is None else (
-                    acc[0] + add[0], acc[1] + add[1], acc[2] + add[2], acc[3] + add[3])
-        states = step
-    totals = (0, 0, 0, 0)
-    for (start, pending, _), (n, vert, viab, seq) in states.items():
-        if start == 2:  # letter length 1 mod 3; the last vertical crossing is viable
-            last = 0 if pending is None else n
-            totals = tuple(map(sum, zip(totals, (n, vert, viab + last, seq))))
-    return CensusTotals(*totals)
+        # run i of length e has generator (i + e) & 1, as in diagram.generators
+        inputs = [(e, diagram._GENERATOR[(i + e) & 1])
+                  for e in ((1, 2) if 0 < i < c - 1 else (1,))]
+        after = {}
+        for state, (n, vert, viab, seq) in states.items():
+            for e, g in inputs:
+                key, smoothing, viable, sequential = diagram.STEP[state][e][g]
+                n0, vert0, viab0, seq0 = after.get(key, (0, 0, 0, 0))
+                after[key] = (n0 + n, vert0 + vert + n * (smoothing == diagram.V),
+                              viab0 + viab + n * viable, seq0 + seq + n * sequential)
+        states = after
+    accepted = [(n, vert, viab + n * diagram.ENDS_VIABLE[state], seq)
+                for state, (n, vert, viab, seq) in states.items()
+                if diagram.STATES[state][0] == 2]  # letter length 1 mod 3
+    return CensusTotals(*map(sum, zip(*accepted)))
 
 
 def closed_form_totals(c):

@@ -41,11 +41,12 @@ def check_netto(k_max=30):
 
 
 def check_census_closed_forms(c_max, class_count):
-    # class_count(c) runs run_census(c), which itself checks, in order: genus
-    # identity, enumerated totals = scan_totals, enumerated totals =
-    # closed_form_totals and bound ordering, per-index counts =
-    # index_contribution (summing to the vertical total's closed form), index
-    # symmetry, and class count = knot_class_count
+    # class_count(c) runs run_census(c), which checks, in order: genus identity,
+    # enumerated totals = scan_totals (diagram.STEP walked per word against its
+    # sum over states: the aggregation, not the rule), = closed_form_totals and
+    # bound ordering, per-index counts = index_contribution, index symmetry, and
+    # class count = knot_class_count.  The rule's independent routes are the
+    # closed forms, the planar oracle and full_diagram.
     count = 0
     for c in range(3, c_max + 1):
         class_count(c)

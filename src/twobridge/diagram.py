@@ -7,36 +7,35 @@ plat diagram: a (sign, run length) pair maps to a braid generator
 
 where s1 sits at the lower height (strands 1-2) and s2^-1 at the upper
 height (strands 2-3).  Model words start with +, so run i (0-based) of
-length e gives s1 exactly when i + e is odd.  Crossing i inherits the
-start position of its run inside the letter word, and that position
-mod 3 alone decides how the orientation smooths the crossing:
+length e gives s1 exactly when i + e is odd; generators(r) is the one
+place this rule is written.
 
-    single run:  horizontal iff start = 1 (mod 3)
-    double run:  horizontal iff start = 2 (mod 3)
+The counting rule is one run automaton, written once in _step and held
+as data in STEP.  A run of length e smooths its crossing horizontally
+iff the run's start position in the letter word is e mod 3.  A vertical
+crossing is viable when the next vertical crossing sits at the same
+height or there is none, and sequential when that next one is the very
+next crossing; the Seifert circle count is then exactly 2 + #viable.  So
+the state of a prefix, one of the 18 STATES (12 reachable from START), is
 
-so a run of length e smooths horizontally iff start = e (mod 3).  A
-vertically-smoothed crossing is viable when the next vertical crossing
-sits at the same height, or when it is the last vertical crossing; it is
-sequential when that next vertical crossing is also the very next
-crossing.  The Seifert circle count of the diagram is then exactly
-2 + #viable.
+    (start mod 3, generator of the last vertical crossing or None,
+     whether that crossing is the previous one)
 
-analyze reads each word's runs once.  Its pass (_scan) goes left to
-right over the runs and their generators, yields the smoothing string,
-the vertical count and the folded exponents, and settles viability as
-census.scan_totals does: each new vertical crossing settles the pending
-one, viable if the two generators match and sequential if they are also
-adjacent; the crossing still pending at the end is viable.  full_diagram,
-the check route, sets the flags by a right-to-left sweep that carries
-the nearest vertical crossing to the right, and returns one CrossingInfo
-per crossing.  Both take their generators from generators(r), the one
-place the generator rule is written.  The planar module draws the
-diagram from that list alone, re-derives the smoothings and the circle
-count by traversal, and the check battery compares them with analyze.
+A horizontal crossing leaves the pending one waiting, no longer
+adjacent; a vertical one settles it and becomes pending itself.
+STEP[state][e][g] gives the next state's index, the smoothing and the
+flags settled by a run of length e with generator g, and
+ENDS_VIABLE[state] counts the crossing still pending at the end.
+analyze walks STEP once per word (_scan), folding the braid word's
+exponents beside it; census.scan_totals sums it over all words of one
+crossing number.  full_diagram, the check route, reads no table: a
+right-to-left sweep that carries the nearest vertical crossing to the
+right sets its flags.  The planar oracle draws the diagram from
+generators(r) alone and traces its smoothings and Seifert circles.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 
 from . import rational
 from .words import InvariantError, RunWord, from_runs, is_palindromic_type
@@ -46,7 +45,6 @@ SIGMA2_INV = "s2^-1"
 V = "V"
 H = "H"
 
-# run i (0-based) of length e in a model word: s1 iff i + e is odd
 _GENERATOR = (SIGMA2_INV, SIGMA1)
 
 
@@ -81,17 +79,50 @@ def generators(r):
     return [_GENERATOR[(i + e) & 1] for i, e in enumerate(r.runs)]
 
 
+def _step(state, e, g):
+    """The run automaton's step on a run of length e with generator g: the
+    next state, the smoothing, and the flags settled for the pending crossing."""
+    start, pending, adjacent = state
+    after = (start + e) % 3
+    if start == e:  # horizontal: the pending crossing waits
+        return (after, pending, False), H, 0, 0
+    viable = int(pending == g)  # vertical: settle the pending crossing, take its place
+    return (after, g, True), V, viable, viable if adjacent else 0
+
+
+# start mod 3 in the order 1, 2, 0: the state before the first run comes first
+STATES = tuple(product((1, 2, 0), (None, SIGMA1, SIGMA2_INV), (False, True)))
+START = 0
+ENDS_VIABLE = tuple(int(pending is not None) for _, pending, _ in STATES)
+
+
+def _table(step):
+    """The transition table of a step function: per state index and run
+    length e (index 0 unused), a dict from generator to (next state index,
+    smoothing, viable, sequential).
+
+    >>> [(STATES[nxt], *rest) for nxt, *rest in (STEP[START][1][SIGMA1], STEP[START][2][SIGMA1])]
+    [((2, None, False), 'H', 0, 0), ((0, 's1', True), 'V', 0, 0)]
+    """
+    index = {state: i for i, state in enumerate(STATES)}
+    table = [(None, {}, {}) for _ in STATES]
+    for (i, state), e, g in product(enumerate(STATES), (1, 2), _GENERATOR):
+        nxt, *flags = step(state, e, g)
+        table[i][e][g] = (index[nxt], *flags)
+    return tuple(table)
+
+
+STEP = _table(_step)
+
+
 def _scan(r, gens):
-    """analyze's kernel, the one left-to-right pass over the runs and
-    their generators described in the module docstring: the smoothing
-    string, the vertical, viable and sequential counts, and the exponents
-    of the folded generators (the continued fraction entries)."""
+    """analyze's kernel: one walk of STEP over the runs and their generators,
+    with the fold of the generators beside it.  Returns the smoothing string,
+    the vertical, viable and sequential counts, and the folded exponents."""
     smoothings = []
     exponents = []
-    vertical = viable = sequential = 0
-    pending = None    # generator of the last vertical crossing so far
-    adjacent = False  # the pending crossing is the previous one
-    start = 1
+    viable = sequential = 0
+    state = START
     prev, k = gens[0], 0
     for e, g in zip(r.runs, gens):
         if g == prev:
@@ -99,22 +130,13 @@ def _scan(r, gens):
         else:
             exponents.append(k)
             prev, k = g, 1
-        if start % 3 == e:
-            smoothings.append(H)
-            adjacent = False
-        else:
-            smoothings.append(V)
-            vertical += 1
-            if pending == g:
-                viable += 1
-                if adjacent:
-                    sequential += 1
-            pending, adjacent = g, True
-        start += e
+        state, smoothing, settled, settled_sequential = STEP[state][e][g]
+        smoothings.append(smoothing)
+        viable += settled
+        sequential += settled_sequential
     exponents.append(k)
-    if pending is not None:
-        viable += 1
-    return "".join(smoothings), vertical, viable, sequential, exponents
+    smoothings = "".join(smoothings)
+    return smoothings, smoothings.count(V), viable + ENDS_VIABLE[state], sequential, exponents
 
 
 def genus(s, c):

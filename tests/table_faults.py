@@ -1,0 +1,42 @@
+"""Three faults planted in diagram's run automaton, for the tests that
+must catch each: the H/V rule shifted, the viability test inverted, and
+the crossing still pending at the end not counted.  Each step function
+is diagram._step with one rule changed, and the table is rebuilt from it
+through diagram._table."""
+
+from twobridge import diagram
+
+
+def _hv_shifted(state, e, g):
+    start, pending, adjacent = state
+    after = (start + e) % 3
+    if (start + 1) % 3 == e:
+        return (after, pending, False), diagram.H, 0, 0
+    viable = int(pending == g)
+    return (after, g, True), diagram.V, viable, viable if adjacent else 0
+
+
+def _viability_inverted(state, e, g):
+    start, pending, adjacent = state
+    after = (start + e) % 3
+    if start == e:
+        return (after, pending, False), diagram.H, 0, 0
+    viable = int(pending is not None and pending != g)
+    return (after, g, True), diagram.V, viable, viable if adjacent else 0
+
+
+# fault -> (the error census 15 exits with, the diagram attribute, its faulty value)
+FAULTS = {
+    "hv-shifted": ("genus parity", "STEP", lambda: diagram._table(_hv_shifted)),
+    "viability-inverted": ("closed-form totals", "STEP",
+                           lambda: diagram._table(_viability_inverted)),
+    "end-not-counted": ("closed-form totals", "ENDS_VIABLE",
+                        lambda: (0,) * len(diagram.STATES)),
+}
+
+
+def plant(fault, setter=setattr):
+    """Install one fault in the diagram module; a test passes
+    monkeypatch.setattr so that the fault is undone after it."""
+    _, name, value = FAULTS[fault]
+    setter(diagram, name, value())

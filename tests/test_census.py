@@ -269,11 +269,38 @@ def test_report_serialization():
 scanned = functools.cache(census.scan_totals)
 
 # the census module docstring's proof: for a fixed parity of c, a scanned
-# total satisfies a recurrence of order at most 18 state keys x 4 sums, a
-# closed form one of order 4, so equality on 76 consecutive values of each
-# parity holds for every c
-_RECURRENCE_ORDER_BOUND = 18 * 4 + 4
+# total satisfies a recurrence of order at most len(diagram.STATES) x 4
+# sums, a closed form one of order 4, so equality on 76 consecutive values
+# of each parity holds for every c
+_RECURRENCE_ORDER_BOUND = len(diagram.STATES) * 4 + 4
 _CERTIFIED = range(3, 301)
+
+
+def test_run_automaton_has_18_states_12_reachable():
+    assert len(diagram.STATES) == 18
+    assert _RECURRENCE_ORDER_BOUND == 76
+    reached, frontier = {diagram.START}, [diagram.START]
+    while frontier:
+        row = diagram.STEP[frontier.pop()]
+        for nxt in {row[e][g][0] for e in (1, 2) for g in row[e]}:
+            if nxt not in reached:
+                reached.add(nxt)
+                frontier.append(nxt)
+    assert len(reached) == 12
+
+
+def test_scan_carries_at_most_7_live_states():
+    # the states a scan over c runs holds after each run; run i of length e
+    # has generator s1 iff i + e is odd
+    generator = (diagram.SIGMA2_INV, diagram.SIGMA1)
+    most = 0
+    for c in range(3, 60):
+        live = {diagram.START}
+        for i in range(c):
+            live = {diagram.STEP[state][e][generator[(i + e) % 2]][0]
+                    for state in live for e in ((1, 2) if 0 < i < c - 1 else (1,))}
+            most = max(most, len(live))
+    assert most == 7
 
 
 def test_scan_equals_enumerated_totals():

@@ -8,10 +8,12 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import golden
+import table_faults
 from twobridge import census, cli, diagram, rational, words
 
 
@@ -298,6 +300,31 @@ def test_census_fails_on_planted_scan_fault(flags):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == ("error: genus parity at c=8: expected a whole genus "
                            "total, got 87/2\n")
+
+
+# a fault planted in diagram's run automaton, which analyze and the scan
+# both read; argv is the tests directory and the fault's name
+_PLANTED_TABLE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import table_faults
+from twobridge import cli
+table_faults.plant(sys.argv[2])
+sys.exit(cli.main(["census", "15"]))
+"""
+
+
+@pytest.mark.parametrize("fault", table_faults.FAULTS)
+def test_census_fails_on_planted_table_fault(fault):
+    procs = [subprocess.run([sys.executable, *flags, "-c", _PLANTED_TABLE,
+                             str(Path(__file__).parent), fault],
+                            capture_output=True, text=True, check=False)
+             for flags in (["-O"], [])]
+    optimized, plain = [(p.returncode, p.stdout, p.stderr) for p in procs]
+    assert optimized == plain
+    code, out, err = plain
+    error = table_faults.FAULTS[fault][0]
+    assert code == 1 and out == "" and err.startswith(f"error: {error} at c=15: ")
 
 
 # closed_form_totals reports two viable crossings too many: the scan's

@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+import table_faults
 from twobridge import census, crosscheck, diagram, planar
 
 
@@ -157,6 +158,18 @@ def test_diagram_checks_fail_independently(monkeypatch, module, name, failed):
         assert byname["oracle circle counts and orientations"][0] == 3 * 42
     if "determinant equality" not in failed:
         assert byname["determinant equality"][0] == 42
+
+
+@pytest.mark.parametrize("fault", table_faults.FAULTS)
+def test_planted_table_fault_fails_census_and_oracle_checks(monkeypatch, fault):
+    # the kernel and the scan read one table: the census checks compare it
+    # with the closed forms, the oracle checks with the planar diagram
+    table_faults.plant(fault, monkeypatch.setattr)
+    results, ok = crosscheck.run_all(8)
+    assert not ok
+    assert [name for name, _, error in results if error is not None] == [
+        "census closed forms", "oracle circle counts and orientations",
+        "determinant equality", "knot class multiplicities"]
 
 
 def test_failing_census_fails_both_census_checks(monkeypatch):

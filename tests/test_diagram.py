@@ -6,6 +6,7 @@ import json
 import pytest
 
 import golden
+import table_faults
 from twobridge import diagram, rational, words
 
 ALL_ROWS = golden.ROWS_SMALL + golden.ROWS_C6 + golden.ROWS_C7
@@ -239,6 +240,19 @@ def test_analyze_agrees_with_full_diagram_on_long_words(seed):
     for r in long_words:
         assert r.c > 500
         assert_analyze_agrees_with_full_diagram(r)
+
+
+@pytest.mark.parametrize("fault", table_faults.FAULTS)
+def test_planted_table_fault_disagrees_with_full_diagram(monkeypatch, fault):
+    # full_diagram reads no table, so it is a check route for each fault
+    table_faults.plant(fault, monkeypatch.setattr)
+    failing = []
+    for r in model_words(3, 8):
+        try:
+            assert_analyze_agrees_with_full_diagram(r)
+        except (AssertionError, words.InvariantError):
+            failing.append(r)
+    assert failing
 
 
 def test_analyze_without_vertical_crossings():
