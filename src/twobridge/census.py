@@ -60,8 +60,7 @@ computed by integer division.
 """
 
 import functools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -167,9 +166,8 @@ def scan_totals(c):
     # state index -> (count, vertical, viable, sequential) of its prefixes
     states = {diagram.START: (1, 0, 0, 0)}
     for i in range(c):
-        # run i of length e has generator (i + e) & 1, as in diagram.generators
-        inputs = [(e, diagram._GENERATOR[(i + e) & 1])
-                  for e in ((1, 2) if 0 < i < c - 1 else (1,))]
+        generator = diagram.GENERATOR[i & 1]  # run i of length e has generator[e]
+        inputs = [(e, generator[e]) for e in ((1, 2) if 0 < i < c - 1 else (1,))]
         after = {}
         for state, (n, vert, viab, seq) in states.items():
             for e, g in inputs:
@@ -229,19 +227,30 @@ def index_contribution(c, i):
         sum over r = 0..2 of N(i-2, r) * (delta_single(i, r) * N(c-i-1, (1-c-r) mod 3)
                                         + delta_double(i, r) * N(c-i-1, (-c-r) mod 3))
 
+    With N(k, r) = (2^k + t) / 3, t = two_cos_pi_thirds(k - 2r), each
+    product N(a, r) N(b, r') is (2^(a+b) + t' 2^a + t 2^b + t t') / 9.  So
+    nine times the sum is four small coefficients times 2^(a+b), 2^a, 2^b
+    and 1: three shifts, no big multiplication.
+
     >>> [index_contribution(7, i) for i in range(2, 7)]
     [5, 8, 6, 8, 5]
     """
     if c < 3 or not 2 <= i <= c - 1:
         raise ValueError(f"need 3 <= c and 2 <= i <= c-1, got c={c}, i={i}")
-    total = 0
-    left_slots = i - 2
-    right_slots = c - i - 1
+    left, right = i - 2, c - i - 1
+    both = by_left = by_right = const = 0  # coefficients of 2^(left+right), 2^left, 2^right, 1
     for r in (0, 1, 2):
-        right = (delta_single(i, r) * netto_partial_sum(right_slots, (1 - c - r) % 3)
-                 + delta_double(i, r) * netto_partial_sum(right_slots, (-c - r) % 3))
-        total += netto_partial_sum(left_slots, r) * right
-    return total
+        t = two_cos_pi_thirds(left - 2 * r)
+        for vertical, r2 in ((delta_single(i, r), (1 - c - r) % 3),
+                             (delta_double(i, r), (-c - r) % 3)):
+            if vertical:
+                u = two_cos_pi_thirds(right - 2 * r2)
+                both += 1
+                by_left += u
+                by_right += t
+                const += t * u
+    return _exact_quotient((both << (left + right)) + (by_left << left) + (by_right << right)
+                           + const, 9, "index contribution", f"c={c}, i={i}")
 
 
 def closed_form_vertical_total(c):
@@ -279,24 +288,20 @@ def lower_bound_avg_genus(c):
     return Fraction(c - 1, 2) - Fraction(closed.vertical, 2 * closed.count)
 
 
-@dataclass(frozen=True)
-class CensusReport(rational.Record):
+class CensusReport(namedtuple("CensusReport", "c word_count vertical_total viable_total "
+                              "sequential_total knot_classes analyses", defaults=(None, None))):
     """The census totals of crossing number c (and the knot classes and word
-    analyses of an enumerated census); every other value derives from them."""
-
-    c: int
-    word_count: int
-    vertical_total: int
-    viable_total: int
-    sequential_total: int
-    knot_classes: tuple = None
-    analyses: tuple = None
+    analyses of an enumerated census); every other value derives from them.
+    It declares no __slots__, so the instance __dict__ can cache the
+    per-index counts, which run_census checks and JSON output then prints;
+    the fields stay read-only."""
 
     CSV_COLUMNS = (
         "c", "star", "word_count", "vertical_total", "viable_total",
         "sequential_total", "avg_s", "avg_s_upper", "avg_genus",
         "avg_genus_lower",
     )
+    csv_row = rational.csv_row
 
     @property
     def star(self):
@@ -318,8 +323,6 @@ class CensusReport(rational.Record):
     def avg_genus_lower(self):
         """lower_bound_avg_genus(c) once the totals equal their closed forms."""
         return Fraction(1 + self.c, 2) - self.avg_s_upper / 2
-
-    avg_genus_lower_closed_form = avg_genus_lower
 
     @property
     def closed_form_vertical_total(self):

@@ -24,8 +24,8 @@ def _emit_csv(header, rows):
     w.writerows([rational.csv_cell(x) for x in row] for row in rows)
 
 
-def _emit_json(obj):
-    json.dump(obj, sys.stdout, indent=2, default=rational.json_value)
+def _emit_json(obj):  # json.dump writes a record, a tuple, as an array
+    json.dump(rational.json_value(obj), sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 

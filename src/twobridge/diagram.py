@@ -7,8 +7,8 @@ plat diagram: a (sign, run length) pair maps to a braid generator
 
 where s1 sits at the lower height (strands 1-2) and s2^-1 at the upper
 height (strands 2-3).  Model words start with +, so run i (0-based) of
-length e gives s1 exactly when i + e is odd; generators(r) is the one
-place this rule is written.
+length e gives s1 exactly when i + e is odd.  GENERATOR[i & 1][e] holds
+this rule as data, and generators(r) and census.scan_totals both read it.
 
 The counting rule is one run automaton, written once in _step and held
 as data in STEP.  A run of length e smooths its crossing horizontally
@@ -34,8 +34,8 @@ right sets its flags.  The planar oracle draws the diagram from
 generators(r) alone and traces its smoothings and Seifert circles.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate, product
+from typing import NamedTuple
 
 from . import rational
 from .words import InvariantError, RunWord, from_runs, is_palindromic_type
@@ -45,7 +45,8 @@ SIGMA2_INV = "s2^-1"
 V = "V"
 H = "H"
 
-_GENERATOR = (SIGMA2_INV, SIGMA1)
+# the generator of run i of length e (index 0 unused): GENERATOR[i & 1][e]
+GENERATOR = ((None, SIGMA1, SIGMA2_INV), (None, SIGMA2_INV, SIGMA1))
 
 
 class ParityError(InvariantError):
@@ -53,8 +54,7 @@ class ParityError(InvariantError):
     count and crossing number, so the code that counted them is wrong."""
 
 
-@dataclass(frozen=True)
-class CrossingInfo:
+class CrossingInfo(NamedTuple):
     index: int          # 1-based, left to right
     generator: str      # SIGMA1 or SIGMA2_INV
     run_sign: str
@@ -76,7 +76,7 @@ def _braid_word(first, exponents):
 
 def generators(r):
     """The braid generator of each crossing of a model word, left to right."""
-    return [_GENERATOR[(i + e) & 1] for i, e in enumerate(r.runs)]
+    return [GENERATOR[i & 1][e] for i, e in enumerate(r.runs)]
 
 
 def _step(state, e, g):
@@ -106,7 +106,7 @@ def _table(step):
     """
     index = {state: i for i, state in enumerate(STATES)}
     table = [(None, {}, {}) for _ in STATES]
-    for (i, state), e, g in product(enumerate(STATES), (1, 2), _GENERATOR):
+    for (i, state), e, g in product(enumerate(STATES), (1, 2), (SIGMA1, SIGMA2_INV)):
         nxt, *flags = step(state, e, g)
         table[i][e][g] = (index[nxt], *flags)
     return tuple(table)
@@ -187,8 +187,7 @@ def full_diagram(r):
         for i, (e, start) in enumerate(zip(r.runs, starts)))
 
 
-@dataclass(frozen=True)
-class WordAnalysis(rational.Record):
+class WordAnalysis(NamedTuple):
     word: str
     runs: RunWord
     alternating: str
@@ -211,6 +210,8 @@ class WordAnalysis(rational.Record):
         "sequential", "s", "s_lower", "s_upper", "genus", "p", "q", "name",
         "palindromic",
     )
+    csv_row = rational.csv_row
+    to_json = rational.to_json
 
     @property
     def knot_row(self):

@@ -43,8 +43,8 @@ heights 1-2, and the long strand enters at crossing 0's sw corner.
 3
 """
 
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .diagram import H, SIGMA1, V
 from .words import InvariantError
@@ -58,8 +58,7 @@ class MultiComponent(ValueError):
         self.k = k
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     lower: int   # height of the lower strand, 0 or 1
     over: str    # "/" if the sw-ne diagonal is over, "\\" if nw-se is
 

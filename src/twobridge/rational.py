@@ -11,11 +11,12 @@ from Goeritz matrices as a cross-check.
 
 The module also owns how a value is written out: exact rationals as
 "num/den (decimal)" for people, and csv_cell/json_value for every CSV
-cell and JSON value the package emits.  A Record derives its CSV row
-and JSON object from its one field list, CSV_COLUMNS.
+cell and JSON value the package emits.  Every record is a named tuple;
+an output record takes csv_row and to_json from here, which derive its
+CSV row and JSON object from its one field list, CSV_COLUMNS.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -42,21 +43,20 @@ KNOT_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class KnotFraction:
+class KnotFraction(namedtuple("KnotFraction", "p q")):
     """Reduced fraction p/q of a 2-bridge knot: p odd, 0 < q < p, coprime."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.q < self.p:
-            raise ValueError(f"need 0 < q < p, got {self.p}/{self.q}")
-        if self.p % 2 == 0:
+    def __new__(cls, p, q):
+        if not 0 < q < p:
+            raise ValueError(f"need 0 < q < p, got {p}/{q}")
+        if p % 2 == 0:
             # even determinant means a 2-component link, not a knot
-            raise ValueError(f"p must be odd, got {self.p}/{self.q}")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"p, q must be coprime, got {self.p}/{self.q}")
+            raise ValueError(f"p must be odd, got {p}/{q}")
+        if gcd(p, q) != 1:
+            raise ValueError(f"p, q must be coprime, got {p}/{q}")
+        return tuple.__new__(cls, (p, q))
 
 
 class CanonicalClass(NamedTuple):
@@ -147,36 +147,35 @@ def csv_cell(x):
 
 
 def json_value(x):
-    """One JSON value: fractions as {num, den, decimal}, tuples as lists,
-    run words and records by their to_json.
+    """One JSON value: fractions as {num, den, decimal}, run words and
+    records by their to_json, other tuples, lists and dicts item by item.
 
     >>> json_value((Fraction(2), None, RunWord("+", (1, 2, 1))))
     [{'num': 2, 'den': 1, 'decimal': '2.000000'}, None, {'first_sign': '+', 'runs': [1, 2, 1]}]
     """
     if isinstance(x, Fraction):
         return rational_json(x)
-    if isinstance(x, tuple):
-        return [json_value(v) for v in x]
     if hasattr(x, "to_json"):
         return x.to_json()
+    if isinstance(x, (tuple, list)):
+        return [json_value(v) for v in x]
+    if isinstance(x, dict):
+        return {k: json_value(v) for k, v in x.items()}
     return x
 
 
-class Record:
-    """Base for output records: CSV_COLUMNS names the attributes that
-    make up both the CSV row and the JSON object, in order."""
+# An output record's methods: CSV_COLUMNS names the attributes that make
+# up both the CSV row and the JSON object, in order.
 
-    CSV_COLUMNS = ()
-
-    def csv_row(self):
-        return [csv_cell(getattr(self, name)) for name in self.CSV_COLUMNS]
-
-    def to_json(self):
-        return {name: json_value(getattr(self, name)) for name in self.CSV_COLUMNS}
+def csv_row(record):
+    return [csv_cell(getattr(record, name)) for name in record.CSV_COLUMNS]
 
 
-@dataclass(frozen=True)
-class KnotClass(Record):
+def to_json(record):
+    return {name: json_value(getattr(record, name)) for name in record.CSV_COLUMNS}
+
+
+class KnotClass(NamedTuple):
     """One knot type with all model words of a given c that realize it."""
 
     p: int
@@ -188,6 +187,8 @@ class KnotClass(Record):
     genus: int
 
     CSV_COLUMNS = ("p", "q", "q_star", "name", "multiplicity", "words")
+    csv_row = csv_row
+    to_json = to_json
 
 
 def group_rows(rows):

@@ -22,7 +22,8 @@ runs, or one when the run vector is its own reversal.
 import itertools
 import random
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 PLUS = "+"
 MINUS = "-"
@@ -141,8 +142,7 @@ def _other(sign):
     return MINUS if sign == PLUS else PLUS
 
 
-@dataclass(frozen=True)
-class RunWord:
+class RunWord(namedtuple("RunWord", "first_sign runs")):
     """Run-length form of a reduced word: first run's sign plus run lengths.
 
     Signs alternate, so runs[i] carries first_sign flipped i times.  The
@@ -150,18 +150,18 @@ class RunWord:
     the word produces, which is why it is called c throughout.
     """
 
-    first_sign: str
-    runs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.first_sign not in _ALPHABET:
-            raise NotReducedForm(f"first sign must be + or -: {self.first_sign!r}")
-        if not self.runs:
+    def __new__(cls, first_sign, runs):
+        if first_sign not in _ALPHABET:
+            raise NotReducedForm(f"first sign must be + or -: {first_sign!r}")
+        if not runs:
             raise NotReducedForm("empty run vector")
-        if self.runs.count(1) + self.runs.count(2) != len(self.runs):
-            raise NotReducedForm(f"run lengths must be 1 or 2: {self.runs}")
-        if self.runs[0] != 1 or self.runs[-1] != 1:
-            raise NotReducedForm(f"first and last runs must be single letters: {self.runs}")
+        if runs.count(1) + runs.count(2) != len(runs):
+            raise NotReducedForm(f"run lengths must be 1 or 2: {runs}")
+        if runs[0] != 1 or runs[-1] != 1:
+            raise NotReducedForm(f"first and last runs must be single letters: {runs}")
+        return tuple.__new__(cls, (first_sign, runs))
 
     @property
     def c(self):
@@ -295,12 +295,11 @@ def expand_task(c, d, first):
         yield RunWord(PLUS, tuple(runs))
 
 
-@dataclass(frozen=True)
-class Normalized:
+class Normalized(NamedTuple):
     """Outcome of normalize_to_model; kind is MODEL, UNKNOT or LINK."""
 
     kind: str
-    run_word: RunWord | None = None
+    run_word: RunWord = None
 
 
 def normalize_to_model(word):

@@ -2,7 +2,8 @@
 must catch each: the H/V rule shifted, the viability test inverted, and
 the crossing still pending at the end not counted.  Each step function
 is diagram._step with one rule changed, and the table is rebuilt from it
-through diagram._table."""
+through diagram._table.  A fourth fault swaps two entries of the
+generator table, diagram.GENERATOR, which census and check must catch."""
 
 from twobridge import diagram
 
@@ -35,8 +36,22 @@ FAULTS = {
 }
 
 
+def _swapped_generator():
+    # the odd row's two entries swapped: a run's generator follows its
+    # length alone
+    even, odd = diagram.GENERATOR
+    return even, (None, odd[2], odd[1])
+
+
+# generators(r) reads GENERATOR, so analyze, full_diagram and the planar
+# oracle all see this fault, and census.scan_totals reads it too; the
+# comparison with full_diagram is no check route for it
+ALL_FAULTS = {**FAULTS, "generator-swapped": ("closed-form totals", "GENERATOR",
+                                              _swapped_generator)}
+
+
 def plant(fault, setter=setattr):
     """Install one fault in the diagram module; a test passes
     monkeypatch.setattr so that the fault is undone after it."""
-    _, name, value = FAULTS[fault]
+    _, name, value = ALL_FAULTS[fault]
     setter(diagram, name, value())

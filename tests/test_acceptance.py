@@ -35,7 +35,7 @@ def test_criterion_01_census_c6_exact():
     assert rep.avg_s == Fraction(19, 5)
     assert rep.avg_s_upper == Fraction(24, 5)
     assert rep.avg_genus == Fraction(8, 5)
-    assert rep.avg_genus_lower_closed_form == Fraction(11, 10)
+    assert rep.avg_genus_lower == Fraction(11, 10)
     done(1, "c=6 census aggregates", elapsed, 1.0)
 
 
@@ -47,7 +47,7 @@ def test_criterion_02_census_c7_exact():
     assert rep.avg_s == Fraction(48, 11)
     assert rep.avg_s_upper == Fraction(54, 11)
     assert rep.avg_genus == Fraction(20, 11)
-    assert rep.avg_genus_lower_closed_form == Fraction(17, 11)
+    assert rep.avg_genus_lower == Fraction(17, 11)
     done(2, "c=7 census aggregates", elapsed, 1.0)
 
 

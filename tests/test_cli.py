@@ -2,7 +2,6 @@
 byte-for-byte determinism."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -226,7 +225,7 @@ def test_census_invariant_failure_is_one_line_exit_1(capsys, monkeypatch):
 
     def one_more_viable(r):
         a = real(r)
-        return dataclasses.replace(a, viable=a.viable + 1)
+        return a._replace(viable=a.viable + 1)
 
     monkeypatch.setattr(diagram, "analyze", one_more_viable)
     # the json form enumerates; human and csv read the scan, not analyze
@@ -314,7 +313,7 @@ sys.exit(cli.main(["census", "15"]))
 """
 
 
-@pytest.mark.parametrize("fault", table_faults.FAULTS)
+@pytest.mark.parametrize("fault", table_faults.ALL_FAULTS)
 def test_census_fails_on_planted_table_fault(fault):
     procs = [subprocess.run([sys.executable, *flags, "-c", _PLANTED_TABLE,
                              str(Path(__file__).parent), fault],
@@ -323,7 +322,7 @@ def test_census_fails_on_planted_table_fault(fault):
     optimized, plain = [(p.returncode, p.stdout, p.stderr) for p in procs]
     assert optimized == plain
     code, out, err = plain
-    error = table_faults.FAULTS[fault][0]
+    error = table_faults.ALL_FAULTS[fault][0]
     assert code == 1 and out == "" and err.startswith(f"error: {error} at c=15: ")
 
 
@@ -594,10 +593,10 @@ def test_check_small_battery(capsys):
 # diagram.analyze reports s + 1, then the check battery runs; python -O
 # must not switch the oracle check off
 _PLANTED_CHECK = """
-import dataclasses, sys
+import sys
 from twobridge import cli, diagram
 real = diagram.analyze
-diagram.analyze = lambda r: dataclasses.replace(real(r), s=real(r).s + 1)
+diagram.analyze = lambda r: real(r)._replace(s=real(r).s + 1)
 sys.exit(cli.main(["check", "6"]))
 """
 
