@@ -10,23 +10,11 @@ sampling is seeded.
 import argparse
 import contextlib
 import csv
-import itertools
 import json
 import sys
 import warnings
 
 from . import census, crosscheck, diagram, rational, words
-
-
-def _emit_csv(header, rows):
-    w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow(header)
-    w.writerows([rational.csv_cell(x) for x in row] for row in rows)
-
-
-def _emit_json(obj):  # json.dump writes a record, a tuple, as an array
-    json.dump(rational.json_value(obj), sys.stdout, indent=2)
-    sys.stdout.write("\n")
 
 
 @contextlib.contextmanager
@@ -47,7 +35,51 @@ def _exact_output():
         set_limit(old)
 
 
+def _write(fmt, value, header, rows, lines):
+    """Write one result to stdout with exact values: value as JSON, the
+    header and rows as CSV, or lines as human text.  Only the chosen form
+    is drawn, and its first element before anything is written, so a
+    result that fails there (a refused enumeration, a failed check)
+    leaves stdout empty.  A record or dict is dumped whole; a list or
+    iterator goes out one element at a time, byte for byte what json.dump
+    writes for the whole list."""
+    with _exact_output():
+        if fmt == "json" and (hasattr(value, "to_json") or isinstance(value, dict)):
+            json.dump(rational.json_value(value), sys.stdout, indent=2)
+            print()
+            return
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        n = 0
+        for n, x in enumerate({"json": value, "csv": rows, "human": lines}[fmt], 1):
+            if fmt == "json":  # each line one level deeper, as inside the list
+                x = json.dumps(rational.json_value(x), indent=2).replace("\n", "\n  ")
+                sys.stdout.write(f"{'[' if n == 1 else ','}\n  {x}")
+            elif fmt == "csv":
+                if n == 1:
+                    out.writerow(header)
+                out.writerow([rational.csv_cell(v) for v in x])
+            else:
+                print(x)
+        if fmt == "json":
+            print("\n]" if n else "[]")
+        elif fmt == "csv" and not n:
+            out.writerow(header)
+
+
 _LINK_MESSAGE = "2-component link: out of scope"
+
+
+def _analysis_lines(a):
+    yield f"word: {a.word}"
+    yield f"runs: {rational.csv_cell(a.runs)}"
+    yield f"alternating: {a.alternating}"
+    yield f"smoothings: {a.smoothings}"
+    yield f"vertical: {a.vertical}  viable: {a.viable}  sequential: {a.sequential}"
+    yield f"seifert circles: {a.s}  (bounds {a.s_lower}..{a.s_upper})"
+    yield f"genus: {a.genus}"
+    yield f"fraction: {a.p}/{a.q}"
+    yield f"knot: {rational.knot_label(a)}"
+    yield f"palindromic type: {'yes' if a.palindromic else 'no'}"
 
 
 def cmd_analyze(args):
@@ -55,30 +87,10 @@ def cmd_analyze(args):
     norm = words.normalize_to_model(word)
     if norm.kind != words.MODEL:
         text = "unknot" if norm.kind == words.UNKNOT else _LINK_MESSAGE
-        if args.format == "json":
-            _emit_json({"kind": norm.kind})
-        elif args.format == "csv":
-            _emit_csv(["word", "kind"], [[word, norm.kind]])
-        else:
-            print(text)
+        _write(args.format, {"kind": norm.kind}, ["word", "kind"], [[word, norm.kind]], [text])
         return 0
     a = diagram.analyze(norm.run_word)
-    with _exact_output():
-        if args.format == "json":
-            _emit_json(a)
-        elif args.format == "csv":
-            _emit_csv(diagram.WordAnalysis.CSV_COLUMNS, [a.csv_row()])
-        else:
-            print(f"word: {a.word}")
-            print(f"runs: {rational.csv_cell(a.runs)}")
-            print(f"alternating: {a.alternating}")
-            print(f"smoothings: {a.smoothings}")
-            print(f"vertical: {a.vertical}  viable: {a.viable}  sequential: {a.sequential}")
-            print(f"seifert circles: {a.s}  (bounds {a.s_lower}..{a.s_upper})")
-            print(f"genus: {a.genus}")
-            print(f"fraction: {a.p}/{a.q}")
-            print(f"knot: {rational.knot_label(a)}")
-            print(f"palindromic type: {'yes' if a.palindromic else 'no'}")
+    _write(args.format, a, a.CSV_COLUMNS, map(rational.csv_row, [a]), _analysis_lines(a))
     return 0
 
 
@@ -87,36 +99,32 @@ def _word_line(a):
             f"s={a.s}  genus={a.genus}  knot={rational.knot_label(a)}")
 
 
+def _census_lines(rep):
+    # the per-index counts are checked when the first line is drawn
+    contributions = rational.csv_cell(rep.per_index_contributions)
+    yield f"c: {rep.c}"
+    yield f"words: {rep.word_count} (star {rep.star:+d})"
+    yield (f"totals: vertical {rep.vertical_total}, viable {rep.viable_total}, "
+           f"sequential {rep.sequential_total}")
+    yield f"avg seifert circles: {rational.format_rational(rep.avg_s)}"
+    yield f"avg seifert circles upper bound: {rational.format_rational(rep.avg_s_upper)}"
+    yield f"avg genus: {rational.format_rational(rep.avg_genus)}"
+    yield f"avg genus lower bound: {rational.format_rational(rep.avg_genus_lower)}"
+    yield f"vertical contributions by index (2..{rep.c - 1}): {contributions}"
+    yield f"knot classes: {census.knot_class_count(rep.c)}"
+    if rep.analyses is not None:
+        yield ""
+        yield from map(_word_line, rep.analyses)
+
+
 def cmd_census(args):
     if args.per_word or args.format == "json":  # these print every word or class
         rep = census.run_census(args.c, per_word=args.per_word)
     else:
         rep = census.scan_census(args.c)
-    with _exact_output():
-        if args.format == "json":
-            _emit_json(rep)
-        elif args.format == "csv":
-            if args.per_word:
-                _emit_csv(diagram.WordAnalysis.CSV_COLUMNS,
-                          [a.csv_row() for a in rep.analyses])
-            else:
-                _emit_csv(census.CensusReport.CSV_COLUMNS, [rep.csv_row()])
-        else:  # the per-index counts are checked before the first line is printed
-            contributions = rational.csv_cell(rep.per_index_contributions)
-            print(f"c: {rep.c}")
-            print(f"words: {rep.word_count} (star {rep.star:+d})")
-            print(f"totals: vertical {rep.vertical_total}, viable {rep.viable_total}, "
-                  f"sequential {rep.sequential_total}")
-            print(f"avg seifert circles: {rational.format_rational(rep.avg_s)}")
-            print(f"avg seifert circles upper bound: {rational.format_rational(rep.avg_s_upper)}")
-            print(f"avg genus: {rational.format_rational(rep.avg_genus)}")
-            print(f"avg genus lower bound: {rational.format_rational(rep.avg_genus_lower)}")
-            print(f"vertical contributions by index (2..{rep.c - 1}): {contributions}")
-            print(f"knot classes: {census.knot_class_count(rep.c)}")
-            if args.per_word:
-                print()
-                for a in rep.analyses:
-                    print(_word_line(a))
+    records = rep.analyses if args.per_word else [rep]
+    _write(args.format, rep, records[0].CSV_COLUMNS, map(rational.csv_row, records),
+           _census_lines(rep))
     return 0
 
 
@@ -144,46 +152,28 @@ def cmd_bound(args):
         else:
             rows.append((c, census.lower_bound_avg_genus(c), None))
     columns = ("c", "avg_genus_lower", "avg_genus")
-    with _exact_output():
-        if args.format == "json":
-            _emit_json([dict(zip(columns, row)) for row in rows])
-        elif args.format == "csv":
-            _emit_csv(columns, rows)
-        else:
-            for c, b, e in rows:
-                line = f"c={c}  avg genus lower bound: {rational.format_rational(b)}"
-                if e is not None:
-                    line += f"  avg genus: {rational.format_rational(e)}"
-                print(line)
+    lines = (f"c={c}  avg genus lower bound: {rational.format_rational(b)}"
+             + ("" if e is None else f"  avg genus: {rational.format_rational(e)}")
+             for c, b, e in rows)
+    _write(args.format, (dict(zip(columns, row)) for row in rows), columns, rows, lines)
     return 0
 
 
 def cmd_enumerate(args):
     model = words.enumerate_model_words(args.c)
-    # the first word is drawn before any output, so a refused c (above the
-    # enumeration ceiling) writes nothing, not even the CSV header
-    model = itertools.chain([next(model)], model)
-    if args.format == "json":
-        _emit_json(list(model))
-    elif args.format == "csv":
-        _emit_csv(["word", "first_sign", "runs"],
-                  ([words.from_runs(r), r.first_sign, r] for r in model))
-    else:
-        for r in model:
-            print(words.from_runs(r))
+    _write(args.format, model, ["word", "first_sign", "runs"],
+           ([words.from_runs(r), r.first_sign, r] for r in model),
+           map(words.from_runs, model))
     return 0
 
 
 def cmd_classes(args):
     classes = census.run_census(args.c).knot_classes
-    if args.format == "json":
-        _emit_json(classes)
-    elif args.format == "csv":
-        _emit_csv(rational.KnotClass.CSV_COLUMNS, [k.csv_row() for k in classes])
-    else:
-        for k in classes:
-            print(f"{rational.knot_label(k)}: p={k.p} q={k.q} q_star={k.q_star} "
-                  f"multiplicity={k.multiplicity} words: {rational.csv_cell(k.words)}")
+    lines = (f"{rational.knot_label(k)}: p={k.p} q={k.q} q_star={k.q_star} "
+             f"multiplicity={k.multiplicity} words: {rational.csv_cell(k.words)}"
+             for k in classes)
+    _write(args.format, classes, rational.KnotClass.CSV_COLUMNS,
+           map(rational.csv_row, classes), lines)
     return 0
 
 
@@ -198,22 +188,13 @@ def cmd_sample(args):
         norm = words.normalize_to_model(w)
         a = diagram.analyze(norm.run_word) if norm.kind == words.MODEL else None
         records.append((w, norm.kind, a))
-    with _exact_output():
-        if args.format == "json":
-            _emit_json([{"sampled": w, "kind": kind, "analysis": a}
-                        for w, kind, a in records])
-        elif args.format == "csv":
-            header = ["sampled", "kind", *diagram.WordAnalysis.CSV_COLUMNS]
-            blank = [None] * len(diagram.WordAnalysis.CSV_COLUMNS)
-            _emit_csv(header, [[w, kind, *(a.csv_row() if a else blank)]
-                               for w, kind, a in records])
-        else:
-            for w, kind, a in records:
-                if a is None:
-                    print(f"{w} -> {kind}")
-                else:
-                    print(f"{w} -> {a.word}  s={a.s}  genus={a.genus}  "
-                          f"knot={rational.knot_label(a)}")
+    blank = [None] * len(diagram.WordAnalysis.CSV_COLUMNS)
+    lines = (f"{w} -> {kind}" if a is None else
+             f"{w} -> {a.word}  s={a.s}  genus={a.genus}  knot={rational.knot_label(a)}"
+             for w, kind, a in records)
+    _write(args.format, ({"sampled": w, "kind": kind, "analysis": a} for w, kind, a in records),
+           ["sampled", "kind", *diagram.WordAnalysis.CSV_COLUMNS],
+           ([w, kind, *(a.csv_row() if a else blank)] for w, kind, a in records), lines)
     return 0
 
 

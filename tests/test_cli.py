@@ -1,12 +1,15 @@
 """Command line behavior: subcommand output, formats, exit codes,
 byte-for-byte determinism."""
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -268,7 +271,9 @@ _ABOVE_CEILING = str(words.ENUMERATION_CEILING + 1)
     ["enumerate", _ABOVE_CEILING],
     ["enumerate", _ABOVE_CEILING, "--format", "csv"],
     ["check", _ABOVE_CEILING],
-], ids=["per-word", "json", "classes", "enumerate", "enumerate-csv", "check"])
+    ["enumerate", _ABOVE_CEILING, "--format", "json"],
+], ids=["per-word", "json", "classes", "enumerate", "enumerate-csv", "check",
+        "enumerate-json"])
 def test_enumerating_paths_refuse_above_ceiling(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
@@ -505,6 +510,25 @@ def test_enumerate_order_and_formats(capsys):
     assert rows[1] == ["+--+", "+", "1 2 1"]
 
 
+class _Discard:
+    """A stdout that keeps nothing of what it receives."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_enumerate_json_is_written_one_word_at_a_time():
+    # the 5,461 words are converted and written one by one, not as one value
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            code = cli.main(["enumerate", "16", "--format", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 1_000_000
+
+
 # ---------------------------------------------------------------- classes
 
 @pytest.mark.parametrize("argv", [["census", "10", "--per-word"], ["classes", "10"]],
@@ -569,6 +593,21 @@ def test_sample_long_words_output_pinned(fmt, capsys):
     code, out, err = run(["sample", "--format", fmt, "3001", "3", "7"], capsys)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_3001_DIGESTS[fmt]
+
+
+# a sample of no words: human output is empty, JSON "[]", CSV the header alone
+SAMPLE_EMPTY_DIGESTS = {
+    "human": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    "csv": "0ec425a9182c0286b4c28b677dbb2853a48f68274d1607563156bd00c4b7c829",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SAMPLE_EMPTY_DIGESTS))
+def test_sample_of_no_words_output_pinned(fmt, capsys):
+    code, out, err = run(["sample", "--format", fmt, "10", "0", "1"], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_EMPTY_DIGESTS[fmt]
 
 
 def test_sample_link_length_warns_in_one_line(capsys):
@@ -648,6 +687,48 @@ def test_check_rejects_small_c_max(capsys):
     code, out, err = run(["check", "2"], capsys)
     assert code == 2 and out == ""
     assert "c_max >= 3" in err
+
+
+# ----------------------------------------------------------------- writer
+
+def _json_shapes():
+    """Values of the shapes the subcommands hand to the JSON writer."""
+    a = diagram.analyze(words.normalize_to_model("+--+-+-").run_word)
+    rep = census.run_census(6, per_word=True)
+    return {
+        "empty": [],
+        "one": [a],
+        "two": [a, a.runs],
+        "generator": (r for r in words.enumerate_model_words(5)),
+        "bound": [{"c": 7, "avg_genus_lower": Fraction(17, 11), "avg_genus": None},
+                  {"c": 6, "avg_genus_lower": Fraction(11, 10), "avg_genus": Fraction(8, 5)}],
+        "sample": [{"sampled": "+--+-+-", "kind": words.MODEL, "analysis": a},
+                   {"sampled": "++", "kind": words.LINK, "analysis": None}],
+        "knot-classes": rep.knot_classes,
+        "knot-class": rep.knot_classes[0],
+        "analysis": a,
+        "census": rep,
+        "dict": {"kind": words.UNKNOT},
+    }
+
+
+_WHOLE = ("knot-class", "analysis", "census", "dict")
+
+
+@pytest.mark.parametrize("shape", sorted(_json_shapes()))
+def test_json_writer_matches_json_dump(shape, capsys, monkeypatch):
+    # a list or iterator goes out element by element, a record or dict whole,
+    # either way byte for byte what json.dump writes for the whole value
+    value, same = _json_shapes()[shape], _json_shapes()[shape]
+    if shape == "generator":
+        same = list(same)
+    expected = json.dumps(rational.json_value(same), indent=2) + "\n"
+    seen = []
+    real = rational.json_value
+    monkeypatch.setattr(rational, "json_value", lambda x: seen.append(x) or real(x))
+    cli._write("json", value, (), (), ())
+    assert capsys.readouterr().out == expected
+    assert any(x is value for x in seen) == (shape in _WHOLE)
 
 
 # ------------------------------------------------------------ entry point
