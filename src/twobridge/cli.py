@@ -144,13 +144,14 @@ def _parse_range(text):
 
 def cmd_bound(args):
     lo, hi = _parse_range(args.range)
-    rows = []
-    for c in range(lo, hi + 1):
+
+    def row_for(c):
         if c <= args.exact_ceiling:  # one report holds both columns
             rep = census.scan_census(c)
-            rows.append((c, rep.avg_genus_lower, rep.avg_genus))
-        else:
-            rows.append((c, census.lower_bound_avg_genus(c), None))
+            return c, rep.avg_genus_lower, rep.avg_genus
+        return c, census.lower_bound_avg_genus(c), None
+
+    rows = map(row_for, range(lo, hi + 1))
     columns = ("c", "avg_genus_lower", "avg_genus")
     lines = (f"c={c}  avg genus lower bound: {rational.format_rational(b)}"
              + ("" if e is None else f"  avg genus: {rational.format_rational(e)}")
@@ -183,11 +184,13 @@ def cmd_sample(args):
         stream = words.sample(args.n, args.count, args.seed)
     for w in caught:  # one plain line, not the warning's source location
         print(f"warning: {w.message}", file=sys.stderr)
-    records = []
-    for w in stream:
+
+    def record(w):
         norm = words.normalize_to_model(w)
         a = diagram.analyze(norm.run_word) if norm.kind == words.MODEL else None
-        records.append((w, norm.kind, a))
+        return w, norm.kind, a
+
+    records = map(record, stream)
     blank = [None] * len(diagram.WordAnalysis.CSV_COLUMNS)
     lines = (f"{w} -> {kind}" if a is None else
              f"{w} -> {a.word}  s={a.s}  genus={a.genus}  knot={rational.knot_label(a)}"

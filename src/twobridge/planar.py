@@ -63,14 +63,12 @@ class Crossing(NamedTuple):
     over: str    # "/" if the sw-ne diagonal is over, "\\" if nw-se is
 
 
-class PlanarDiagram:
+class PlanarDiagram(NamedTuple):
     """4-valent plane graph of one closed strip: other[p] is the port the
     edge leaving port p ends at, start the long strand's first port."""
-
-    def __init__(self, crossings, other, start):
-        self.crossings = crossings
-        self.other = other
-        self.start = start
+    crossings: tuple
+    other: list
+    start: int
 
     @property
     def n(self):
@@ -81,69 +79,69 @@ def _where(crossings):
     return "strip " + " ".join(f"{cr.lower}{cr.over}" for cr in crossings)
 
 
-# boundary nodes: left ends of height lines 0..2, then right ends
-_L0, _L1, _L2, _R0, _R1, _R2 = range(6)
-
-
 def _build_strip(crossings):
     n = len(crossings)
     if n < 1:
         raise ValueError("a strip needs at least one crossing")
     crossings = tuple(crossings)
-    base = 4 * n          # boundary node b is node base + b
-    link = [-1] * (base + 6)
-    ends = [base + _L0, base + _L1, base + _L2]  # open east end of each line
+    other = [-1] * (4 * n)
+    # line ends: left ends of heights 0..2, then right ends; each holds
+    # the port next to it on its line, None while the line is empty
+    end = [None] * 6
     for ci, cr in enumerate(crossings):
         lo = cr.lower
         if lo not in (0, 1):
             raise ValueError(f"crossing {ci}: lower height must be 0 or 1, got {lo}")
-        sw = 4 * ci + 3       # sw-se on the lower line
-        link[ends[lo]] = sw
-        link[sw] = ends[lo]
-        ends[lo] = sw - 1
-        nw = 4 * ci           # nw-ne on the upper line
-        link[ends[lo + 1]] = nw
-        link[nw] = ends[lo + 1]
-        ends[lo + 1] = nw + 1
-    for h in range(3):
-        link[ends[h]] = base + _R0 + h
-        link[base + _R0 + h] = ends[h]
-    if -1 in link:
-        raise InvariantError("every port on one edge", _where(crossings),
-                             "no unlinked port", link.index(-1))
+        # the west corners, sw on the lower line and nw on the upper, join
+        # the east corners the lines' previous crossings left open, and
+        # this crossing's east corners, se and ne, are left open in turn
+        sw, nw = 4 * ci + 3, 4 * ci
+        east = end[3 + lo]
+        if east is None:
+            end[lo] = sw
+        else:
+            other[east], other[sw] = sw, east
+        east = end[4 + lo]
+        if east is None:
+            end[lo + 1] = nw
+        else:
+            other[east], other[nw] = nw, east
+        end[3 + lo], end[4 + lo] = sw - 1, nw + 1
 
     if n % 2 == 1:  # right cap on heights 1-2, long arc from right height 0
-        pairs = ((_L1, _L2), (_R1, _R2), (_R0, _L0))
+        pairs = ((1, 2), (4, 5), (3, 0))
     else:           # right cap on heights 0-1, long arc from right height 2
-        pairs = ((_L1, _L2), (_R0, _R1), (_R2, _L0))
+        pairs = ((1, 2), (3, 4), (5, 0))
     cap = [0] * 6
     for a, b in pairs:
         cap[a], cap[b] = b, a
     on_strands = set()
 
-    def through_boundary(x):
-        # follow closure arcs from node x to a port; with six boundary
-        # nodes a strand crosses at most three arcs
-        for _ in range(4):
-            if x < base:
-                return x
-            b = x - base
+    def beyond(b):
+        # the port reached from line end b across its closure arc; an
+        # empty line leads on to its other end, so a strand crosses at
+        # most three closure arcs
+        for _ in range(3):
             on_strands.update((b, cap[b]))
-            x = link[base + cap[b]]
+            b = cap[b]
+            if end[b] is not None:
+                return end[b]
+            b = (b + 3) % 6
         raise InvariantError("boundary walk reaches a port", _where(crossings),
                              "at most 3 closure arcs", "more")
 
-    other = link[:base]
-    for b in range(6):    # the ports at the ends of the height lines
-        p = link[base + b]
-        if p < base and other[p] >= base:
-            q = through_boundary(other[p])
+    for b, p in enumerate(end):
+        if p is not None and other[p] < 0:
+            q = beyond(b)
             other[p], other[q] = q, p
+    if -1 in other:
+        raise InvariantError("every port on one edge", _where(crossings),
+                             "no unlinked port", other.index(-1))
     if len(on_strands) != 6:
         raise InvariantError("strip left portless cycles behind", _where(crossings),
                              "6 boundary nodes on strands", len(on_strands))
     # enter at left height 0 along the strip, not along the long arc
-    return PlanarDiagram(crossings, other, through_boundary(link[base + _L0]))
+    return PlanarDiagram(crossings, other, beyond(3) if end[0] is None else end[0])
 
 
 _S1 = Crossing(lower=0, over="/")
@@ -162,8 +160,6 @@ def billiard_pd(word, allow_link=False):
     allow_link is set (the orientation pass then reports the count).
     """
     n = len(word)
-    if n < 1:
-        raise ValueError("empty word has no diagram")
     if n % 3 == 2 and not allow_link:
         raise ValueError(f"length {n} is 2 mod 3: closure is a 2-component link")
     crossings = []
@@ -185,13 +181,11 @@ def alternating_pd(generators):
     return _build_strip([_S1 if g == SIGMA1 else _S2_INV for g in generators])
 
 
-class OrientedDiagram:
+class OrientedDiagram(NamedTuple):
     """A PlanarDiagram plus the direction of one full traversal:
     state[p] is 1 where the strand enters a crossing, 2 where it leaves."""
-
-    def __init__(self, pd, state):
-        self.pd = pd
-        self.state = state
+    pd: PlanarDiagram
+    state: bytes
 
 
 def _trace(pd, p, state):
@@ -261,24 +255,22 @@ def trace_seifert_circles(od):
 
 
 def _faces(pd):
-    """Orbit the darts into faces.  Dart p leaves port p; face[p] is its
-    face and quadrant[a] the face of quadrant a.  Face 0 holds the long
-    strand's entry dart, the one arriving at the start port.
+    """Orbit the darts into faces.  quadrant[a] is the face of quadrant a;
+    the dart leaving port p lies in face quadrant[other[p]].  Face 0 holds
+    the long strand's entry dart, the one arriving at the start port.
     """
     other = pd.other
     entry = other[pd.start]
     if other[entry] != pd.start:
         raise InvariantError("entry dart ends at the start port", _where(pd.crossings),
                              pd.start, other[entry])
-    face = [-1] * len(other)
     quadrant = [-1] * len(other)
     faces = 0
     for first in chain((entry,), range(len(other))):
-        if face[first] >= 0:
+        if quadrant[other[first]] >= 0:
             continue
         p = first
         while True:
-            face[p] = faces
             a = other[p]
             if quadrant[a] >= 0:
                 raise InvariantError("each quadrant in one face", _where(pd.crossings),
@@ -290,17 +282,19 @@ def _faces(pd):
         faces += 1
     if faces != pd.n + 2:
         raise InvariantError("face count n + 2", _where(pd.crossings), pd.n + 2, faces)
-    return faces, face, quadrant
+    return faces, quadrant
 
 
-def _checkerboard(pd, faces, face):
-    """2-color the faces so adjacent faces across every edge differ."""
+def _checkerboard(pd, faces, quadrant):
+    """2-color the faces so adjacent faces across every edge differ: the
+    edge p -> q has face quadrant[q] on one side and quadrant[p] on the
+    other."""
     neighbors = [[] for _ in range(faces)]
     for p, q in enumerate(pd.other):
-        if face[p] == face[q]:
+        if quadrant[q] == quadrant[p]:
             raise InvariantError("edge between two faces", _where(pd.crossings),
-                                 "two faces", f"face {face[p]} on both sides")
-        neighbors[face[p]].append(face[q])
+                                 "two faces", f"face {quadrant[q]} on both sides")
+        neighbors[quadrant[q]].append(quadrant[p])
     color = [-1] * faces
     color[0] = 0
     queue = [0]
@@ -354,8 +348,8 @@ def goeritz_determinant(pd):
     white faces at its opposite corners; either color class and either
     global sign convention give the same absolute determinant.
     """
-    faces, face, quadrant = _faces(pd)
-    color = _checkerboard(pd, faces, face)
+    faces, quadrant = _faces(pd)
+    color = _checkerboard(pd, faces, quadrant)
     white = 1 - color[0]
 
     white_faces = [f for f in range(faces) if color[f] == white]

@@ -70,14 +70,11 @@ def parse_word(text):
     word = "".join(text.split())
     if not word.strip("+-"):
         return word
-    # something else is in there: find it and report its position
-    out = []
+    # something else is in there (str.split and str.isspace agree on
+    # whitespace): find it and report its position
     for pos, ch in enumerate(text):
-        if ch in _ALPHABET:
-            out.append(ch)
-        elif not ch.isspace():
+        if ch not in _ALPHABET and not ch.isspace():
             raise WordSyntaxError(f"invalid character {ch!r} at position {pos}")
-    return "".join(out)
 
 
 def mirror(word):
@@ -357,6 +354,9 @@ def sample(n, count, seed):
 # set and draws again, else bit 6 picks the letter
 _TOP_BYTE_LETTER = bytes(b"+-"[t >> 6 & 1] for t in range(256))
 _TOP_BYTE_REJECTED = bytes(range(0x80, 0x100))
+# getrandbits takes its bit count as a C int, below 2^31, and the first
+# call for n letters asks for 32 * n bits
+_MAX_LETTERS = 2 ** 26
 
 
 def draw_letters(rng, n):
@@ -374,6 +374,8 @@ def draw_letters(rng, n):
     >>> draw_letters(random.Random(2), 8)
     '+++-+--+'
     """
+    if n >= _MAX_LETTERS:
+        raise ValueError(f"word length must be below {_MAX_LETTERS}, got {n}")
     parts = []
     while n:
         top = rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]

@@ -529,6 +529,21 @@ def test_enumerate_json_is_written_one_word_at_a_time():
     assert code == 0 and peak < 1_000_000
 
 
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize("argv", [["bound", "3..3000"], ["sample", "3001", "100", "1"]],
+                         ids=["bound", "sample"])
+def test_bound_and_sample_write_one_row_at_a_time(argv, fmt):
+    # each row is computed when the writer draws it; none is held
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            code = cli.main([*argv, "--format", fmt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 1_000_000
+
+
 # ---------------------------------------------------------------- classes
 
 @pytest.mark.parametrize("argv", [["census", "10", "--per-word"], ["classes", "10"]],
@@ -608,6 +623,14 @@ def test_sample_of_no_words_output_pinned(fmt, capsys):
     code, out, err = run(["sample", "--format", fmt, "10", "0", "1"], capsys)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_EMPTY_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("n", ["67108864", "99999999999999"])
+def test_sample_refuses_words_of_2_to_the_26_letters(n, capsys):
+    code, out, err = run(["sample", n, "1", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: word length must be below 67108864, got {n}\n"
+    assert run(["sample", n, "0", "1"], capsys) == (0, "", "")
 
 
 def test_sample_link_length_warns_in_one_line(capsys):
