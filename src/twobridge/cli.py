@@ -9,10 +9,9 @@ sampling is seeded.
 
 import argparse
 import contextlib
-import csv
-import json
 import sys
 import warnings
+from itertools import chain
 
 from . import census, crosscheck, diagram, rational, words
 
@@ -42,13 +41,19 @@ def _write(fmt, value, header, rows, lines):
     result that fails there (a refused enumeration, a failed check)
     leaves stdout empty.  A record or dict is dumped whole; a list or
     iterator goes out one element at a time, byte for byte what json.dump
-    writes for the whole list."""
+    writes for the whole list.  A human line that is not a str is an
+    iterable of pieces, written one at a time.  json and csv are loaded
+    only by the format that uses them."""
     with _exact_output():
-        if fmt == "json" and (hasattr(value, "to_json") or isinstance(value, dict)):
-            json.dump(rational.json_value(value), sys.stdout, indent=2)
-            print()
-            return
-        out = csv.writer(sys.stdout, lineterminator="\n")
+        if fmt == "json":
+            import json
+            if hasattr(value, "to_json") or isinstance(value, dict):
+                json.dump(rational.json_value(value), sys.stdout, indent=2)
+                print()
+                return
+        elif fmt == "csv":
+            import csv
+            out = csv.writer(sys.stdout, lineterminator="\n")
         n = 0
         for n, x in enumerate({"json": value, "csv": rows, "human": lines}[fmt], 1):
             if fmt == "json":  # each line one level deeper, as inside the list
@@ -58,8 +63,12 @@ def _write(fmt, value, header, rows, lines):
                 if n == 1:
                     out.writerow(header)
                 out.writerow([rational.csv_cell(v) for v in x])
-            else:
+            elif isinstance(x, str):
                 print(x)
+            else:
+                for piece in x:
+                    sys.stdout.write(piece)
+                print()
         if fmt == "json":
             print("\n]" if n else "[]")
         elif fmt == "csv" and not n:
@@ -101,7 +110,7 @@ def _word_line(a):
 
 def _census_lines(rep):
     # the per-index counts are checked when the first line is drawn
-    contributions = rational.csv_cell(rep.per_index_contributions)
+    contributions = rep.per_index_contributions
     yield f"c: {rep.c}"
     yield f"words: {rep.word_count} (star {rep.star:+d})"
     yield (f"totals: vertical {rep.vertical_total}, viable {rep.viable_total}, "
@@ -110,7 +119,9 @@ def _census_lines(rep):
     yield f"avg seifert circles upper bound: {rational.format_rational(rep.avg_s_upper)}"
     yield f"avg genus: {rational.format_rational(rep.avg_genus)}"
     yield f"avg genus lower bound: {rational.format_rational(rep.avg_genus_lower)}"
-    yield f"vertical contributions by index (2..{rep.c - 1}): {contributions}"
+    # about 0.3 c^2 characters, so written one count at a time
+    yield chain((f"vertical contributions by index (2..{rep.c - 1}):",),
+                (f" {rational.csv_cell(v)}" for v in contributions))
     yield f"knot classes: {census.knot_class_count(rep.c)}"
     if rep.analyses is not None:
         yield ""

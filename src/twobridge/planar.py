@@ -43,6 +43,7 @@ heights 1-2, and the long strand enters at crossing 0's sw corner.
 3
 """
 
+from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -151,6 +152,20 @@ _BILLIARD = {"+": (_S1, Crossing(lower=1, over="/")),
              "-": (Crossing(lower=0, over="\\"), _S2_INV)}
 
 
+# check reaches lengths 1..40; a longer strip is built afresh, so the
+# cache holds at most a few thousand ports however long the words get
+_CACHED_LENGTHS = 64
+
+
+@lru_cache(maxsize=_CACHED_LENGTHS)
+def _billiard_strip(n):
+    # the wiring (other, start) shared by every billiard word of length n:
+    # the lower heights alternate 0, 1, ... whatever the letters, and over
+    # takes no part in the build
+    pd = _build_strip([_BILLIARD["+"][i % 2] for i in range(n)])
+    return tuple(pd.other), pd.start
+
+
 def billiard_pd(word, allow_link=False):
     """Planar diagram of a billiard word: crossing i (1-based) sits at
     heights (0,1) for odd i and (1,2) for even i; letter + puts the
@@ -158,6 +173,8 @@ def billiard_pd(word, allow_link=False):
 
     Lengths 2 mod 3 close into 2-component links and are rejected unless
     allow_link is set (the orientation pass then reports the count).
+    The strip is built once per length up to 64; each call gets its own
+    other.
     """
     n = len(word)
     if n % 3 == 2 and not allow_link:
@@ -167,7 +184,9 @@ def billiard_pd(word, allow_link=False):
         if ch not in _BILLIARD:
             raise ValueError(f"invalid letter {ch!r} at position {i}")
         crossings.append(_BILLIARD[ch][i % 2])
-    return _build_strip(crossings)
+    strip = _billiard_strip if n <= _CACHED_LENGTHS else _billiard_strip.__wrapped__
+    other, start = strip(n)
+    return PlanarDiagram(tuple(crossings), list(other), start)
 
 
 def alternating_pd(generators):

@@ -385,6 +385,19 @@ def test_census_computes_index_contributions_only_where_printed(argv, indices, c
     assert code == 0 and index_calls == indices
 
 
+def test_census_writes_the_per_index_line_one_count_at_a_time():
+    # the line runs to about 7.5 million characters at c=5000; only the
+    # counts themselves (c^2 bits in all) are held
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            code = cli.main(["census", "5000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 6_000_000
+
+
 def test_census_csv_output_pinned(capsys):
     # stdout sha256 pinned when every report still summed its index contributions
     code, out, _ = run(["census", "3000", "--format", "csv"], capsys)
@@ -779,6 +792,28 @@ def test_cli_import_loads_no_process_machinery():
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# the json and csv modules loaded after the import and after one run
+_FORMAT_MODULES = """
+import sys
+from twobridge import cli
+loaded = lambda: sorted({"json", "csv"} & set(sys.modules))
+print(loaded(), file=sys.stderr)
+cli.main(["analyze", "+--+", *sys.argv[1:]])
+print(loaded(), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("flags, loaded", [
+    ([], []), (["--format", "json"], ["json"]), (["--format", "csv"], ["csv"])],
+    ids=["human", "json", "csv"])
+def test_cli_loads_json_and_csv_only_for_their_format(flags, loaded):
+    proc = subprocess.run([sys.executable, "-c", _FORMAT_MODULES, *flags],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["[]", str(loaded)]
+    assert "3_1" in proc.stdout
 
 
 def test_repeat_invocations_byte_identical(capsys):

@@ -120,6 +120,107 @@ def test_closures_are_knots_when_length_allows():
             planar.orient(planar.billiard_pd(w))  # must not raise
 
 
+# ------------------------------------------------------ billiard strip reuse
+
+def test_billiard_pd_equals_a_fresh_build_of_its_crossings():
+    # every word of 1..12 letters shares its length's cached wiring, yet
+    # matches a strip built from its own crossings
+    letter = {"+": (planar.Crossing(0, "/"), planar.Crossing(1, "/")),
+              "-": (planar.Crossing(0, "\\"), planar.Crossing(1, "\\"))}
+    count = 0
+    for n in range(1, 13):
+        for t in itertools.product("+-", repeat=n):
+            pd = planar.billiard_pd("".join(t), allow_link=True)
+            fresh = planar._build_strip([letter[ch][i % 2] for i, ch in enumerate(t)])
+            assert pd == fresh and type(pd.other) is list, t
+            count += 1
+    assert count == 8190
+
+
+def test_billiard_pd_returns_a_fresh_other_list():
+    first = planar.billiard_pd("+-+")
+    first.other[0] = 99
+    first.other.reverse()
+    again = planar.billiard_pd("-+-")
+    assert again.other == [4, 7, 11, 10, 0, 9, 8, 1, 6, 5, 3, 2]
+    assert again.other is not first.other
+
+
+def test_billiard_strip_cache_holds_only_short_lengths():
+    # every length check reaches is kept; a longer word is built afresh
+    planar._billiard_strip.cache_clear()
+    for n in range(1, 200):
+        w = "+-" * (n // 2) + "-" * (n % 2)
+        pd = planar.billiard_pd(w, allow_link=True)
+        if n in (41, 64, 65, 199):
+            assert pd == planar._build_strip(pd.crossings), n
+    info = planar._billiard_strip.cache_info()
+    assert info.maxsize == info.currsize == 64 and info.misses == 64
+
+
+@pytest.fixture
+def strip_builds(monkeypatch):
+    """The crossing count of every _build_strip call, with the billiard
+    cache cleared before and after so no strip outlives the patch."""
+    builds = []
+    real = planar._build_strip
+
+    def counting(crossings):
+        builds.append(len(crossings))
+        return real(crossings)
+
+    planar._billiard_strip.cache_clear()
+    monkeypatch.setattr(planar, "_build_strip", counting)
+    yield builds
+    planar._billiard_strip.cache_clear()
+
+
+def test_billiard_pd_builds_each_length_once(strip_builds):
+    for t in itertools.product("+-", repeat=7):
+        planar.billiard_pd("".join(t))
+    planar.billiard_pd("+-+")
+    planar.billiard_pd("-+-")
+    assert strip_builds == [7, 3]
+
+
+def test_billiard_pd_checks_its_word_before_the_cache(strip_builds):
+    for word, message in [("", "a strip needs at least one crossing"),
+                          ("+a+", "invalid letter 'a' at position 1"),
+                          ("+-", "length 2 is 2 mod 3: closure is a 2-component link")]:
+        with pytest.raises(ValueError, match=message):
+            planar.billiard_pd(word)
+    assert strip_builds == [0]
+
+
+# the builder rewires every strip (crossing 0's nw and ne edges trade far
+# ends), so the cached billiard route must still go through it and fail
+_PLANTED_STRIP = """
+import sys
+from twobridge import cli, planar
+real = planar._build_strip
+
+def rewired(crossings):
+    pd = real(crossings)
+    other = pd.other
+    a, b = other[0], other[1]
+    if a != 1:
+        other[0], other[a], other[1], other[b] = b, 1, a, 0
+    return pd
+
+planar._build_strip = rewired
+sys.exit(cli.main(["check", "6"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_check_fails_on_planted_strip_fault(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_STRIP],
+                          capture_output=True, text=True, check=False, timeout=120)
+    assert proc.returncode == 1 and proc.stderr == "FAILED\n"
+    failed = [line.split(":")[0] for line in proc.stdout.splitlines() if ": FAIL (" in line]
+    assert "billiard orientation patterns" in failed
+
+
 # ------------------------------------------------------------ orientation
 
 def test_expected_pattern_construction():
