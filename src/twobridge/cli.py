@@ -9,6 +9,7 @@ sampling is seeded.
 
 import argparse
 import contextlib
+import os
 import sys
 import warnings
 from itertools import chain
@@ -285,7 +286,12 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone early shows up here, not at exit
+        return code
+    except BrokenPipeError:  # the reader stopped early, as head does: not a failure
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ValueError as e:  # WordSyntaxError included
         print(f"error: {e}", file=sys.stderr)
         return 2

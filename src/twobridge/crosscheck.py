@@ -76,7 +76,7 @@ def check_determinants(a, pd):
     """One model word: the Goeritz determinants of its alternating diagram
     pd and of its billiard diagram both equal the continued-fraction p."""
     alt = planar.goeritz_determinant(pd)
-    bil = planar.goeritz_determinant(planar.billiard_pd(a.word))
+    bil = planar.billiard_determinant(a.word)
     if not alt == bil == a.p:
         raise InvariantError("Goeritz determinants (alternating, billiard)",
                              f"word {a.word}", (a.p, a.p), (alt, bil))
@@ -125,8 +125,9 @@ def check_orientation_patterns(max_len=40, per_length=50, seed=2026):
         if n % 3 == 2:
             continue
         expected = expected_pattern(n)
-        for _ in range(per_length):
-            w = draw_letters(rng, n)
+        letters = draw_letters(rng, n * per_length)  # as per_length draws of n
+        for i in range(0, n * per_length, n):
+            w = letters[i:i + n]
             od = planar.orient(planar.billiard_pd(w))
             got = planar.classify_orientations(od)
             if got != expected:

@@ -165,11 +165,8 @@ def full_diagram(r):
     if not r.is_model:
         raise ValueError(f"not a model word: {r}")
     gens = generators(r)
-    smoothings = []
-    start = 1
-    for e in r.runs:
-        smoothings.append(H if start % 3 == e else V)
-        start += e
+    starts = list(accumulate(r.runs, initial=1))
+    smoothings = [H if start % 3 == e else V for e, start in zip(r.runs, starts)]
     c = len(gens)
     viable = [False] * c
     sequential = [False] * c
@@ -180,11 +177,10 @@ def full_diagram(r):
             viable[i] = next_gen is None or next_gen == g
             sequential[i] = next_i == i + 1 and next_gen == g
             next_gen, next_i = g, i
-    starts = accumulate(r.runs, initial=1)
     return tuple(
-        CrossingInfo(i + 1, gens[i], r.sign(i), e, start,
+        CrossingInfo(i + 1, gens[i], r.sign(i), e, starts[i],
                      smoothings[i], viable[i], sequential[i])
-        for i, (e, start) in enumerate(zip(r.runs, starts)))
+        for i, e in enumerate(r.runs))
 
 
 class WordAnalysis(NamedTuple):

@@ -179,11 +179,10 @@ def billiard_pd(word, allow_link=False):
     n = len(word)
     if n % 3 == 2 and not allow_link:
         raise ValueError(f"length {n} is 2 mod 3: closure is a 2-component link")
-    crossings = []
-    for i, ch in enumerate(word):
-        if ch not in _BILLIARD:
-            raise ValueError(f"invalid letter {ch!r} at position {i}")
-        crossings.append(_BILLIARD[ch][i % 2])
+    rest = word.lstrip("+-")
+    if rest:
+        raise ValueError(f"invalid letter {rest[0]!r} at position {len(word) - len(rest)}")
+    crossings = [_BILLIARD[ch][i % 2] for i, ch in enumerate(word)]
     strip = _billiard_strip if n <= _CACHED_LENGTHS else _billiard_strip.__wrapped__
     other, start = strip(n)
     return PlanarDiagram(tuple(crossings), list(other), start)
@@ -332,50 +331,37 @@ def _checkerboard(pd, faces, quadrant):
     return color
 
 
-def _int_det(m):
-    # Bareiss fraction-free elimination: exact integer determinant
-    a = [row[:] for row in m]
+def _int_det(a):
+    # Bareiss fraction-free elimination in place on a's first len(a) columns
     size = len(a)
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for k in range(size - 1):
         if a[k][k] == 0:
-            for r in range(k + 1, size):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
+            r = next((r for r in range(k + 1, size) if a[r][k]), None)
+            if r is None:
                 return 0
-        ak = a[k]
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        ak, akk, cols = a[k], a[k][k], range(k + 1, size)
         for ai in a[k + 1:]:
             aik = ai[k]
-            for j in range(k + 1, size):
-                ai[j] = (ai[j] * ak[k] - aik * ak[j]) // prev
-        prev = ak[k]
-    return sign * a[size - 1][size - 1]
+            for j in cols:
+                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
+        prev = akk
+    return sign * a[-1][size - 1] if a else 1
 
 
-def goeritz_determinant(pd):
-    """Knot determinant as |det| of a Goeritz matrix.
-
-    Faces are traced from the crossing rotations, checkerboard-colored,
-    and the white class is the one avoiding the face left of the long
-    strand's entry.  Each crossing contributes its sign to the pair of
-    white faces at its opposite corners; either color class and either
-    global sign convention give the same absolute determinant.
-    """
+def _goeritz_layout(pd):
+    """The Goeritz matrix of pd but for the signs, which alone read the
+    over flags: the white face count (white avoids the face left of the
+    long strand's entry) and, per crossing between two white faces,
+    (crossing, their rows, +1 if its N and S quadrants are shaded else -1)."""
     faces, quadrant = _faces(pd)
     color = _checkerboard(pd, faces, quadrant)
     white = 1 - color[0]
-
-    white_faces = [f for f in range(faces) if color[f] == white]
-    index = {f: i for i, f in enumerate(white_faces)}
-    k = len(white_faces)
-    g = [[0] * k for _ in range(k)]
-    for ci, cr in enumerate(pd.crossings):
+    index = {f: i for i, f in enumerate(f for f in range(faces) if color[f] == white)}
+    cells = []
+    for ci in range(pd.n):
         f_n, f_e, f_s, f_w = quadrant[4 * ci:4 * ci + 4]
         if color[f_n] != color[f_s] or color[f_e] != color[f_w]:
             raise InvariantError("opposite quadrants share a colour", _where(pd.crossings),
@@ -385,13 +371,39 @@ def goeritz_determinant(pd):
             raise InvariantError("adjacent quadrants differ in colour", _where(pd.crossings),
                                  f"crossing {ci}: N != E", (color[f_n], color[f_e]))
         shaded_ns = color[f_n] != white
-        eta = 1 if (cr.over == "/") == shaded_ns else -1
         fa, fb = ((f_e, f_w) if shaded_ns else (f_n, f_s))
         if fa != fb:
-            ia, ib = index[fa], index[fb]
-            g[ia][ib] -= eta
-            g[ib][ia] -= eta
+            cells.append((ci, index[fa], index[fb], 1 if shaded_ns else -1))
+    return len(index), cells
+
+
+def _signed_det(k, cells, crossings):
+    # eta = +1 where the rising diagonal is over just when N and S are
+    # shaded; either color class and either sign convention give one |det|
+    g = [[0] * k for _ in range(k)]
+    for ci, ia, ib, shade in cells:
+        eta = shade if crossings[ci].over == "/" else -shade
+        g[ia][ib] -= eta
+        g[ib][ia] -= eta
     for i in range(k):
         g[i][i] = -sum(g[i])  # off-diagonal entries only so far
-    minor = [row[:-1] for row in g[:-1]]
-    return abs(_int_det(minor))
+    g.pop()  # the minor: _int_det reads only the first k - 1 columns
+    return abs(_int_det(g))
+
+
+def goeritz_determinant(pd):
+    """Knot determinant as |det| of a Goeritz matrix of pd's own faces."""
+    return _signed_det(*_goeritz_layout(pd), pd.crossings)
+
+
+@lru_cache(maxsize=_CACHED_LENGTHS)
+def _billiard_layout(n):
+    # every billiard word of length n shares its faces, as it does its wiring
+    return _goeritz_layout(billiard_pd("+" * n, allow_link=True))
+
+
+def billiard_determinant(word):
+    """goeritz_determinant(billiard_pd(word)), faces traced once per length."""
+    pd = billiard_pd(word)
+    layout = _billiard_layout(pd.n) if pd.n <= _CACHED_LENGTHS else _goeritz_layout(pd)
+    return _signed_det(*layout, pd.crossings)

@@ -250,8 +250,6 @@ def enumerate_model_words(c):
     >>> [from_runs(r) for r in enumerate_model_words(3)]
     ['+--+']
     """
-    if c < 3:
-        raise ValueError(f"model words need at least 3 runs, got c={c}")
     for d, first in enumeration_tasks(c):
         yield from expand_task(c, d, first)
 

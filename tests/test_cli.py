@@ -529,6 +529,9 @@ class _Discard:
     def write(self, text):
         return len(text)
 
+    def flush(self):
+        pass
+
 
 def test_enumerate_json_is_written_one_word_at_a_time():
     # the 5,461 words are converted and written one by one, not as one value
@@ -717,6 +720,23 @@ def test_check_fails_on_planted_planar_fault(flags):
     assert failed == ["determinant equality: FAIL (InvariantError: face count n + 2 "
                       "at strip 0/ 0/ 0/: expected 5, got 3)"]
     assert len(lines) == 7 and proc.stderr == "FAILED\n"
+
+
+# a reader that closes after the first line, as head -1 does, is no failure
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "20"], ["enumerate", "20", "--format", "json"],
+    ["enumerate", "20", "--format", "csv"], ["bound", "3..3000"],
+    ["classes", "14", "--format", "csv"], ["census", "6", "--format", "json"],
+], ids=" ".join)
+def test_reader_closing_early_exits_0_quietly(argv):
+    proc = subprocess.Popen([sys.executable, "-m", "twobridge.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0 and err == b""
+    assert first.endswith(b"\n")
 
 
 def test_check_rejects_small_c_max(capsys):

@@ -160,8 +160,9 @@ def test_billiard_strip_cache_holds_only_short_lengths():
 
 @pytest.fixture
 def strip_builds(monkeypatch):
-    """The crossing count of every _build_strip call, with the billiard
-    cache cleared before and after so no strip outlives the patch."""
+    """The crossing count of every _build_strip call, with both billiard
+    caches cleared before and after so no strip or layout outlives the
+    patch."""
     builds = []
     real = planar._build_strip
 
@@ -169,10 +170,15 @@ def strip_builds(monkeypatch):
         builds.append(len(crossings))
         return real(crossings)
 
-    planar._billiard_strip.cache_clear()
+    clear_billiard_caches()
     monkeypatch.setattr(planar, "_build_strip", counting)
     yield builds
+    clear_billiard_caches()
+
+
+def clear_billiard_caches():
     planar._billiard_strip.cache_clear()
+    planar._billiard_layout.cache_clear()
 
 
 def test_billiard_pd_builds_each_length_once(strip_builds):
@@ -190,6 +196,115 @@ def test_billiard_pd_checks_its_word_before_the_cache(strip_builds):
         with pytest.raises(ValueError, match=message):
             planar.billiard_pd(word)
     assert strip_builds == [0]
+
+
+# ----------------------------------------------------- Goeritz layout reuse
+
+def test_billiard_determinant_equals_goeritz_of_a_fresh_strip():
+    # every knot word of 1..12 letters reads its length's cached faces,
+    # yet gets the determinant of a strip built from its own crossings
+    count = 0
+    for n in range(1, 13):
+        if n % 3 == 2:
+            continue
+        for t in itertools.product("+-", repeat=n):
+            w = "".join(t)
+            fresh = planar._build_strip(planar.billiard_pd(w).crossings)
+            assert planar.billiard_determinant(w) == planar.goeritz_determinant(fresh), w
+            count += 1
+    assert count == 5850
+
+
+def test_billiard_layout_cache_holds_only_short_lengths():
+    clear_billiard_caches()
+    for n in range(1, 101):
+        if n % 3 == 2:
+            continue
+        w = "+-" * (n // 2) + "-" * (n % 2)
+        det = planar.billiard_determinant(w)
+        if n in (1, 64, 67, 100):
+            assert det == planar.goeritz_determinant(planar.billiard_pd(w)), n
+    info = planar._billiard_layout.cache_info()
+    assert info.maxsize == 64
+    assert info.currsize == info.misses == 43  # the knot lengths up to 64
+
+
+def test_billiard_determinant_checks_its_word(strip_builds):
+    for word, message in [("", "a strip needs at least one crossing"),
+                          ("+a+", "invalid letter 'a' at position 1"),
+                          ("+-", "length 2 is 2 mod 3: closure is a 2-component link")]:
+        with pytest.raises(ValueError, match=message):
+            planar.billiard_determinant(word)
+    assert strip_builds == [0]
+    assert planar._billiard_layout.cache_info().currsize == 0
+
+
+def test_run_all_traces_each_billiard_length_once(monkeypatch):
+    # check 11 traces the faces of its 341 alternating diagrams and of the
+    # 6 billiard lengths its words have, not of 341 billiard diagrams
+    traced = []
+    real = planar._faces
+
+    def counting(pd):
+        traced.append(pd.n)
+        return real(pd)
+
+    clear_billiard_caches()
+    monkeypatch.setattr(planar, "_faces", counting)
+    try:
+        results, ok = crosscheck.run_all(11)
+    finally:
+        clear_billiard_caches()
+    assert ok and results[3] == ("determinant equality", 341, None)
+    lengths = {len(words.from_runs(r)) for c in range(3, 12)
+               for r in words.enumerate_model_words(c)}
+    assert len(lengths) == 6 and len(traced) == 341 + 6
+
+
+# the face pass or the colouring goes wrong on every diagram: both the
+# alternating and the cached billiard route must raise its named error,
+# under python -O too, and the cache must not keep the failed layout
+_PLANTED_LAYOUT = """
+import sys
+from twobridge import cli, planar, words
+which = sys.argv[1]
+real = getattr(planar, which)
+
+def faces(pd):
+    faces, quadrant = real(pd)
+    quadrant[0], quadrant[1] = quadrant[1], quadrant[0]
+    return faces, quadrant
+
+def checkerboard(pd, faces, quadrant):
+    color = real(pd, faces, quadrant)
+    color[-1] = 1 - color[-1]
+    return color
+
+setattr(planar, which, {"_faces": faces, "_checkerboard": checkerboard}[which])
+for w in ("+-+", "-+-"):
+    try:
+        planar.billiard_determinant(w)
+    except words.InvariantError as e:
+        print(e.name)
+print(planar._billiard_layout.cache_info().currsize)
+sys.exit(cli.main(["check", "6"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+@pytest.mark.parametrize("which, name", [
+    ("_faces", "edge between two faces"),
+    ("_checkerboard", "opposite quadrants share a colour")])
+def test_check_fails_on_planted_layout_fault(flags, which, name):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_LAYOUT, which],
+                          capture_output=True, text=True, check=False, timeout=120)
+    assert proc.returncode == 1 and proc.stderr == "FAILED\n"
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == [name, name, "0"]
+    failed = [line for line in lines if ": FAIL (" in line]
+    assert len(failed) == 1 and failed[0].startswith(
+        f"determinant equality: FAIL (InvariantError: {name} at strip 0/ 0/ 0/: ")
+    assert len(lines) == 10
 
 
 # the builder rewires every strip (crossing 0's nw and ne edges trade far

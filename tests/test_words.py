@@ -362,6 +362,18 @@ def test_draw_letters_matches_choice_letters_and_state(n, seeds):
         assert got.getstate() == want.getstate()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 40])
+def test_one_draw_sliced_into_words_matches_sequential_draws(n):
+    # the orientation check draws a length's 50 words at once: the same
+    # words, and the generator left where 50 draws of n letters leave it
+    for seed in range(300):
+        want, got = random.Random(seed), random.Random(seed)
+        sequential = [words.draw_letters(want, n) for _ in range(50)]
+        letters = words.draw_letters(got, 50 * n)
+        assert [letters[i:i + n] for i in range(0, 50 * n, n)] == sequential
+        assert got.getstate() == want.getstate()
+
+
 def test_sample_warns_on_link_lengths():
     with pytest.warns(UserWarning):
         list(words.sample(5, 1, seed=0))
