@@ -406,11 +406,11 @@ def run_census(c, per_word=False):
         if per_word:
             analyses.append(a)
 
-    per_index = [0] * (c - 2)
+    per_index = [0] * c
     for smoothings, n in smoothing_counts.items():
         for pos, sm in enumerate(smoothings):
             if sm == diagram.V:
-                per_index[pos - 1] += n  # V never occurs at crossing 1 or c
+                per_index[pos] += n
 
     where = f"c={c}"
     totals = CensusTotals(count, vertical, viable, sequential)
@@ -425,8 +425,8 @@ def run_census(c, per_word=False):
         raise InvariantError("scan totals", where, totals, scanned)
     _check(rep)
     contributions = rep.per_index_contributions
-    if tuple(per_index) != contributions:
-        raise InvariantError("per-index vertical counts", where, contributions,
+    if tuple(per_index) != (0, *contributions, 0):  # V never at crossing 1 or c
+        raise InvariantError("per-index vertical counts", where, (0, *contributions, 0),
                              tuple(per_index))
     if contributions != contributions[::-1]:
         raise InvariantError("index symmetry", where, contributions[::-1], contributions)

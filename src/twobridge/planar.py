@@ -22,7 +22,7 @@ back to entry.
 
 Ports: corner k of crossing ci is the integer port 4*ci + k, with the
 corners numbered clockwise as drawn, nw=0, ne=1, se=2, sw=3.  A diagram
-is one list, other[port], the port at the far end of the edge leaving
+is one tuple, other[port], the port at the far end of the edge leaving
 port, plus the start port where the long strand first enters a crossing.
 The strand through port p leaves the crossing at its diagonal partner
 p ^ 2, and the corner clockwise from p is (p & ~3) | ((p + 1) & 3).  The
@@ -38,7 +38,7 @@ heights 1-2, and the long strand enters at crossing 0's sw corner.
 
 >>> pd = billiard_pd("+-+")
 >>> pd.other, pd.start
-([4, 7, 11, 10, 0, 9, 8, 1, 6, 5, 3, 2], 3)
+((4, 7, 11, 10, 0, 9, 8, 1, 6, 5, 3, 2), 3)
 >>> goeritz_determinant(pd)
 3
 """
@@ -68,7 +68,7 @@ class PlanarDiagram(NamedTuple):
     """4-valent plane graph of one closed strip: other[p] is the port the
     edge leaving port p ends at, start the long strand's first port."""
     crossings: tuple
-    other: list
+    other: tuple
     start: int
 
     @property
@@ -142,7 +142,7 @@ def _build_strip(crossings):
         raise InvariantError("strip left portless cycles behind", _where(crossings),
                              "6 boundary nodes on strands", len(on_strands))
     # enter at left height 0 along the strip, not along the long arc
-    return PlanarDiagram(crossings, other, beyond(3) if end[0] is None else end[0])
+    return PlanarDiagram(crossings, tuple(other), beyond(3) if end[0] is None else end[0])
 
 
 _S1 = Crossing(lower=0, over="/")
@@ -159,11 +159,10 @@ _CACHED_LENGTHS = 64
 
 @lru_cache(maxsize=_CACHED_LENGTHS)
 def _billiard_strip(n):
-    # the wiring (other, start) shared by every billiard word of length n:
-    # the lower heights alternate 0, 1, ... whatever the letters, and over
-    # takes no part in the build
-    pd = _build_strip([_BILLIARD["+"][i % 2] for i in range(n)])
-    return tuple(pd.other), pd.start
+    # the diagram of the all-+ word, whose wiring (other, start) every
+    # billiard word of length n shares: the lower heights alternate 0, 1,
+    # ... whatever the letters, and over takes no part in the build
+    return _build_strip([_BILLIARD["+"][i % 2] for i in range(n)])
 
 
 def billiard_pd(word, allow_link=False):
@@ -173,8 +172,7 @@ def billiard_pd(word, allow_link=False):
 
     Lengths 2 mod 3 close into 2-component links and are rejected unless
     allow_link is set (the orientation pass then reports the count).
-    The strip is built once per length up to 64; each call gets its own
-    other.
+    The strip is built once per length up to 64.
     """
     n = len(word)
     if n % 3 == 2 and not allow_link:
@@ -184,8 +182,8 @@ def billiard_pd(word, allow_link=False):
         raise ValueError(f"invalid letter {rest[0]!r} at position {len(word) - len(rest)}")
     crossings = [_BILLIARD[ch][i % 2] for i, ch in enumerate(word)]
     strip = _billiard_strip if n <= _CACHED_LENGTHS else _billiard_strip.__wrapped__
-    other, start = strip(n)
-    return PlanarDiagram(tuple(crossings), list(other), start)
+    template = strip(n)
+    return PlanarDiagram(tuple(crossings), template.other, template.start)
 
 
 def alternating_pd(generators):
@@ -374,7 +372,7 @@ def _goeritz_layout(pd):
         fa, fb = ((f_e, f_w) if shaded_ns else (f_n, f_s))
         if fa != fb:
             cells.append((ci, index[fa], index[fb], 1 if shaded_ns else -1))
-    return len(index), cells
+    return len(index), tuple(cells)
 
 
 def _signed_det(k, cells, crossings):
@@ -399,7 +397,7 @@ def goeritz_determinant(pd):
 @lru_cache(maxsize=_CACHED_LENGTHS)
 def _billiard_layout(n):
     # every billiard word of length n shares its faces, as it does its wiring
-    return _goeritz_layout(billiard_pd("+" * n, allow_link=True))
+    return _goeritz_layout(_billiard_strip(n))
 
 
 def billiard_determinant(word):

@@ -372,6 +372,35 @@ def test_census_fails_on_planted_index_contribution_fault(flags):
                            f"{vertical}, got {vertical + 1}\n")
 
 
+# analyze reports V at the first or last crossing of every word, where the
+# theory never puts one, yet keeps its own vertical count; the per-index
+# tally must see the stray V in place, not drop or shift it
+_PLANTED_END_V = """
+import sys
+from twobridge import cli, diagram
+real = diagram.analyze
+first = sys.argv[1] == "first"
+
+def planted(r):
+    s = real(r).smoothings
+    return real(r)._replace(smoothings="V" + s[1:] if first else s[:-1] + "V")
+
+diagram.analyze = planted
+sys.exit(cli.main(["census", "6", "--format", "json"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+@pytest.mark.parametrize("end, tally", [("first", "(5, 3, 4, 4, 3, 0)"),
+                                        ("last", "(0, 3, 4, 4, 3, 5)")])
+def test_census_fails_on_planted_end_crossing_v(flags, end, tally):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_END_V, end],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: per-index vertical counts at c=6: expected "
+                           f"(0, 3, 4, 4, 3, 0), got {tally}\n")
+
+
 @pytest.mark.parametrize("argv, indices", [
     (["census", "40", "--format", "csv"], []),
     (["census", "40"], [(40, i) for i in range(2, 40)]),

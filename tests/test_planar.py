@@ -107,7 +107,7 @@ def test_every_strip_up_to_12_crossings_pinned():
             except words.InvariantError as e:
                 rows.append((los, e.name, e.expected, e.actual))
             else:
-                rows.append((los, pd.other, pd.start))
+                rows.append((los, list(pd.other), pd.start))
     assert len(rows) == 8190
     assert (hashlib.sha256(repr(rows).encode()).hexdigest()
             == "6074f93e3c4a22a2b2890ca342909afc14253e09ec7da34533e0c8758eee7e55")
@@ -132,18 +132,18 @@ def test_billiard_pd_equals_a_fresh_build_of_its_crossings():
         for t in itertools.product("+-", repeat=n):
             pd = planar.billiard_pd("".join(t), allow_link=True)
             fresh = planar._build_strip([letter[ch][i % 2] for i, ch in enumerate(t)])
-            assert pd == fresh and type(pd.other) is list, t
+            assert pd == fresh and type(pd.other) is tuple, t
             count += 1
     assert count == 8190
 
 
-def test_billiard_pd_returns_a_fresh_other_list():
-    first = planar.billiard_pd("+-+")
-    first.other[0] = 99
-    first.other.reverse()
-    again = planar.billiard_pd("-+-")
-    assert again.other == [4, 7, 11, 10, 0, 9, 8, 1, 6, 5, 3, 2]
-    assert again.other is not first.other
+def test_billiard_words_of_one_length_share_one_read_only_other():
+    for n in (3, 64):
+        first, again = planar.billiard_pd("+" * n), planar.billiard_pd("-" * n)
+        assert again.other is first.other and again != first
+        with pytest.raises(TypeError):
+            first.other[0] = 99
+        assert again == planar._build_strip(again.crossings)
 
 
 def test_billiard_strip_cache_holds_only_short_lengths():
@@ -308,7 +308,8 @@ def test_check_fails_on_planted_layout_fault(flags, which, name):
 
 
 # the builder rewires every strip (crossing 0's nw and ne edges trade far
-# ends), so the cached billiard route must still go through it and fail
+# ends), so the cached billiard route must still go through it and fail:
+# the rewired strip closes into two components, not into a TypeError
 _PLANTED_STRIP = """
 import sys
 from twobridge import cli, planar
@@ -316,11 +317,11 @@ real = planar._build_strip
 
 def rewired(crossings):
     pd = real(crossings)
-    other = pd.other
+    other = list(pd.other)
     a, b = other[0], other[1]
     if a != 1:
         other[0], other[a], other[1], other[b] = b, 1, a, 0
-    return pd
+    return pd._replace(other=tuple(other))
 
 planar._build_strip = rewired
 sys.exit(cli.main(["check", "6"]))
@@ -332,8 +333,8 @@ def test_check_fails_on_planted_strip_fault(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_STRIP],
                           capture_output=True, text=True, check=False, timeout=120)
     assert proc.returncode == 1 and proc.stderr == "FAILED\n"
-    failed = [line.split(":")[0] for line in proc.stdout.splitlines() if ": FAIL (" in line]
-    assert "billiard orientation patterns" in failed
+    assert ("billiard orientation patterns: FAIL (MultiComponent: diagram closes "
+            "into 2 components, not a knot)") in proc.stdout.splitlines()
 
 
 # ------------------------------------------------------------ orientation

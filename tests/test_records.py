@@ -2,11 +2,14 @@
 value equality and hashing, read-only fields and validated construction,
 and importing the CLI loads neither dataclasses nor inspect."""
 
+import importlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import twobridge
 from twobridge import census, diagram, planar, rational, words
 
 
@@ -41,7 +44,24 @@ RECORDS = {
                      ("c", "word_count", "vertical_total", "viable_total",
                       "sequential_total", "knot_classes", "analyses")),
     "Crossing": (lambda: planar.Crossing(lower=1, over="\\"), ("lower", "over")),
+    "PlanarDiagram": (lambda: planar.billiard_pd("+-+"), ("crossings", "other", "start")),
+    "OrientedDiagram": (lambda: planar.orient(planar.alternating_pd(["s1"] * 3)),
+                        ("pd", "state")),
+    "CensusTotals": (lambda: census.scan_totals(7),
+                     ("count", "vertical", "viable", "sequential")),
+    "CanonicalClass": (lambda: rational.canonical_class(rational.KnotFraction(9, 7)),
+                       ("p", "q_star")),
 }
+
+
+def test_every_named_tuple_is_a_checked_record():
+    defined = set()
+    for info in pkgutil.iter_modules(twobridge.__path__):
+        module = importlib.import_module(f"twobridge.{info.name}")
+        defined.update(name for name, obj in vars(module).items()
+                       if isinstance(obj, type) and issubclass(obj, tuple)
+                       and hasattr(obj, "_fields") and obj.__module__ == module.__name__)
+    assert defined == set(RECORDS)
 
 
 @pytest.mark.parametrize("record", RECORDS)
