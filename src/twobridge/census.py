@@ -59,7 +59,6 @@ touches floating point, including the decimal renderings, which are
 computed by integer division.
 """
 
-import functools
 from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import NamedTuple
@@ -264,16 +263,6 @@ def closed_form_vertical_total(c):
     return closed_form_totals(c).vertical
 
 
-def per_index_contributions(c):
-    """index_contribution(c, i) for 2 <= i <= c-1, checked to sum to the
-    vertical total's closed form: O(c) big-integer steps."""
-    contributions = tuple(index_contribution(c, i) for i in range(2, c))
-    closed = closed_form_vertical_total(c)
-    if sum(contributions) != closed:
-        raise InvariantError("vertical total by index", f"c={c}", closed, sum(contributions))
-    return contributions
-
-
 def lower_bound_avg_genus(c):
     """Exact lower bound on the average genus over the c census, the paper's
     (c-1)/2 - 3V / (2(2^(c-2) + star(c))) for the vertical total V: since
@@ -291,10 +280,9 @@ def lower_bound_avg_genus(c):
 class CensusReport(namedtuple("CensusReport", "c word_count vertical_total viable_total "
                               "sequential_total knot_classes analyses", defaults=(None, None))):
     """The census totals of crossing number c (and the knot classes and word
-    analyses of an enumerated census); every other value derives from them.
-    It declares no __slots__, so the instance __dict__ can cache the
-    per-index counts, which run_census checks and JSON output then prints;
-    the fields stay read-only."""
+    analyses of an enumerated census); every other value derives from them."""
+
+    __slots__ = ()
 
     CSV_COLUMNS = (
         "c", "star", "word_count", "vertical_total", "viable_total",
@@ -329,10 +317,17 @@ class CensusReport(namedtuple("CensusReport", "c word_count vertical_total viabl
         """The vertical total, which _check compares with its closed form."""
         return self.vertical_total
 
-    @functools.cached_property
+    @property
     def per_index_contributions(self):
-        """Computed on first use: only human and JSON output print them."""
-        return per_index_contributions(self.c)
+        """index_contribution(c, i) for 2 <= i <= c-1, checked to sum to the
+        vertical total's closed form: O(c) big-integer steps on each read."""
+        c = self.c
+        contributions = tuple(index_contribution(c, i) for i in range(2, c))
+        closed = closed_form_vertical_total(c)
+        if sum(contributions) != closed:
+            raise InvariantError("vertical total by index", f"c={c}", closed,
+                                 sum(contributions))
+        return contributions
 
     def to_json(self):
         """JSON object with the three totals nested under "totals"."""

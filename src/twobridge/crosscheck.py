@@ -150,8 +150,8 @@ def check_link_detection():
     try:
         planar.orient(planar.billiard_pd("+-", allow_link=True))
     except planar.MultiComponent as e:
-        if e.k != 2:
-            raise InvariantError("link components", "word +-", 2, e.k) from e
+        if e.actual != 2:
+            raise InvariantError("link components", "word +-", 2, e.actual) from e
         return 1
     raise InvariantError("link components", "word +-", 2, 1)
 

@@ -51,12 +51,9 @@ from .diagram import H, SIGMA1, V
 from .words import InvariantError
 
 
-class MultiComponent(ValueError):
-    """Traversal found k > 1 closed components where a knot was expected."""
-
-    def __init__(self, k):
-        super().__init__(f"diagram closes into {k} components, not a knot")
-        self.k = k
+class MultiComponent(InvariantError):
+    """Traversal found more than one closed component where a knot was
+    expected: actual is the component count."""
 
 
 class Crossing(NamedTuple):
@@ -152,8 +149,8 @@ _BILLIARD = {"+": (_S1, Crossing(lower=1, over="/")),
              "-": (Crossing(lower=0, over="\\"), _S2_INV)}
 
 
-# check reaches lengths 1..40; a longer strip is built afresh, so the
-# cache holds at most a few thousand ports however long the words get
+# check reaches lengths 1..40 and no CLI command builds a billiard
+# diagram; past 64 lengths the least recently used one is dropped
 _CACHED_LENGTHS = 64
 
 
@@ -172,7 +169,7 @@ def billiard_pd(word, allow_link=False):
 
     Lengths 2 mod 3 close into 2-component links and are rejected unless
     allow_link is set (the orientation pass then reports the count).
-    The strip is built once per length up to 64.
+    The strip is built once per length while it stays in the cache.
     """
     n = len(word)
     if n % 3 == 2 and not allow_link:
@@ -181,8 +178,7 @@ def billiard_pd(word, allow_link=False):
     if rest:
         raise ValueError(f"invalid letter {rest[0]!r} at position {len(word) - len(rest)}")
     crossings = [_BILLIARD[ch][i % 2] for i, ch in enumerate(word)]
-    strip = _billiard_strip if n <= _CACHED_LENGTHS else _billiard_strip.__wrapped__
-    template = strip(n)
+    template = _billiard_strip(n)
     return PlanarDiagram(tuple(crossings), template.other, template.start)
 
 
@@ -233,7 +229,7 @@ def orient(pd):
         k += 1
         p = state.find(0, p)
     if k > 1:
-        raise MultiComponent(k)
+        raise MultiComponent("one component", _where(pd.crossings), 1, k)
     return OrientedDiagram(pd, bytes(state))
 
 
@@ -403,5 +399,4 @@ def _billiard_layout(n):
 def billiard_determinant(word):
     """goeritz_determinant(billiard_pd(word)), faces traced once per length."""
     pd = billiard_pd(word)
-    layout = _billiard_layout(pd.n) if pd.n <= _CACHED_LENGTHS else _goeritz_layout(pd)
-    return _signed_det(*layout, pd.crossings)
+    return _signed_det(*_billiard_layout(pd.n), pd.crossings)

@@ -266,7 +266,8 @@ def test_census_report_stores_only_what_was_counted():
     rep = census.scan_census(9)
     assert rep.avg_genus_lower == census.lower_bound_avg_genus(9)
     assert rep.closed_form_vertical_total == census.closed_form_vertical_total(9)
-    assert rep.per_index_contributions == census.per_index_contributions(9)
+    assert rep.per_index_contributions == tuple(census.index_contribution(9, i)
+                                                for i in range(2, 9))
 
 
 def test_report_serialization():

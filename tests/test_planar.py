@@ -49,7 +49,9 @@ def test_link_closure_has_two_components():
     pd = planar.billiard_pd("+-", allow_link=True)
     with pytest.raises(planar.MultiComponent) as exc:
         planar.orient(pd)
-    assert exc.value.k == 2
+    assert isinstance(exc.value, words.InvariantError)
+    assert str(exc.value) == "one component at strip 0/ 1\\: expected 1, got 2"
+    assert exc.value.actual == 2
     pd = planar.billiard_pd("+-+-+", allow_link=True)
     with pytest.raises(planar.MultiComponent):
         planar.orient(pd)
@@ -146,8 +148,8 @@ def test_billiard_words_of_one_length_share_one_read_only_other():
         assert again == planar._build_strip(again.crossings)
 
 
-def test_billiard_strip_cache_holds_only_short_lengths():
-    # every length check reaches is kept; a longer word is built afresh
+def test_billiard_strip_cache_holds_64_lengths():
+    # every length goes through the cache, which keeps the 64 most recent
     planar._billiard_strip.cache_clear()
     for n in range(1, 200):
         w = "+-" * (n // 2) + "-" * (n % 2)
@@ -155,7 +157,7 @@ def test_billiard_strip_cache_holds_only_short_lengths():
         if n in (41, 64, 65, 199):
             assert pd == planar._build_strip(pd.crossings), n
     info = planar._billiard_strip.cache_info()
-    assert info.maxsize == info.currsize == 64 and info.misses == 64
+    assert info.maxsize == info.currsize == 64 and info.misses == 199
 
 
 @pytest.fixture
@@ -215,7 +217,7 @@ def test_billiard_determinant_equals_goeritz_of_a_fresh_strip():
     assert count == 5850
 
 
-def test_billiard_layout_cache_holds_only_short_lengths():
+def test_billiard_layout_cache_holds_64_lengths():
     clear_billiard_caches()
     for n in range(1, 101):
         if n % 3 == 2:
@@ -223,10 +225,11 @@ def test_billiard_layout_cache_holds_only_short_lengths():
         w = "+-" * (n // 2) + "-" * (n % 2)
         det = planar.billiard_determinant(w)
         if n in (1, 64, 67, 100):
-            assert det == planar.goeritz_determinant(planar.billiard_pd(w)), n
+            fresh = planar._build_strip(planar.billiard_pd(w).crossings)
+            assert det == planar.goeritz_determinant(fresh), n
     info = planar._billiard_layout.cache_info()
-    assert info.maxsize == 64
-    assert info.currsize == info.misses == 43  # the knot lengths up to 64
+    assert info.maxsize == info.currsize == 64
+    assert info.misses == 67  # the knot lengths up to 100
 
 
 def test_billiard_determinant_checks_its_word(strip_builds):
@@ -309,7 +312,7 @@ def test_check_fails_on_planted_layout_fault(flags, which, name):
 
 # the builder rewires every strip (crossing 0's nw and ne edges trade far
 # ends), so the cached billiard route must still go through it and fail:
-# the rewired strip closes into two components, not into a TypeError
+# the rewired strip closes into two components, a named InvariantError
 _PLANTED_STRIP = """
 import sys
 from twobridge import cli, planar
@@ -333,8 +336,39 @@ def test_check_fails_on_planted_strip_fault(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_STRIP],
                           capture_output=True, text=True, check=False, timeout=120)
     assert proc.returncode == 1 and proc.stderr == "FAILED\n"
-    assert ("billiard orientation patterns: FAIL (MultiComponent: diagram closes "
-            "into 2 components, not a knot)") in proc.stdout.splitlines()
+    assert ("billiard orientation patterns: FAIL (MultiComponent: one component at "
+            "strip 0/ 1\\ 0\\: expected 1, got 2)") in proc.stdout.splitlines()
+
+
+# every alternating strip's crossing 0 trades the far ends of its two west
+# corners, so the strands through it, both running east, close into two
+# components: the oracle names the failure, and the billiard route is intact
+_PLANTED_SPLIT = """
+import sys
+from twobridge import cli, planar
+real = planar.alternating_pd
+
+def split(generators):
+    pd = real(generators)
+    other = list(pd.other)
+    a, b = other[0], other[3]
+    other[0], other[b], other[3], other[a] = b, 0, a, 3
+    return pd._replace(other=tuple(other))
+
+planar.alternating_pd = split
+sys.exit(cli.main(["check", "6"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_check_names_a_two_component_alternating_strip(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_SPLIT],
+                          capture_output=True, text=True, check=False, timeout=120)
+    assert proc.returncode == 1 and proc.stderr == "FAILED\n"
+    lines = proc.stdout.splitlines()
+    assert ("oracle circle counts and orientations: FAIL (MultiComponent: one component "
+            "at strip 0/ 0/ 0/: expected 1, got 2)") in lines
+    assert "billiard orientation patterns: 1350 checks" in lines
 
 
 # ------------------------------------------------------------ orientation
@@ -430,7 +464,7 @@ def oracle_row(word, pd):
     try:
         od = planar.orient(pd)
     except planar.MultiComponent as e:
-        return (word, "link", e.k)
+        return (word, "link", e.actual)
     return (word, "".join(planar.classify_orientations(od)),
             planar.trace_seifert_circles(od), planar.goeritz_determinant(pd))
 

@@ -64,6 +64,26 @@ def test_every_named_tuple_is_a_checked_record():
     assert defined == set(RECORDS)
 
 
+# a failed invariant means the program is wrong (exit 1), an input error
+# that the input is (exit 2)
+INVARIANT_ERRORS = {"InvariantError", "ParityError", "MultiComponent"}
+INPUT_ERRORS = {"WordSyntaxError", "NotReducedForm"}
+
+
+def test_every_exception_is_an_invariant_or_an_input_error():
+    defined = {}
+    for info in pkgutil.iter_modules(twobridge.__path__):
+        module = importlib.import_module(f"twobridge.{info.name}")
+        defined.update((name, obj) for name, obj in vars(module).items()
+                       if isinstance(obj, type) and issubclass(obj, BaseException)
+                       and obj.__module__ == module.__name__)
+    assert set(defined) == INVARIANT_ERRORS | INPUT_ERRORS
+    for name, cls in defined.items():
+        invariant = name in INVARIANT_ERRORS
+        assert issubclass(cls, words.InvariantError) is invariant, name
+        assert issubclass(cls, ValueError) is not invariant, name
+
+
 @pytest.mark.parametrize("record", RECORDS)
 def test_record_fields_equality_hash_and_immutability(record):
     build, fields = RECORDS[record]
@@ -75,9 +95,8 @@ def test_record_fields_equality_hash_and_immutability(record):
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(x, name, getattr(y, name))
-    if record != "CensusReport":  # its instance __dict__ caches the per-index counts
-        with pytest.raises(AttributeError):
-            x.extra = None
+    with pytest.raises(AttributeError):
+        x.extra = None
     assert x == y
 
 
