@@ -16,12 +16,14 @@ last run is 2 mod 3, and diagram.ENDS_VIABLE then counts the crossing
 still pending.  Each word is one path through the states that settles
 each flag once, so the sums give the totals exactly.
 
-A CensusReport stores the totals and derives the averages and the bound
-from them.  scan_census builds it from the scan, with no enumeration,
-so it serves any c; run_census builds it from every model word and also
-checks the scan and the per-index counts against what it enumerates.
-Both check the totals against the closed forms before returning, and
-every check raises InvariantError, also under python -O.
+A CensusReport, the one census record, stores the totals and derives
+the averages and the bound from them; scan_totals and closed_form_totals
+return one with knot_classes and analyses None.  scan_census checks the
+scan's, with no enumeration, so it serves any c; run_census builds it
+from every model word and also checks the scan and the per-index counts
+against what it enumerates.  Both check the totals against the closed
+forms before returning, and every check raises InvariantError, also
+under python -O.
 
 The totals in closed form, for every c >= 3, with s = (-1)^c:
 
@@ -61,7 +63,6 @@ computed by integer division.
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import diagram, rational
 from .words import InvariantError, enumerate_model_words
@@ -104,8 +105,7 @@ def star(c):
     """
     if c < 3:
         raise ValueError(f"need c >= 3, got {c}")
-    m = {1: c - 2, 0: c - 4, 2: c - 6}[c % 3]
-    return two_cos_pi_thirds(m)
+    return -(-1) ** c
 
 
 def model_count(c):
@@ -144,21 +144,13 @@ def knot_class_count(c):
                            f"c={c}")
 
 
-class CensusTotals(NamedTuple):
-    """Sums over all model words of one crossing number."""
-
-    count: int
-    vertical: int
-    viable: int
-    sequential: int
-
-
 def scan_totals(c):
     """The census totals of crossing number c: diagram.STEP summed over at
     most 7 live states, in O(c) big-integer steps.
 
-    >>> scan_totals(6)
-    CensusTotals(count=5, vertical=14, viable=9, sequential=4)
+    >>> scan_totals(6)  # doctest: +NORMALIZE_WHITESPACE
+    CensusReport(c=6, word_count=5, vertical_total=14, viable_total=9,
+                 sequential_total=4, knot_classes=None, analyses=None)
     """
     if c < 3:
         raise ValueError(f"need c >= 3, got {c}")
@@ -178,20 +170,21 @@ def scan_totals(c):
     accepted = [(n, vert, viab + n * diagram.ENDS_VIABLE[state], seq)
                 for state, (n, vert, viab, seq) in states.items()
                 if diagram.STATES[state][0] == 2]  # letter length 1 mod 3
-    return CensusTotals(*map(sum, zip(*accepted)))
+    return CensusReport(c, *map(sum, zip(*accepted)))
 
 
 def closed_form_totals(c):
     """The census totals of crossing number c by the closed forms proved in
     the module docstring: O(1) big-integer operations.
 
-    >>> closed_form_totals(6)
-    CensusTotals(count=5, vertical=14, viable=9, sequential=4)
+    >>> closed_form_totals(6) == scan_totals(6)
+    True
     """
     where = f"c={c}"
     count = model_count(c)  # raises ValueError below c = 3
     power, sign = 2 ** c, (-1) ** c
-    return CensusTotals(
+    return CensusReport(
+        c,
         count,
         _exact_quotient((3 * c - 7) * power + (12 * c - 20) * sign, 54, "vertical total", where),
         _exact_quotient((3 * c - 7) * power + (88 - 24 * c) * sign, 72, "viable total", where),
@@ -260,21 +253,19 @@ def closed_form_vertical_total(c):
     >>> closed_form_vertical_total(6), closed_form_vertical_total(7)
     (14, 32)
     """
-    return closed_form_totals(c).vertical
+    return closed_form_totals(c).vertical_total
 
 
 def lower_bound_avg_genus(c):
-    """Exact lower bound on the average genus over the c census, the paper's
-    (c-1)/2 - 3V / (2(2^(c-2) + star(c))) for the vertical total V: since
-    2^(c-2) + star(c) = 3 model_count(c), it is (c-1)/2 - V / (2 model_count(c)).
+    """Exact lower bound on the average genus over the c census: the
+    paper's bound, CensusReport.avg_genus_lower, on the closed-form totals.
 
     >>> lower_bound_avg_genus(6)
     Fraction(11, 10)
     >>> lower_bound_avg_genus(7)
     Fraction(17, 11)
     """
-    closed = closed_form_totals(c)
-    return Fraction(c - 1, 2) - Fraction(closed.vertical, 2 * closed.count)
+    return closed_form_totals(c).avg_genus_lower
 
 
 class CensusReport(namedtuple("CensusReport", "c word_count vertical_total viable_total "
@@ -309,8 +300,10 @@ class CensusReport(namedtuple("CensusReport", "c word_count vertical_total viabl
 
     @property
     def avg_genus_lower(self):
-        """lower_bound_avg_genus(c) once the totals equal their closed forms."""
-        return Fraction(1 + self.c, 2) - self.avg_s_upper / 2
+        """The paper's bound (c-1)/2 - 3V / (2(2^(c-2) + star(c))) for the
+        vertical total V: since 2^(c-2) + star(c) = 3 word_count, it is
+        (c-1)/2 - V / (2 word_count)."""
+        return Fraction(self.c - 1, 2) - Fraction(self.vertical_total, 2 * self.word_count)
 
     @property
     def closed_form_vertical_total(self):
@@ -350,8 +343,7 @@ class CensusReport(namedtuple("CensusReport", "c word_count vertical_total viabl
 def _check(rep):
     """Compare the totals with closed_form_totals, then check the genus bounds."""
     where = f"c={rep.c}"
-    totals = CensusTotals(rep.word_count, rep.vertical_total, rep.viable_total,
-                          rep.sequential_total)
+    totals = rep._replace(knot_classes=None, analyses=None)
     closed = closed_form_totals(rep.c)
     if totals != closed:
         raise InvariantError("closed-form totals", where, closed, totals)
@@ -369,7 +361,7 @@ def scan_census(c):
     >>> scan_census(7).avg_genus
     Fraction(20, 11)
     """
-    rep = CensusReport(c, *scan_totals(c))
+    rep = scan_totals(c)
     # each word's genus (c - 1 - viable) / 2 is whole, so their sum is too
     genus_total = rep.avg_genus * rep.word_count
     if genus_total.denominator != 1:
@@ -408,9 +400,9 @@ def run_census(c, per_word=False):
                 per_index[pos] += n
 
     where = f"c={c}"
-    totals = CensusTotals(count, vertical, viable, sequential)
-    rep = CensusReport(c, *totals, tuple(rational.group_rows(rows)),
-                       tuple(analyses) if per_word else None)
+    totals = CensusReport(c, count, vertical, viable, sequential)
+    rep = totals._replace(knot_classes=tuple(rational.group_rows(rows)),
+                          analyses=tuple(analyses) if per_word else None)
     # the averaged genus formula must agree with summing per-word genus
     if rep.avg_genus != Fraction(genus_total, count):
         raise InvariantError("average genus", where, Fraction(genus_total, count),

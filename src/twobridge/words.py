@@ -168,10 +168,6 @@ class RunWord(namedtuple("RunWord", "first_sign runs")):
     def length(self):
         return sum(self.runs)
 
-    @property
-    def doubles(self):
-        return sum(1 for e in self.runs if e == 2)
-
     def sign(self, i):
         """Sign of run i, 0-based."""
         return self.first_sign if i % 2 == 0 else _other(self.first_sign)

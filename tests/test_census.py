@@ -56,6 +56,10 @@ def test_star_values():
     assert all(v in (-1, 1) for v in got)
     with pytest.raises(ValueError):
         census.star(2)
+    # the residue form, 2cos(m pi/3) with m chosen by c mod 3
+    for c in range(3, 301):
+        reference = census.two_cos_pi_thirds({1: c - 2, 0: c - 4, 2: c - 6}[c % 3])
+        assert census.star(c) == reference, c
 
 
 def test_model_count_golden_and_vs_enumeration():
@@ -187,6 +191,14 @@ def test_lower_bound_golden():
 def test_lower_bound_exact_at_c100():
     assert census.lower_bound_avg_genus(100) == Fraction(
         3579939195088981180152726644757, 211275100038038233582783867562)
+
+
+def test_lower_bound_is_the_papers_formula_on_every_route():
+    for c in range(3, 301):
+        paper = Fraction(c - 1, 2) - Fraction(
+            3 * census.closed_form_vertical_total(c), 2 * (2 ** (c - 2) + census.star(c)))
+        assert census.lower_bound_avg_genus(c) == paper, c
+        assert census.scan_census(c).avg_genus_lower == paper, c
 
 
 def test_lower_bound_below_half_c_minus_one():
@@ -325,21 +337,24 @@ def test_scan_carries_at_most_7_live_states():
 def test_scan_equals_enumerated_totals():
     for c in range(3, 17):
         rep = census.run_census(c)
-        assert scanned(c) == (rep.word_count, rep.vertical_total, rep.viable_total,
-                              rep.sequential_total), c
+        assert scanned(c) == rep._replace(knot_classes=None, analyses=None), c
 
 
 def test_scan_count_and_vertical_match_closed_forms():
     for c in range(3, 301):
-        assert scanned(c).count == census.model_count(c), c
-        assert scanned(c).vertical == census.closed_form_vertical_total(c), c
+        assert scanned(c).word_count == census.model_count(c), c
+        assert scanned(c).vertical_total == census.closed_form_vertical_total(c), c
 
 
 def test_closed_form_totals_equal_scan_for_every_c():
     for first in (0, 1):  # consecutive values of one parity: c = 3, 5, ... and 4, 6, ...
         assert len(_CERTIFIED[first::2]) >= _RECURRENCE_ORDER_BOUND
     for c in _CERTIFIED:
-        assert census.closed_form_totals(c) == scanned(c), c
+        closed = census.closed_form_totals(c)
+        assert closed == scanned(c), c
+        for rep in (closed, scanned(c)):  # totals only: no classes, no analyses
+            assert type(rep) is census.CensusReport, c
+            assert rep.knot_classes is None and rep.analyses is None, c
 
 
 def _minimal_recurrence(seq):
@@ -376,8 +391,8 @@ def test_minimal_recurrence_recovers_known_sequences():
 def test_scanned_totals_satisfy_the_closed_form_recurrences():
     # in steps of 2: (x - 4)^2 (x - 1)^2 for the crossing totals, and
     # (x - 4)(x - 1) for the word count, whose (-1)^c term has no factor c
-    want = {"count": [1, -5, 4], "vertical": [1, -10, 33, -40, 16],
-            "viable": [1, -10, 33, -40, 16], "sequential": [1, -10, 33, -40, 16]}
+    want = {"word_count": [1, -5, 4], "vertical_total": [1, -10, 33, -40, 16],
+            "viable_total": [1, -10, 33, -40, 16], "sequential_total": [1, -10, 33, -40, 16]}
     for first in (0, 1):
         totals = [scanned(c) for c in _CERTIFIED[first::2]]
         for name, poly in want.items():
@@ -386,7 +401,7 @@ def test_scanned_totals_satisfy_the_closed_form_recurrences():
 
 
 def test_closed_form_totals_check_divisibility():
-    assert census.closed_form_totals(7) == census.CensusTotals(11, 32, 26, 14)
+    assert census.closed_form_totals(7) == census.CensusReport(7, 11, 32, 26, 14)
     with pytest.raises(ValueError, match="c >= 3"):
         census.closed_form_totals(2)
     with pytest.raises(words.InvariantError,

@@ -292,7 +292,7 @@ _PLANTED_SCAN = """
 import sys
 from twobridge import census, cli
 real = census.scan_totals
-census.scan_totals = lambda c: real(c)._replace(viable=real(c).viable + 1)
+census.scan_totals = lambda c: real(c)._replace(viable_total=real(c).viable_total + 1)
 sys.exit(cli.main(["census", "8"]))
 """
 
@@ -337,7 +337,7 @@ _PLANTED_CLOSED_FORM = """
 import sys
 from twobridge import census, cli
 real = census.closed_form_totals
-census.closed_form_totals = lambda c: real(c)._replace(viable=real(c).viable + 2)
+census.closed_form_totals = lambda c: real(c)._replace(viable_total=real(c).viable_total + 2)
 sys.exit(cli.main(["census", "40"]))
 """
 
@@ -349,7 +349,8 @@ def test_census_fails_on_planted_closed_form_fault(flags):
     assert proc.returncode == 1 and proc.stdout == ""
     closed = census.closed_form_totals(40)
     assert proc.stderr == (f"error: closed-form totals at c=40: expected "
-                           f"{closed._replace(viable=closed.viable + 2)}, got {closed}\n")
+                           f"{closed._replace(viable_total=closed.viable_total + 2)}, "
+                           f"got {closed}\n")
 
 
 # index_contribution counts one vertical crossing too many at index 5 only
@@ -438,7 +439,7 @@ def test_census_csv_output_pinned(capsys):
 def test_check_fails_on_planted_scan_fault(capsys, monkeypatch):
     real = census.scan_totals
     monkeypatch.setattr(census, "scan_totals",
-                        lambda c: real(c)._replace(viable=real(c).viable + 1))
+                        lambda c: real(c)._replace(viable_total=real(c).viable_total + 1))
     code, out, err = run(["check", "6"], capsys)
     assert code == 1 and err == "FAILED\n"
     failed = [line for line in out.splitlines() if "FAIL" in line]

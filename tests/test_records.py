@@ -47,8 +47,6 @@ RECORDS = {
     "PlanarDiagram": (lambda: planar.billiard_pd("+-+"), ("crossings", "other", "start")),
     "OrientedDiagram": (lambda: planar.orient(planar.alternating_pd(["s1"] * 3)),
                         ("pd", "state")),
-    "CensusTotals": (lambda: census.scan_totals(7),
-                     ("count", "vertical", "viable", "sequential")),
     "CanonicalClass": (lambda: rational.canonical_class(rational.KnotFraction(9, 7)),
                        ("p", "q_star")),
 }

@@ -229,7 +229,7 @@ def test_run_word_validation():
     with pytest.raises(words.NotReducedForm):
         words.RunWord("*", (1, 1, 1))
     r = words.RunWord("+", (1, 2, 1, 1, 1, 1))
-    assert r.c == 6 and r.length == 7 and r.doubles == 1
+    assert r.c == 6 and r.length == 7 and r.runs.count(2) == 1
     assert [r.sign(i) for i in range(6)] == ["+", "-", "+", "-", "+", "-"]
     assert r.is_model
 
@@ -288,7 +288,7 @@ def test_enumeration_order_c6():
 
 def test_enumeration_groups_by_doubles_then_position():
     for c in (7, 9, 10):
-        rows = [(r.doubles, tuple(i for i, e in enumerate(r.runs) if e == 2))
+        rows = [(r.runs.count(2), tuple(i for i, e in enumerate(r.runs) if e == 2))
                 for r in words.enumerate_model_words(c)]
         assert rows == sorted(rows)
 
