@@ -19,12 +19,12 @@ from . import census, crosscheck, diagram, rational, words
 
 @contextlib.contextmanager
 def _exact_output():
-    """Write exact values of any size: since Python 3.11 turning an int of
-    more than 4,300 digits into a string raises ValueError unless the
+    """Write exact values of any size: since Python 3.10.7 turning an int
+    of more than 4,300 digits into a string raises ValueError unless the
     limit is lifted.  It is lifted only while output is written, so every
     int() of user input keeps its guard, and restored afterwards."""
     set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:  # before 3.11 there is no limit
+    if set_limit is None:  # 3.10.0 to 3.10.6 have no limit
         yield
         return
     old = sys.get_int_max_str_digits()
@@ -156,14 +156,9 @@ def _parse_range(text):
 
 def cmd_bound(args):
     lo, hi = _parse_range(args.range)
-
-    def row_for(c):
-        if c <= args.exact_ceiling:  # one report holds both columns
-            rep = census.scan_census(c)
-            return c, rep.avg_genus_lower, rep.avg_genus
-        return c, census.lower_bound_avg_genus(c), None
-
-    rows = map(row_for, range(lo, hi + 1))
+    reports = map(census.closed_form_totals, range(lo, hi + 1))  # both columns, O(1) each
+    rows = ((r.c, r.avg_genus_lower, r.avg_genus if r.c <= args.exact_ceiling else None)
+            for r in reports)
     columns = ("c", "avg_genus_lower", "avg_genus")
     lines = (f"c={c}  avg genus lower bound: {rational.format_rational(b)}"
              + ("" if e is None else f"  avg genus: {rational.format_rational(e)}")

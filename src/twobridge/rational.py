@@ -23,6 +23,8 @@ from typing import NamedTuple
 
 from .words import InvariantError, RunWord
 
+DECIMAL_PLACES = 6  # every decimal_string has this many places
+
 # table names of the 2-bridge knots through 7 crossings, keyed by canonical
 # class (p, q*) as canonical_class returns it (q* minimized over p-q, q^-1 mod p)
 KNOT_NAMES = {
@@ -105,13 +107,11 @@ def knot_label(record):
     return record.name or f"{record.p}/{record.q_star}"
 
 
-def decimal_string(x, places=6):
+def decimal_string(x):
     """Fixed-point rendering of an exact rational, no floats involved."""
-    q = round(Fraction(x), places)
-    n = int(q * 10 ** places)
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    return f"{sign}{n // 10 ** places}.{n % 10 ** places:0{places}d}"
+    n = round(Fraction(x) * 10 ** DECIMAL_PLACES)  # a half rounds to even
+    whole, fraction = divmod(abs(n), 10 ** DECIMAL_PLACES)
+    return f"{'-' if n < 0 else ''}{whole}.{fraction:0{DECIMAL_PLACES}d}"
 
 
 def rational_json(x):

@@ -478,12 +478,30 @@ def test_bound_single_value_json(capsys):
                                    "decimal": "1.818182"}}]
 
 
-def test_bound_computes_each_index_contribution_once(capsys, index_calls):
-    # below the exact ceiling one scan_census report holds both columns, and
-    # neither reads the per-index counts, so none is computed
+def test_bound_reads_only_the_closed_forms(capsys, monkeypatch, index_calls):
+    # below the exact ceiling one closed-form report holds both columns: no
+    # row runs the scan, and neither column reads the per-index counts
+    scans = []
+    real = census.scan_totals
+    monkeypatch.setattr(census, "scan_totals", lambda c: scans.append(c) or real(c))
     code, out, _ = run(["bound", "3..16"], capsys)
     assert code == 0 and len(out.splitlines()) == 14
-    assert index_calls == []
+    assert scans == [] and index_calls == []
+
+
+def test_bound_exact_column_matches_the_scan(capsys):
+    # the scan is the check route of both printed columns
+    code, out, _ = run(["bound", "3..300", "--exact-ceiling", "300", "--format", "csv"],
+                       capsys)
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["c", "avg_genus_lower", "avg_genus"]
+    expected = []
+    for c in range(3, 301):
+        rep = census.scan_census(c)
+        expected.append([str(c), rational.csv_cell(rep.avg_genus_lower),
+                         rational.csv_cell(rep.avg_genus)])
+    assert rows == expected
 
 
 def test_bound_above_the_exact_ceiling_sums_no_index_contribution(capsys, index_calls):
@@ -529,7 +547,7 @@ sys.exit(code)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="Python before 3.11 has no int/str digit limit")
+                    reason="Python before 3.10.7 has no int/str digit limit")
 def test_bound_prints_values_above_the_digit_limit():
     proc = subprocess.run([sys.executable, "-c", _BIG_BOUND],
                           capture_output=True, text=True, check=False)

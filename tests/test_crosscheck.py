@@ -196,7 +196,8 @@ def test_failing_census_fails_both_census_checks(monkeypatch):
 
 
 def test_check_netto_counts():
-    assert crosscheck.check_netto(k_max=10) == 33
+    # k = 0..NETTO_K_MAX, three residues each: the count check 11 prints
+    assert crosscheck.check_netto() == 93
 
 
 def test_link_detection_requires_two_components():

@@ -166,7 +166,7 @@ def test_decimal_string():
     assert rational.decimal_string(Fraction(17, 11)) == "1.545455"
     assert rational.decimal_string(Fraction(1, 3)) == "0.333333"
     assert rational.decimal_string(Fraction(2)) == "2.000000"
-    assert rational.decimal_string(Fraction(1, 2), places=1) == "0.5"
+    assert rational.decimal_string(Fraction(-5, 2 * 10 ** 6)) == "-0.000002"  # half to even
 
 
 def test_rational_rendering():
