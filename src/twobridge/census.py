@@ -50,11 +50,13 @@ values of each parity, which proves the closed forms for every c.
 
 A knot class holds two model words, or one whose run vector is its own
 reversal (words.is_palindromic_type), so there are (model_count +
-palindromic_count) / 2 classes.  A palindromic run vector is fixed by
-its half: single end runs, h = (c - 2) // 2 interior pairs, and a free
-middle run when c is odd.  With d doubled pairs and x = 0 or 1 for the
-middle, its length c + 2d + x must be 1 mod 3, which fixes d mod 3, so
-each choice of x contributes one Netto sum N(h, r).
+palindromic_count) / 2 classes.  A palindromic vector is fixed by its
+h = (c - 2) // 2 first interior runs, of sum S, and its middle run m
+when c is odd, and has letter length 2 + 2S (+ m).  Toggling those h
+runs (e -> 3 - e) makes their sum 3h - S = 2S (mod 3), so (1, toggled
+half, [m], 1) has the same length mod 3: it is a model word of
+(c + 1) // 2 + 1 runs, and toggling is its own inverse.  That
+model_count is the half-length term of the Ernst-Sumners count.
 
 Averages are exact fractions; nothing in this module (or the package)
 touches floating point, including the decimal renderings, which are
@@ -119,18 +121,14 @@ def model_count(c):
 
 def palindromic_count(c):
     """Number of model words with c runs whose run vector is its own
-    reversal: the sum of N(h, r) over the middle choices x, where h =
-    (c - 2) // 2 and c + 2r + x = 1 (mod 3).
+    reversal: model_count((c + 1) // 2 + 1), by the module's toggle bijection.
 
     >>> [palindromic_count(c) for c in range(3, 11)]
     [1, 1, 1, 1, 3, 3, 5, 5]
     """
     if c < 3:
         raise ValueError(f"need c >= 3, got {c}")
-    h = (c - 2) // 2
-    # 2 is its own inverse mod 3, so c + 2r + x = 1 gives r = 2(1 - c - x)
-    return sum(netto_partial_sum(h, 2 * (1 - c - x) % 3)
-               for x in ((0, 1) if c % 2 else (0,)))
+    return model_count((c + 1) // 2 + 1)
 
 
 def knot_class_count(c):

@@ -15,9 +15,10 @@ import random
 from math import comb
 
 from . import census, diagram, planar
-from .words import ENUMERATION_CEILING, InvariantError, draw_letters, enumerate_model_words
+from .words import InvariantError, draw_letters, enumerate_model_words
 
 NETTO_K_MAX = 30  # check_netto compares every k <= NETTO_K_MAX, each residue r
+CHECK_CEILING = 20  # run_all's time and memory double per step of c_max (README)
 
 
 def expected_pattern(n):
@@ -163,9 +164,8 @@ def run_all(c_max):
     (name, assertion count or None, error text or None)."""
     if c_max < 3:
         raise ValueError(f"need c_max >= 3, got {c_max}")
-    if c_max > ENUMERATION_CEILING:
-        raise ValueError(f"c_max={c_max} is above the enumeration ceiling "
-                         f"{ENUMERATION_CEILING}")
+    if c_max > CHECK_CEILING:
+        raise ValueError(f"c_max={c_max} is above the check ceiling {CHECK_CEILING}")
     # each census runs once and both census checks read its class count, not
     # its report; a census that raises is not kept, so it raises again in the
     # second check as well

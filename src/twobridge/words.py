@@ -150,6 +150,7 @@ class RunWord(namedtuple("RunWord", "first_sign runs")):
     __slots__ = ()
 
     def __new__(cls, first_sign, runs):
+        runs = tuple(runs)
         if first_sign not in _ALPHABET:
             raise NotReducedForm(f"first sign must be + or -: {first_sign!r}")
         if not runs:
@@ -227,9 +228,9 @@ def is_palindromic_type(r):
 
 # The largest crossing number whose model words are ever listed one by
 # one: model_count(26) = 5,592,405 words, and each step up doubles that.
-# enumeration_tasks (so enumerate_model_words and run_census) and
-# crosscheck.run_all refuse a larger c with ValueError, which the CLI
-# reports as a usage error; census.scan_census needs no word list.
+# enumeration_tasks (so enumerate_model_words and run_census) refuses a
+# larger c with ValueError, which the CLI reports as a usage error.
+# crosscheck.run_all stops lower, at CHECK_CEILING; scan_census needs no list.
 ENUMERATION_CEILING = 26
 
 
@@ -276,14 +277,14 @@ def expand_task(c, d, first):
     """Yield the model words of one enumeration unit from enumeration_tasks."""
     base = [1] * c
     if d == 0:
-        yield RunWord(PLUS, tuple(base))
+        yield RunWord(PLUS, base)
         return
     for rest in itertools.combinations(range(first + 1, c - 1), d - 1):
         runs = base.copy()
         runs[first] = 2
         for j in rest:
             runs[j] = 2
-        yield RunWord(PLUS, tuple(runs))
+        yield RunWord(PLUS, runs)
 
 
 class Normalized(NamedTuple):

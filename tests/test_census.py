@@ -415,9 +415,15 @@ def test_scan_census_equals_run_census_without_word_lists():
         assert census.scan_census(c) == enumerated._replace(knot_classes=None)
 
 
-def test_palindromic_count_follows_half_length_model_count():
-    for c in range(3, 301):
-        assert census.palindromic_count(c) == census.model_count((c + 1) // 2 + 1), c
+def test_toggled_half_maps_palindromes_onto_half_length_model_words():
+    # palindromic_count's bijection: keep the end runs and, when c is odd,
+    # the middle run; toggle the h = (c - 2) // 2 interior runs before it
+    for c in range(3, 19):
+        h = (c - 2) // 2
+        images = [(1,) + tuple(3 - e for e in r.runs[1:h + 1]) + r.runs[h + 1:c - h - 1] + (1,)
+                  for r in words.enumerate_model_words(c) if words.is_palindromic_type(r)]
+        half = [r.runs for r in words.enumerate_model_words((c + 1) // 2 + 1)]
+        assert len(set(images)) == len(images) and sorted(images) == sorted(half), c
 
 
 def test_knot_class_count_golden():

@@ -16,7 +16,7 @@ import pytest
 
 import golden
 import table_faults
-from twobridge import census, cli, diagram, rational, words
+from twobridge import census, cli, crosscheck, diagram, rational, words
 
 
 def run(argv, capsys):
@@ -270,15 +270,29 @@ _ABOVE_CEILING = str(words.ENUMERATION_CEILING + 1)
     ["classes", _ABOVE_CEILING],
     ["enumerate", _ABOVE_CEILING],
     ["enumerate", _ABOVE_CEILING, "--format", "csv"],
-    ["check", _ABOVE_CEILING],
     ["enumerate", _ABOVE_CEILING, "--format", "json"],
-], ids=["per-word", "json", "classes", "enumerate", "enumerate-csv", "check",
-        "enumerate-json"])
+], ids=["per-word", "json", "classes", "enumerate", "enumerate-csv", "enumerate-json"])
 def test_enumerating_paths_refuse_above_ceiling(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"above the enumeration ceiling {words.ENUMERATION_CEILING}" in err
+
+
+def test_check_refuses_above_its_ceiling_before_any_work(monkeypatch, capsys):
+    def no_work(*args):
+        raise RuntimeError("no census or enumeration")
+
+    for module in (census, crosscheck, words):
+        monkeypatch.setattr(module, "enumerate_model_words", no_work)
+    monkeypatch.setattr(census, "run_census", no_work)
+    code, out, err = run(["check", str(crosscheck.CHECK_CEILING + 1)], capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error: c_max={crosscheck.CHECK_CEILING + 1} is above the check "
+                   f"ceiling {crosscheck.CHECK_CEILING}\n")
+    # the ceiling itself is accepted: the checks start, and fail on the stubs
+    code, out, err = run(["check", str(crosscheck.CHECK_CEILING)], capsys)
+    assert code == 1 and "RuntimeError: no census or enumeration" in out
 
 
 def test_enumeration_ceiling_is_inclusive():

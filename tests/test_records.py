@@ -98,6 +98,13 @@ def test_record_fields_equality_hash_and_immutability(record):
     assert x == y
 
 
+def test_run_word_stores_a_list_of_runs_as_a_tuple():
+    listed = words.RunWord("+", [1, 2, 1, 1, 1, 1])
+    assert listed == _word() and hash(listed) == hash(_word())
+    assert rational.csv_cell(listed) == rational.csv_cell(listed.runs) == "1 2 1 1 1 1"
+    assert diagram.analyze(listed).csv_row() == diagram.analyze(_word()).csv_row()
+
+
 @pytest.mark.parametrize("build, error, message", [
     (lambda: words.RunWord("+", (1, 3, 1)), words.NotReducedForm,
      "run lengths must be 1 or 2: (1, 3, 1)"),
