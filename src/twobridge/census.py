@@ -368,19 +368,21 @@ def scan_census(c):
     return rep
 
 
-def run_census(c, per_word=False):
-    """Enumerate, analyze and aggregate all model words of crossing number
-    c, checking the scan, the closed forms, the per-index counts and the
-    knot class count against the enumerated values along the way.
+def run_census(c, per_word=False, analyses=None):
+    """Aggregate the analyses of all model words of crossing number c
+    (analyze over enumerate_model_words(c) unless given, in that order),
+    checking the scan, the closed forms, the per-index counts and the
+    knot class count against the aggregated values along the way.
     """
     if c < 3:
         raise ValueError(f"need c >= 3, got {c}")
     count = vertical = viable = sequential = genus_total = 0
     smoothing_counts = Counter()  # few distinct strings: 377 among 2,731 words at c=15
     rows = []
-    analyses = []
-    for r in enumerate_model_words(c):
-        a = diagram.analyze(r)
+    kept = []
+    if analyses is None:
+        analyses = map(diagram.analyze, enumerate_model_words(c))
+    for a in analyses:
         count += 1
         vertical += a.vertical
         viable += a.viable
@@ -389,7 +391,7 @@ def run_census(c, per_word=False):
         smoothing_counts[a.smoothings] += 1
         rows.append(a.knot_row)
         if per_word:
-            analyses.append(a)
+            kept.append(a)
 
     per_index = [0] * c
     for smoothings, n in smoothing_counts.items():
@@ -400,7 +402,7 @@ def run_census(c, per_word=False):
     where = f"c={c}"
     totals = CensusReport(c, count, vertical, viable, sequential)
     rep = totals._replace(knot_classes=tuple(rational.group_rows(rows)),
-                          analyses=tuple(analyses) if per_word else None)
+                          analyses=tuple(kept) if per_word else None)
     # the averaged genus formula must agree with summing per-word genus
     if rep.avg_genus != Fraction(genus_total, count):
         raise InvariantError("average genus", where, Fraction(genus_total, count),

@@ -44,7 +44,8 @@ def check_netto():
 
 
 def check_census_closed_forms(c_max, class_count):
-    # class_count(c) runs run_census(c), which checks, in order: genus identity,
+    # class_count(c) reads the class count of run_census(c), run once per c on
+    # the analyses the oracle pass makes; it checks, in order: genus identity,
     # enumerated totals = scan_totals (diagram.STEP walked per word against its
     # sum over states: the aggregation, not the rule), = closed_form_totals and
     # bound ordering, per-index counts = index_contribution, index symmetry, and
@@ -86,33 +87,53 @@ def check_determinants(a, pd):
     return 1
 
 
-def _diagram_checks(c_max):
-    """check_oracle_agreement on every model word with c <= c_max and
-    check_determinants on those with c <= 12, in one pass: each word's
-    analysis and planar diagram, drawn from its generator list alone, are
-    built once and read by both checks.  A build that raises fails every
-    live check; a check stops at its first failure and the other goes
-    on.  Returns [assertion count, exception or None] per check."""
+def _one_pass(c_max):
+    """Analyze each model word with c <= c_max once, for the oracle check,
+    the determinant check (c <= 12, both on a diagram drawn from the
+    generator list alone) and run_census(c).  A check stops at its first
+    failure; a failed diagram build fails the live diagram checks, a
+    failed enumeration or analysis those and the census.  Returns
+    [count, exception or None] per c's class count and per diagram check."""
     checks = ((check_oracle_agreement, c_max), (check_determinants, 12))
     out = [[0, None] for _ in checks]
+
+    def analyses(c):
+        mine = [(check, o) for (check, top), o in zip(checks, out) if c <= top]
+        try:
+            for r in enumerate_model_words(c):
+                a = diagram.analyze(r)
+                live = [(check, o) for check, o in mine if o[1] is None]
+                if live:
+                    try:
+                        pd = planar.alternating_pd(diagram.generators(r))
+                    except Exception as e:
+                        for _, o in live:
+                            o[1] = e
+                        live = []
+                for check, o in live:
+                    try:
+                        o[0] += check(a, pd)
+                    except Exception as e:
+                        o[1] = e
+                yield a
+        except Exception as e:
+            for _, o in mine:
+                if o[1] is None:
+                    o[1] = e
+            raise
+
+    classes = {}
     for c in range(3, c_max + 1):
-        for r in enumerate_model_words(c):
-            live = [(check, o) for (check, top), o in zip(checks, out)
-                    if c <= top and o[1] is None]
-            if not live:
-                break
-            try:
-                built = diagram.analyze(r), planar.alternating_pd(diagram.generators(r))
-            except Exception as e:
-                for _, o in live:
-                    o[1] = e
-                continue
-            for check, o in live:
-                try:
-                    o[0] += check(*built)
-                except Exception as e:
-                    o[1] = e
-    return out
+        stream = analyses(c)
+        try:
+            try:  # keep the class count, not the report
+                classes[c] = [len(census.run_census(c, False, stream).knot_classes), None]
+            finally:
+                for _ in stream:  # the words a failed census left unread
+                    pass
+        except Exception as e:  # a failed stream fails the census too
+            classes[c] = [None, e]
+    return classes, out
 
 
 def _result(count, error):
@@ -131,7 +152,7 @@ def check_orientation_patterns(max_len=40, per_length=50, seed=2026):
         letters = draw_letters(rng, n * per_length)  # as per_length draws of n
         for i in range(0, n * per_length, n):
             w = letters[i:i + n]
-            od = planar.orient(planar.billiard_pd(w))
+            od = planar.billiard_orient(w)
             got = planar.classify_orientations(od)
             if got != expected:
                 raise InvariantError("billiard orientation pattern", f"word {w}",
@@ -166,16 +187,18 @@ def run_all(c_max):
         raise ValueError(f"need c_max >= 3, got {c_max}")
     if c_max > CHECK_CEILING:
         raise ValueError(f"c_max={c_max} is above the check ceiling {CHECK_CEILING}")
-    # each census runs once and both census checks read its class count, not
-    # its report; a census that raises is not kept, so it raises again in the
-    # second check as well
-    class_count = functools.cache(lambda c: len(census.run_census(c).knot_classes))
-    diagram_checks = functools.cache(lambda: _diagram_checks(c_max))
+    # one pass records each census's class count and each diagram check's
+    # count, or their exceptions; the checks below only read those records
+    records = functools.cache(lambda: _one_pass(c_max))
+
+    def class_count(c):
+        return _result(*records()[0][c])
+
     checks = [
         ("netto identities", check_netto),
         ("census closed forms", lambda: check_census_closed_forms(c_max, class_count)),
-        ("oracle circle counts and orientations", lambda: _result(*diagram_checks()[0])),
-        ("determinant equality", lambda: _result(*diagram_checks()[1])),
+        ("oracle circle counts and orientations", lambda: _result(*records()[1][0])),
+        ("determinant equality", lambda: _result(*records()[1][1])),
         ("billiard orientation patterns", check_orientation_patterns),
         ("knot class multiplicities", lambda: check_multiplicities(c_max, class_count)),
         ("link detection", check_link_detection),

@@ -730,6 +730,19 @@ def test_check_small_battery(capsys):
         assert any(name in line for line in out.splitlines())
 
 
+# the whole check 11 report, pinned by its digest; python -O must print
+# the same counts, so no check hides behind an assert
+CHECK_11_SHA256 = "f73b67c3a67c380b4e3586620d0a402b4a90e5638e646fb115fca7db9ea7e949"
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_check_11_stdout_is_pinned(flags):
+    proc = subprocess.run([sys.executable, *flags, "-m", "twobridge.cli", "check", "11"],
+                          capture_output=True, check=False, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == CHECK_11_SHA256
+
+
 # diagram.analyze reports s + 1, then the check battery runs; python -O
 # must not switch the oracle check off
 _PLANTED_CHECK = """

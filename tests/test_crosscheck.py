@@ -68,6 +68,27 @@ def test_run_all_runs_each_census_once(monkeypatch):
     assert sorted(calls) == list(range(3, 9))
 
 
+def test_run_all_analyzes_each_word_once(monkeypatch):
+    # the census aggregates the analyses the oracle pass makes
+    analyzed, censuses = [], []
+    real_analyze, real_census = diagram.analyze, census.run_census
+
+    def counting_analyze(r):
+        analyzed.append(r)
+        return real_analyze(r)
+
+    def counting_census(c, *args, **kwargs):
+        censuses.append(c)
+        return real_census(c, *args, **kwargs)
+
+    monkeypatch.setattr(diagram, "analyze", counting_analyze)
+    monkeypatch.setattr(census, "run_census", counting_census)
+    _, ok = crosscheck.run_all(11)
+    assert ok
+    assert len(analyzed) == 341  # the model words with 3 <= c <= 11
+    assert censuses == list(range(3, 12))
+
+
 def live_reports():
     """Census reports alive now: a report is a tuple, which no weak reference
     can point to, so count them among the objects the collector tracks."""
@@ -193,6 +214,82 @@ def test_failing_census_fails_both_census_checks(monkeypatch):
         assert byname[name] == (None, "AssertionError: planted census failure")
     failed = [name for name, (_, error) in byname.items() if error is not None]
     assert failed == ["census closed forms", "knot class multiplicities"]
+
+
+def test_census_failing_unread_leaves_the_oracle_whole(monkeypatch):
+    # a census that raises before it reads its analyses fails both census
+    # checks; every word of its c is still oracle-checked
+    checked = []
+    real_census, real_oracle = census.run_census, crosscheck.check_oracle_agreement
+
+    def faulty(c, *args):
+        if c == 5:
+            raise AssertionError("planted census failure")
+        return real_census(c, *args)
+
+    def counting(a, pd):
+        checked.append(len(a.smoothings))
+        return real_oracle(a, pd)
+
+    monkeypatch.setattr(census, "run_census", faulty)
+    monkeypatch.setattr(crosscheck, "check_oracle_agreement", counting)
+    results, ok = crosscheck.run_all(8)
+    assert not ok
+    byname = {name: (count, error) for name, count, error in results}
+    assert byname["oracle circle counts and orientations"] == (3 * 42, None)
+    assert byname["determinant equality"] == (42, None)
+    assert [checked.count(c) for c in range(3, 9)] == [1, 1, 3, 5, 11, 21]
+    failed = [name for name, (_, error) in byname.items() if error is not None]
+    assert failed == ["census closed forms", "knot class multiplicities"]
+
+
+_STREAM_CHECKS = ["census closed forms", "oracle circle counts and orientations",
+                  "determinant equality", "knot class multiplicities"]
+
+
+@pytest.mark.parametrize("census_reads", [True, False], ids=["census-reads", "census-unread"])
+@pytest.mark.parametrize("where", ["enumeration", "analysis"])
+@pytest.mark.parametrize("at", [0, 2], ids=["first-word", "third-word"])
+def test_failing_word_stream_fails_every_check_that_reads_it(monkeypatch, where, at,
+                                                             census_reads):
+    # an enumeration or analysis that raises at word `at` of c = 5 fails
+    # both diagram checks and both census checks with its own error, also
+    # when the census raised first without reading: no short count passes
+    real_enumerate, real_analyze = crosscheck.enumerate_model_words, diagram.analyze
+    real_census = census.run_census
+    seen = []
+
+    def enumerate_words(c):
+        for i, r in enumerate(real_enumerate(c)):
+            if c == 5 and i == at:
+                raise AssertionError("planted stream failure")
+            yield r
+
+    def analyze(r):
+        a = real_analyze(r)
+        if len(a.smoothings) == 5:
+            seen.append(a)
+            if len(seen) > at:
+                raise AssertionError("planted stream failure")
+        return a
+
+    def unread(c, *args):
+        if c == 5:
+            raise AssertionError("planted census failure")
+        return real_census(c, *args)
+
+    if where == "analysis":
+        monkeypatch.setattr(diagram, "analyze", analyze)
+    else:
+        monkeypatch.setattr(crosscheck, "enumerate_model_words", enumerate_words)
+    if not census_reads:
+        monkeypatch.setattr(census, "run_census", unread)
+    results, ok = crosscheck.run_all(8)
+    assert not ok
+    byname = {name: (count, error) for name, count, error in results}
+    assert [name for name, (_, error) in byname.items() if error is not None] == _STREAM_CHECKS
+    for name in _STREAM_CHECKS:
+        assert byname[name] == (None, "AssertionError: planted stream failure")
 
 
 def test_check_netto_counts():

@@ -181,6 +181,7 @@ def strip_builds(monkeypatch):
 def clear_billiard_caches():
     planar._billiard_strip.cache_clear()
     planar._billiard_layout.cache_clear()
+    planar._billiard_orientation.cache_clear()
 
 
 def test_billiard_pd_builds_each_length_once(strip_builds):
@@ -230,6 +231,62 @@ def test_billiard_layout_cache_holds_64_lengths():
     info = planar._billiard_layout.cache_info()
     assert info.maxsize == info.currsize == 64
     assert info.misses == 67  # the knot lengths up to 100
+
+
+def test_billiard_orient_equals_orient_of_a_fresh_strip():
+    clear_billiard_caches()
+    for n in range(1, 11):
+        if n % 3 == 2:
+            continue
+        for t in itertools.product("+-", repeat=n):
+            w = "".join(t)
+            od = planar.billiard_orient(w)
+            fresh = planar._build_strip(planar.billiard_pd(w).crossings)
+            assert od.pd == planar.billiard_pd(w)
+            assert od.state == planar.orient(fresh).state, w
+
+
+def test_billiard_orientation_cache_holds_64_lengths():
+    clear_billiard_caches()
+    for n in range(1, 101):
+        if n % 3 != 2:
+            planar.billiard_orient("-+" * (n // 2) + "+" * (n % 2))
+    info = planar._billiard_orientation.cache_info()
+    assert info.maxsize == info.currsize == 64
+    assert info.misses == 67  # the knot lengths up to 100
+
+
+def test_billiard_orient_names_the_drawn_words_strip(monkeypatch):
+    # the shared orientation is traced on the all-+ strip; a failure there
+    # is raised again on the word's own diagram, and nothing is cached
+    def closes_early(pd, p, state):
+        raise words.InvariantError("strand traversal closes up",
+                                   planar._where(pd.crossings), "planted", "fault")
+
+    clear_billiard_caches()
+    monkeypatch.setattr(planar, "_trace", closes_early)
+    with pytest.raises(words.InvariantError, match=r"at strip 0\\ 1/ 0\\:"):
+        planar.billiard_orient("-+-")
+    assert planar._billiard_orientation.cache_info().currsize == 0
+
+
+def test_orientation_patterns_orient_each_length_once(monkeypatch):
+    # 1,350 drawn words, each built and compared, hold 27 wirings: the
+    # lengths 1..40 that are not 2 mod 3
+    oriented = []
+    real = planar.orient
+
+    def counting(pd):
+        oriented.append(pd.n)
+        return real(pd)
+
+    clear_billiard_caches()
+    monkeypatch.setattr(planar, "orient", counting)
+    try:
+        assert crosscheck.check_orientation_patterns() == 1350
+    finally:
+        clear_billiard_caches()
+    assert oriented == [n for n in range(1, 41) if n % 3 != 2]
 
 
 def test_billiard_determinant_checks_its_word(strip_builds):
