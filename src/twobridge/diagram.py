@@ -34,7 +34,8 @@ right sets its flags.  The planar oracle draws the diagram from
 generators(r) alone and traces its smoothings and Seifert circles.
 """
 
-from itertools import accumulate, product
+from itertools import accumulate, cycle, product
+from operator import getitem
 from typing import NamedTuple
 
 from . import rational
@@ -76,7 +77,7 @@ def _braid_word(first, exponents):
 
 def generators(r):
     """The braid generator of each crossing of a model word, left to right."""
-    return [GENERATOR[i & 1][e] for i, e in enumerate(r.runs)]
+    return list(map(getitem, cycle(GENERATOR), r.runs))
 
 
 def _step(state, e, g):

@@ -23,6 +23,7 @@ import itertools
 import random
 import warnings
 from collections import namedtuple
+from operator import getitem
 from typing import NamedTuple
 
 PLUS = "+"
@@ -102,9 +103,13 @@ def reduce(word):
     Internal moves alone are free reduction in <+, - | +^3, -^3>, which
     is confluent, so one stack pass over the letters, keeping runs of
     length 1 or 2, reaches the triple-free word the strategy reaches
-    first.  Deleting a prefix or suffix creates no triple, so only start
-    and end moves remain; they are peeled in the strategy's order, start
-    first, re-checked after every peel.
+    first.  The stack holds letters, and two locals hold its top run's
+    letter and length: a letter that starts a run or doubles one is one
+    append, and a letter that would make a triple deletes the run's two
+    letters and re-reads the new top run from the stack.  Deleting a
+    prefix or suffix creates no triple, so only start and end moves
+    remain; they are peeled in the strategy's order, start first,
+    re-checked after every peel.
 
     >>> reduce("+++")
     ''
@@ -115,15 +120,21 @@ def reduce(word):
     >>> reduce("++--")
     '-'
     """
-    runs = []
+    stack = ["", ""]  # two empty letters at the bottom: the top run always exists
+    push = stack.append
+    top, n = "", 0
     for ch in word:
-        if not runs or runs[-1][0] != ch:
-            runs.append(ch)
-        elif len(runs[-1]) == 1:
-            runs[-1] = ch + ch
+        if ch != top:
+            push(ch)
+            top, n = ch, 1
+        elif n == 1:
+            push(ch)
+            n = 2
         else:
-            runs.pop()
-    w = "".join(runs)
+            del stack[-2:]
+            top = stack[-1]
+            n = 2 if stack[-2] == top else 1
+    w = "".join(stack)
     i, j = 0, len(w)
     while j - i >= 3:
         if w[i:i + 3] in _START:
@@ -182,15 +193,27 @@ class RunWord(namedtuple("RunWord", "first_sign runs")):
 
 
 def to_runs(word):
-    """Run-length encode a reduced word.
+    """Run-length encode a reduced word: a space at each sign change, then
+    str.split, gives its maximal runs.
 
     >>> to_runs("+--+-+-")
     RunWord(first_sign='+', runs=(1, 2, 1, 1, 1, 1))
     """
     if not word:
         raise NotReducedForm("empty word has no run form")
-    runs = tuple(len(list(g)) for _, g in itertools.groupby(word))
-    return RunWord(word[0], runs)
+    rest = word.lstrip("+-")
+    if rest:  # a space would split a run, any other letter join one
+        raise NotReducedForm(f"letter {rest[0]!r} at position "
+                             f"{len(word) - len(rest)} is not + or -")
+    runs = word.replace("+-", "+ -").replace("-+", "- +").split()
+    return RunWord(word[0], map(len, runs))
+
+
+# the letters of run i of length e (index 0 unused), per first sign:
+# _LETTERS[first_sign][i & 1][e]
+_LETTERS = {s: ((None, s, s + s), (None, o, o + o)) for s, o in ((PLUS, MINUS), (MINUS, PLUS))}
+# swaps the bytes 1 and 2: run lengths as bytes, translated, toggle
+_TOGGLED = bytes.maketrans(b"\1\2", b"\2\1")
 
 
 def from_runs(r):
@@ -199,8 +222,7 @@ def from_runs(r):
     >>> from_runs(RunWord("+", (1, 2, 1)))
     '+--+'
     """
-    signs = (r.first_sign, _other(r.first_sign))
-    return "".join([signs[i & 1] * n for i, n in enumerate(r.runs)])
+    return "".join(map(getitem, itertools.cycle(_LETTERS[r.first_sign]), r.runs))
 
 
 def toggle_interior(r):
@@ -211,8 +233,7 @@ def toggle_interior(r):
     """
     if r.c < 2:
         return r
-    interior = tuple(3 - e for e in r.runs[1:-1])
-    return RunWord(r.first_sign, (1,) + interior + (1,))
+    return RunWord(r.first_sign, (1, *bytes(r.runs[1:-1]).translate(_TOGGLED), 1))
 
 
 def is_palindromic_type(r):

@@ -67,6 +67,12 @@ def test_alternating_words_golden(word, runs, alt):
     assert braid_word(d) == alt
 
 
+def test_generators_match_comprehension_form():
+    for r in model_words(3, 14):
+        assert diagram.generators(r) == [
+            diagram.GENERATOR[i & 1][e] for i, e in enumerate(r.runs)]
+
+
 def test_end_generators_track_crossing_parity():
     # run 1 is a single +, run c is a single whose sign alternates with c
     for r in model_words(3, 10):

@@ -146,6 +146,9 @@ def test_reduce_is_linear_on_long_words():
     # each of the second word's 100,000 start and end moves: minutes each.
     assert words.reduce("+-" * 50_000 + "+++" * 50_000) == "+-" * 50_000
     assert words.reduce("++-" * 50_000 + "+--+" + "+--" * 50_000) == "+--+"
+    # each "--++" cancels against the "+-" that the one before it exposed:
+    # the stack's pop path, 100,000 times
+    assert words.reduce("+-" * 50_000 + "--++" * 50_000) == ""
 
 
 def _any_move_results(w):
@@ -199,13 +202,33 @@ def test_reduce_properties(w):
     assert not _any_move_results(r)
 
 
+def _runs_by_groupby(w):
+    # the run-length definition to_runs splits by str methods
+    return tuple(len(list(g)) for _, g in itertools.groupby(w))
+
+
 def test_reduced_long_words_have_run_form():
-    for w in all_words(11):
-        if len(w) >= 3 and not _any_move_results(w):
-            r = words.to_runs(w)
-            assert all(e in (1, 2) for e in r.runs)
-            assert r.runs[0] == 1 and r.runs[-1] == 1
-            assert words.from_runs(r) == w
+    short = [w for w in all_words(11) if len(w) >= 3 and not _any_move_results(w)]
+    # the reduced forms of the benchmark's 960 sampled 3,001-letter words
+    sampled = [words.reduce(w) for s in range(64) for w in words.sample(3001, 15, s)]
+    assert len(sampled) == 960 and all(sampled)
+    for w in short + sampled:
+        r = words.to_runs(w)
+        assert all(e in (1, 2) for e in r.runs)
+        assert r.runs[0] == 1 and r.runs[-1] == 1
+        assert r == (w[0], _runs_by_groupby(w))
+        assert words.from_runs(r) == w
+
+
+def test_run_passes_match_comprehension_forms():
+    for c in range(3, 15):
+        for r in words.enumerate_model_words(c):
+            for m in (r, words.RunWord(words.MINUS, r.runs)):
+                signs = (m.first_sign, words.mirror(m.first_sign))
+                assert words.from_runs(m) == "".join(
+                    [signs[i & 1] * n for i, n in enumerate(m.runs)])
+                assert words.toggle_interior(m) == (
+                    m.first_sign, (1,) + tuple(3 - e for e in m.runs[1:-1]) + (1,))
 
 
 # --------------------------------------------------------------- run form
@@ -219,6 +242,13 @@ def test_to_runs_golden():
         words.to_runs("+++-")  # run of length 3
     with pytest.raises(words.NotReducedForm):
         words.to_runs("++-")  # first run not a single letter
+    # letters outside {+, -}: a space would split a run, others join one
+    with pytest.raises(words.NotReducedForm, match="letter 'x' at position 1 is not"):
+        words.to_runs("+x-")
+    with pytest.raises(words.NotReducedForm, match="letter ' ' at position 1 is not"):
+        words.to_runs("+ -")
+    with pytest.raises(words.NotReducedForm, match="letter '\\*' at position 3 is not"):
+        words.to_runs("+--*+-")
 
 
 def test_run_word_validation():
