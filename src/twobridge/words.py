@@ -30,6 +30,9 @@ PLUS = "+"
 MINUS = "-"
 _ALPHABET = {PLUS, MINUS}
 _MIRROR = str.maketrans("+-", "-+")
+# _LETTERS[first_sign][i & 1][e]: the letters of run i of length e (index 0 unused)
+_LETTERS = {s: ((None, s, s + s), (None, o, o + o)) for s, o in ((PLUS, MINUS), (MINUS, PLUS))}
+_TOGGLED = bytes.maketrans(b"\1\2", b"\2\1")  # run lengths 1 <-> 2, as bytes
 
 # classification kinds returned by normalize_to_model
 MODEL = "model"
@@ -101,15 +104,12 @@ def reduce(word):
     up to mirror image for every word of length <= 12.
 
     Internal moves alone are free reduction in <+, - | +^3, -^3>, which
-    is confluent, so one stack pass over the letters, keeping runs of
-    length 1 or 2, reaches the triple-free word the strategy reaches
-    first.  The stack holds letters, and two locals hold its top run's
-    letter and length: a letter that starts a run or doubles one is one
-    append, and a letter that would make a triple deletes the run's two
-    letters and re-reads the new top run from the stack.  Deleting a
-    prefix or suffix creates no triple, so only start and end moves
-    remain; they are peeled in the strategy's order, start first,
-    re-checked after every peel.
+    is confluent, so one pass over a stack of letters, with the top run's
+    letter and length in two locals, reaches the triple-free word the
+    strategy reaches first: a third equal letter deletes its run and
+    re-reads the new top run.  Deleting a prefix or suffix creates no
+    triple, so only start and end moves remain; they are peeled in the
+    strategy's order, start first, re-checked after every peel.
 
     >>> reduce("+++")
     ''
@@ -146,10 +146,6 @@ def reduce(word):
     return w[i:j]
 
 
-def _other(sign):
-    return MINUS if sign == PLUS else PLUS
-
-
 class RunWord(namedtuple("RunWord", "first_sign runs")):
     """Run-length form of a reduced word: first run's sign plus run lengths.
 
@@ -182,7 +178,7 @@ class RunWord(namedtuple("RunWord", "first_sign runs")):
 
     def sign(self, i):
         """Sign of run i, 0-based."""
-        return self.first_sign if i % 2 == 0 else _other(self.first_sign)
+        return self.first_sign if i % 2 == 0 else mirror(self.first_sign)
 
     @property
     def is_model(self):
@@ -203,17 +199,9 @@ def to_runs(word):
         raise NotReducedForm("empty word has no run form")
     rest = word.lstrip("+-")
     if rest:  # a space would split a run, any other letter join one
-        raise NotReducedForm(f"letter {rest[0]!r} at position "
-                             f"{len(word) - len(rest)} is not + or -")
+        raise NotReducedForm(f"{rest[0]!r} at position {len(word) - len(rest)} is not + or -")
     runs = word.replace("+-", "+ -").replace("-+", "- +").split()
     return RunWord(word[0], map(len, runs))
-
-
-# the letters of run i of length e (index 0 unused), per first sign:
-# _LETTERS[first_sign][i & 1][e]
-_LETTERS = {s: ((None, s, s + s), (None, o, o + o)) for s, o in ((PLUS, MINUS), (MINUS, PLUS))}
-# swaps the bytes 1 and 2: run lengths as bytes, translated, toggle
-_TOGGLED = bytes.maketrans(b"\1\2", b"\2\1")
 
 
 def from_runs(r):

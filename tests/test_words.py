@@ -243,11 +243,11 @@ def test_to_runs_golden():
     with pytest.raises(words.NotReducedForm):
         words.to_runs("++-")  # first run not a single letter
     # letters outside {+, -}: a space would split a run, others join one
-    with pytest.raises(words.NotReducedForm, match="letter 'x' at position 1 is not"):
+    with pytest.raises(words.NotReducedForm, match="'x' at position 1 is not"):
         words.to_runs("+x-")
-    with pytest.raises(words.NotReducedForm, match="letter ' ' at position 1 is not"):
+    with pytest.raises(words.NotReducedForm, match="' ' at position 1 is not"):
         words.to_runs("+ -")
-    with pytest.raises(words.NotReducedForm, match="letter '\\*' at position 3 is not"):
+    with pytest.raises(words.NotReducedForm, match="'\\*' at position 3 is not"):
         words.to_runs("+--*+-")
 
 
