@@ -66,13 +66,19 @@ class CrossingInfo(NamedTuple):
     sequential: bool
 
 
+# exponent k -> the texts of s1^k and s2^-k, added as new exponents appear;
+# s2[k] is stored last, so a k in s2 is in both even while a thread adds it
+_POWERS = ({1: SIGMA1}, {1: SIGMA2_INV})
+
+
 def _braid_word(first, exponents):
     """The folded word written out, e.g. "s1^3 s2^-1 s1 s2^-1".  Adjacent
-    folds differ, so with two generators they alternate from first."""
-    s1_at = 0 if first == SIGMA1 else 1
-    return " ".join([
-        (SIGMA1 if k == 1 else f"s1^{k}") if j & 1 == s1_at else f"s2^-{k}"
-        for j, k in enumerate(exponents)])
+    folds differ, so with two generators they alternate from first; each
+    power's text is formatted once, the first time its exponent appears."""
+    s1, s2 = _POWERS
+    for k in set(exponents).difference(s2):
+        s1[k], s2[k] = f"s1^{k}", f"s2^-{k}"
+    return " ".join(map(getitem, cycle(_POWERS if first == SIGMA1 else (s2, s1)), exponents))
 
 
 def generators(r):

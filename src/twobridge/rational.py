@@ -208,15 +208,15 @@ def group_rows(rows):
     for (p, q_star), members in classes.items():
         _, words, qs, genera, palindromic = zip(*members)
         mult = len(members)
-        where = f"words {' '.join(words)}"
+        # the error text names the class's words, joined only on failure
         if mult not in (1, 2):
-            raise InvariantError("class multiplicity", where, "1 or 2", mult)
+            raise InvariantError("class multiplicity", f"words {' '.join(words)}", "1 or 2", mult)
         if len(set(genera)) != 1:
-            raise InvariantError("one genus per class", where, "one genus",
+            raise InvariantError("one genus per class", f"words {' '.join(words)}", "one genus",
                                  sorted(set(genera)))
         # a single word is its own reversal (palindromic); a pair is not
         if palindromic != (mult == 1,) * mult:
-            raise InvariantError("palindromic exactly when single", where,
+            raise InvariantError("palindromic exactly when single", f"words {' '.join(words)}",
                                  [mult == 1] * mult, list(palindromic))
         out.append(KnotClass(
             p=p,

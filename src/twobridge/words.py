@@ -33,6 +33,7 @@ _MIRROR = str.maketrans("+-", "-+")
 # _LETTERS[first_sign][i & 1][e]: the letters of run i of length e (index 0 unused)
 _LETTERS = {s: ((None, s, s + s), (None, o, o + o)) for s, o in ((PLUS, MINUS), (MINUS, PLUS))}
 _TOGGLED = bytes.maketrans(b"\1\2", b"\2\1")  # run lengths 1 <-> 2, as bytes
+_RUN_LENGTHS = bytes.maketrans(b"+-PM", b"\1\1\2\2")  # run length per to_runs mark
 
 # classification kinds returned by normalize_to_model
 MODEL = "model"
@@ -104,12 +105,15 @@ def reduce(word):
     up to mirror image for every word of length <= 12.
 
     Internal moves alone are free reduction in <+, - | +^3, -^3>, which
-    is confluent, so one pass over a stack of letters, with the top run's
-    letter and length in two locals, reaches the triple-free word the
-    strategy reaches first: a third equal letter deletes its run and
-    re-reads the new top run.  Deleting a prefix or suffix creates no
-    triple, so only start and end moves remain; they are peeled in the
-    strategy's order, start first, re-checked after every peel.
+    is confluent: deleting triples in any order reaches the triple-free
+    word the strategy reaches first.  Two str.replace passes delete the
+    triples the word already holds, about half a random word's letters;
+    a stack of letters, the top run's letter and length in two locals,
+    deletes the rest in one more pass (repeating the replace passes
+    instead needs one round per nesting level).  Deleting a prefix or
+    suffix creates no triple, so only start and end moves remain; they
+    are peeled in the strategy's order, start first, re-checked after
+    every peel.
 
     >>> reduce("+++")
     ''
@@ -123,7 +127,7 @@ def reduce(word):
     stack = ["", ""]  # two empty letters at the bottom: the top run always exists
     push = stack.append
     top, n = "", 0
-    for ch in word:
+    for ch in word.replace("+++", "").replace("---", ""):
         if ch != top:
             push(ch)
             top, n = ch, 1
@@ -189,8 +193,10 @@ class RunWord(namedtuple("RunWord", "first_sign runs")):
 
 
 def to_runs(word):
-    """Run-length encode a reduced word: a space at each sign change, then
-    str.split, gives its maximal runs.
+    """Run-length encode a reduced word: with runs of 1 or 2, marking each
+    double by one letter leaves one letter per run, and a byte table reads
+    the lengths off; a longer run is split out at the sign changes, so
+    that RunWord's error names its length.
 
     >>> to_runs("+--+-+-")
     RunWord(first_sign='+', runs=(1, 2, 1, 1, 1, 1))
@@ -200,8 +206,11 @@ def to_runs(word):
     rest = word.lstrip("+-")
     if rest:  # a space would split a run, any other letter join one
         raise NotReducedForm(f"{rest[0]!r} at position {len(word) - len(rest)} is not + or -")
-    runs = word.replace("+-", "+ -").replace("-+", "- +").split()
-    return RunWord(word[0], map(len, runs))
+    if "+++" in word or "---" in word:
+        runs = map(len, word.replace("+-", "+ -").replace("-+", "- +").split())
+    else:
+        runs = word.replace("++", "P").replace("--", "M").encode().translate(_RUN_LENGTHS)
+    return RunWord(word[0], runs)
 
 
 def from_runs(r):

@@ -73,6 +73,32 @@ def test_generators_match_comprehension_form():
             diagram.GENERATOR[i & 1][e] for i, e in enumerate(r.runs)]
 
 
+def braid_word_by_comprehension(first, exps):
+    # _braid_word's form before its power memo: one f-string per exponent
+    s1_at = 0 if first == diagram.SIGMA1 else 1
+    return " ".join([
+        (diagram.SIGMA1 if k == 1 else f"s1^{k}") if j & 1 == s1_at else f"s2^-{k}"
+        for j, k in enumerate(exps)])
+
+
+def test_braid_word_matches_comprehension_form():
+    benchmark = [n.run_word for s in range(64)
+                 for n in map(words.normalize_to_model, words.sample(3001, 15, s))
+                 if n.kind == words.MODEL]
+    assert len(benchmark) > 100
+    # runs 1, 2, 1, 2, ..., 1: every crossing is s1, one fold of exponent 101
+    torus = words.RunWord(words.PLUS, (1, 2) * 50 + (1,))
+    assert torus.is_model and diagram.analyze(torus).alternating == "s1^101"
+    for r in itertools.chain(model_words(3, 14), benchmark, [torus]):
+        gens = diagram.generators(r)
+        exps = diagram._scan(r, gens)[-1]
+        assert diagram._braid_word(gens[0], exps) == braid_word_by_comprehension(gens[0], exps)
+    # a model word starts with s1; the memo serves either first generator
+    for first in (diagram.SIGMA2_INV, diagram.SIGMA1):
+        for exps in ([1], [2, 1, 1], [150, 1, 3, 1000]):
+            assert diagram._braid_word(first, exps) == braid_word_by_comprehension(first, exps)
+
+
 def test_end_generators_track_crossing_parity():
     # run 1 is a single +, run c is a single whose sign alternates with c
     for r in model_words(3, 10):

@@ -136,7 +136,11 @@ _CC = (7, 2)
      "one genus per class", [1, 2]),
     ([(_CC, "+--+-+-", 2, 1, True), (_CC, "+-+-+--", 4, 1, True)],
      "palindromic exactly when single", [True, True]),
-], ids=["multiplicity", "genus", "palindromic"])
+    ([(_CC, "+--+-+-", 2, 1, False)], "palindromic exactly when single", [False]),
+    ([(_CC, "+--+-+-", 2, 1, True), (_CC, "+-+-+--", 4, 1, False)],
+     "palindromic exactly when single", [True, False]),
+], ids=["multiplicity", "genus", "palindromic", "single-not-palindromic",
+        "pair-one-palindromic"])
 def test_group_rows_checks_fire(rows, name, actual):
     with pytest.raises(words.InvariantError) as info:
         rational.group_rows(rows)

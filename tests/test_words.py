@@ -140,6 +140,42 @@ def test_reduce_equals_leftmost_strategy_on_long_words(n, pieces, rng):
     assert words.normalize_to_model(w) == expected
 
 
+def _stack_reduce(word):
+    # reduce's stack-only form, before its triple-deletion passes: the
+    # stack reads every letter of the word
+    stack = ["", ""]
+    top, n = "", 0
+    for ch in word:
+        if ch != top:
+            stack.append(ch)
+            top, n = ch, 1
+        elif n == 1:
+            stack.append(ch)
+            n = 2
+        else:
+            del stack[-2:]
+            top = stack[-1]
+            n = 2 if stack[-2] == top else 1
+    w = "".join(stack)
+    i, j = 0, len(w)
+    while j - i >= 3:
+        if w[i:i + 3] in ("++-", "--+"):
+            i += 3
+        elif w[j - 3:j] in ("-++", "+--"):
+            j -= 3
+        else:
+            break
+    return w[i:j]
+
+
+def test_reduce_equals_stack_only_form_on_benchmark_words():
+    # the benchmark's 960 sampled 3,001-letter words
+    sampled = [w for s in range(64) for w in words.sample(3001, 15, s)]
+    assert len(sampled) == 960
+    for w in sampled:
+        assert words.reduce(w) == _stack_reduce(w), w
+
+
 def test_reduce_is_linear_on_long_words():
     # The leftmost strategy rescans the untouched 100,000-letter prefix for
     # each of the 50,000 deleted triples, and the whole remaining word for
@@ -218,6 +254,26 @@ def test_reduced_long_words_have_run_form():
         assert r.runs[0] == 1 and r.runs[-1] == 1
         assert r == (w[0], _runs_by_groupby(w))
         assert words.from_runs(r) == w
+
+
+def _run_form_outcome(make):
+    # the RunWord that make() returns, or the message of its NotReducedForm
+    try:
+        return make()
+    except words.NotReducedForm as e:
+        return str(e)
+
+
+def test_to_runs_matches_groupby_definition_up_to_length_12():
+    errors = set()
+    for w in all_words(12):
+        if w:
+            expected = _run_form_outcome(lambda: words.RunWord(w[0], _runs_by_groupby(w)))
+            assert _run_form_outcome(lambda: words.to_runs(w)) == expected, w
+            if isinstance(expected, str):
+                errors.add(expected.split(":")[0])
+    # both ways out of run form came up: a run of 3 or more, a double end run
+    assert errors == {"run lengths must be 1 or 2", "first and last runs must be single letters"}
 
 
 def test_run_passes_match_comprehension_forms():
