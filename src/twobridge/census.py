@@ -404,7 +404,7 @@ def run_census(c, per_word=False, analyses=None):
     rep = totals._replace(knot_classes=tuple(rational.group_rows(rows)),
                           analyses=tuple(kept) if per_word else None)
     # the averaged genus formula must agree with summing per-word genus
-    if rep.avg_genus != Fraction(genus_total, count):
+    if count and rep.avg_genus != Fraction(genus_total, count):
         raise InvariantError("average genus", where, Fraction(genus_total, count),
                              rep.avg_genus)
     scanned = scan_totals(c)

@@ -10,11 +10,11 @@ is real evidence; any mismatch raises InvariantError, under python -O
 too, and is reported as a failure, never patched over.
 """
 
-import functools
 import random
 from math import comb
 
 from . import census, diagram, planar
+from .diagram import H, V
 from .words import InvariantError, draw_letters, enumerate_model_words
 
 NETTO_K_MAX = 30  # check_netto compares every k <= NETTO_K_MAX, each residue r
@@ -25,9 +25,9 @@ def expected_pattern(n):
     """Billiard V/H sequence for any word of length n: independent of the
     letters, only the length matters."""
     if n % 3 == 1:
-        return ["H"] + ["V", "V", "H"] * ((n - 1) // 3)
+        return [H] + [V, V, H] * ((n - 1) // 3)
     if n % 3 == 0:
-        return ["V", "H", "V"] * (n // 3)
+        return [V, H, V] * (n // 3)
     raise ValueError(f"length {n} closes to a link, no knot pattern")
 
 
@@ -43,17 +43,18 @@ def check_netto():
     return count
 
 
-def check_census_closed_forms(c_max, class_count):
-    # class_count(c) reads the class count of run_census(c), run once per c on
-    # the analyses the oracle pass makes; it checks, in order: genus identity,
-    # enumerated totals = scan_totals (diagram.STEP walked per word against its
-    # sum over states: the aggregation, not the rule), = closed_form_totals and
-    # bound ordering, per-index counts = index_contribution, index symmetry, and
-    # class count = knot_class_count.  The rule's independent routes are the
-    # closed forms, the planar oracle and full_diagram.
+def check_census_closed_forms(c_max, classes):
+    # classes[c] records the class count of run_census(c), run once per c on
+    # the analyses the oracle pass makes, or its error; run_census checks, in
+    # order: genus identity, enumerated totals = scan_totals (diagram.STEP
+    # walked per word against its sum over states: the aggregation, not the
+    # rule), = closed_form_totals and bound ordering, per-index counts =
+    # index_contribution, index symmetry, and class count = knot_class_count.
+    # The rule's independent routes are the closed forms, the planar oracle
+    # and full_diagram.
     count = 0
     for c in range(3, c_max + 1):
-        class_count(c)
+        _result(*classes[c])
         count += 5 + (c - 2)
     return count
 
@@ -150,9 +151,13 @@ def check_orientation_patterns(max_len=40, per_length=50, seed=2026):
             continue
         expected = expected_pattern(n)
         letters = draw_letters(rng, n * per_length)  # as per_length draws of n
+        od = None
         for i in range(0, n * per_length, n):
             w = letters[i:i + n]
-            od = planar.billiard_orient(w)
+            pd = planar.billiard_pd(w)
+            # a length's words share billiard_pd's wiring; orient reads no over flag
+            if od is None or pd.other is not od.pd.other:
+                od = planar.orient(pd)
             got = planar.classify_orientations(od)
             if got != expected:
                 raise InvariantError("billiard orientation pattern", f"word {w}",
@@ -161,12 +166,12 @@ def check_orientation_patterns(max_len=40, per_length=50, seed=2026):
     return count
 
 
-def check_multiplicities(c_max, class_count):
-    # group_rows, inside run_census(c) behind class_count(c), checks
+def check_multiplicities(c_max, classes):
+    # group_rows, inside run_census(c) behind classes[c], checks
     # multiplicity in {1,2}, palindromic singles and genus agreement
     count = 0
     for c in range(3, c_max + 1):
-        count += class_count(c)
+        count += _result(*classes[c])
     return count
 
 
@@ -188,19 +193,15 @@ def run_all(c_max):
     if c_max > CHECK_CEILING:
         raise ValueError(f"c_max={c_max} is above the check ceiling {CHECK_CEILING}")
     # one pass records each census's class count and each diagram check's
-    # count, or their exceptions; the checks below only read those records
-    records = functools.cache(lambda: _one_pass(c_max))
-
-    def class_count(c):
-        return _result(*records()[0][c])
-
+    # count, or their exceptions, and raises none; the checks read the records
+    classes, (oracle, determinants) = _one_pass(c_max)
     checks = [
         ("netto identities", check_netto),
-        ("census closed forms", lambda: check_census_closed_forms(c_max, class_count)),
-        ("oracle circle counts and orientations", lambda: _result(*records()[1][0])),
-        ("determinant equality", lambda: _result(*records()[1][1])),
+        ("census closed forms", lambda: check_census_closed_forms(c_max, classes)),
+        ("oracle circle counts and orientations", lambda: _result(*oracle)),
+        ("determinant equality", lambda: _result(*determinants)),
         ("billiard orientation patterns", check_orientation_patterns),
-        ("knot class multiplicities", lambda: check_multiplicities(c_max, class_count)),
+        ("knot class multiplicities", lambda: check_multiplicities(c_max, classes)),
         ("link detection", check_link_detection),
     ]
     results = []

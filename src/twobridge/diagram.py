@@ -39,7 +39,7 @@ from operator import getitem
 from typing import NamedTuple
 
 from . import rational
-from .words import InvariantError, RunWord, from_runs, is_palindromic_type
+from .words import InvariantError, RunWord, from_runs, is_palindromic_type, mirror
 
 SIGMA1 = "s1"
 SIGMA2_INV = "s2^-1"
@@ -184,8 +184,9 @@ def full_diagram(r):
             viable[i] = next_gen is None or next_gen == g
             sequential[i] = next_i == i + 1 and next_gen == g
             next_gen, next_i = g, i
+    run_sign = (r.first_sign, mirror(r.first_sign))
     return tuple(
-        CrossingInfo(i + 1, gens[i], r.sign(i), e, starts[i],
+        CrossingInfo(i + 1, gens[i], run_sign[i & 1], e, starts[i],
                      smoothings[i], viable[i], sequential[i])
         for i, e in enumerate(r.runs))
 

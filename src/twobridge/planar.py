@@ -400,19 +400,3 @@ def billiard_determinant(word):
     """goeritz_determinant(billiard_pd(word)), faces traced once per length."""
     pd = billiard_pd(word)
     return _signed_det(*_billiard_layout(pd.n), pd.crossings)
-
-
-@lru_cache(maxsize=_CACHED_LENGTHS)
-def _billiard_orientation(n):
-    # every billiard word of length n shares its strand directions, as it
-    # does its wiring: orient reads no over flag
-    return orient(_billiard_strip(n)).state
-
-
-def billiard_orient(word):
-    """orient(billiard_pd(word)), strands traced once per length."""
-    pd = billiard_pd(word)
-    try:
-        return OrientedDiagram(pd, _billiard_orientation(pd.n))
-    except InvariantError:
-        return orient(pd)  # raises again, naming this word's strip

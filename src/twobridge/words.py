@@ -180,10 +180,6 @@ class RunWord(namedtuple("RunWord", "first_sign runs")):
     def length(self):
         return sum(self.runs)
 
-    def sign(self, i):
-        """Sign of run i, 0-based."""
-        return self.first_sign if i % 2 == 0 else mirror(self.first_sign)
-
     @property
     def is_model(self):
         return self.first_sign == PLUS and self.c >= 3 and self.length % 3 == 1

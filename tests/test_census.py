@@ -242,6 +242,12 @@ def test_census_c3_trivial():
     assert rep.per_index_contributions == (0,)
 
 
+def test_census_of_no_analyses_fails_the_scan_by_name():
+    # an empty stream leaves no average genus to compare, not a 0/0
+    with pytest.raises(words.InvariantError, match="^scan totals at c=5: "):
+        census.run_census(5, analyses=iter([]))
+
+
 def test_census_rejects_small_c():
     with pytest.raises(ValueError):
         census.run_census(2)

@@ -216,6 +216,24 @@ def test_failing_census_fails_both_census_checks(monkeypatch):
     assert failed == ["census closed forms", "knot class multiplicities"]
 
 
+def test_empty_word_stream_fails_both_census_checks_by_name(monkeypatch):
+    # no words at c = 5: both census checks fail the scan comparison, not
+    # with a 0/0, and the diagram checks pass on the words there are
+    real = crosscheck.enumerate_model_words
+    monkeypatch.setattr(crosscheck, "enumerate_model_words",
+                        lambda c: iter([]) if c == 5 else real(c))
+    results, ok = crosscheck.run_all(6)
+    assert not ok
+    byname = {name: (count, error) for name, count, error in results}
+    for name in ("census closed forms", "knot class multiplicities"):
+        count, error = byname[name]
+        assert count is None and error.startswith("InvariantError: scan totals at c=5: ")
+    failed = [name for name, (_, error) in byname.items() if error is not None]
+    assert failed == ["census closed forms", "knot class multiplicities"]
+    assert byname["oracle circle counts and orientations"] == (3 * 7, None)
+    assert byname["determinant equality"] == (7, None)
+
+
 def test_census_failing_unread_leaves_the_oracle_whole(monkeypatch):
     # a census that raises before it reads its analyses fails both census
     # checks; every word of its c is still oracle-checked

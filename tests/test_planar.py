@@ -179,9 +179,9 @@ def strip_builds(monkeypatch):
 
 
 def clear_billiard_caches():
-    planar._billiard_strip.cache_clear()
-    planar._billiard_layout.cache_clear()
-    planar._billiard_orientation.cache_clear()
+    for f in vars(planar).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
 
 
 def test_billiard_pd_builds_each_length_once(strip_builds):
@@ -233,43 +233,6 @@ def test_billiard_layout_cache_holds_64_lengths():
     assert info.misses == 67  # the knot lengths up to 100
 
 
-def test_billiard_orient_equals_orient_of_a_fresh_strip():
-    clear_billiard_caches()
-    for n in range(1, 11):
-        if n % 3 == 2:
-            continue
-        for t in itertools.product("+-", repeat=n):
-            w = "".join(t)
-            od = planar.billiard_orient(w)
-            fresh = planar._build_strip(planar.billiard_pd(w).crossings)
-            assert od.pd == planar.billiard_pd(w)
-            assert od.state == planar.orient(fresh).state, w
-
-
-def test_billiard_orientation_cache_holds_64_lengths():
-    clear_billiard_caches()
-    for n in range(1, 101):
-        if n % 3 != 2:
-            planar.billiard_orient("-+" * (n // 2) + "+" * (n % 2))
-    info = planar._billiard_orientation.cache_info()
-    assert info.maxsize == info.currsize == 64
-    assert info.misses == 67  # the knot lengths up to 100
-
-
-def test_billiard_orient_names_the_drawn_words_strip(monkeypatch):
-    # the shared orientation is traced on the all-+ strip; a failure there
-    # is raised again on the word's own diagram, and nothing is cached
-    def closes_early(pd, p, state):
-        raise words.InvariantError("strand traversal closes up",
-                                   planar._where(pd.crossings), "planted", "fault")
-
-    clear_billiard_caches()
-    monkeypatch.setattr(planar, "_trace", closes_early)
-    with pytest.raises(words.InvariantError, match=r"at strip 0\\ 1/ 0\\:"):
-        planar.billiard_orient("-+-")
-    assert planar._billiard_orientation.cache_info().currsize == 0
-
-
 def test_orientation_patterns_orient_each_length_once(monkeypatch):
     # 1,350 drawn words, each built and compared, hold 27 wirings: the
     # lengths 1..40 that are not 2 mod 3
@@ -287,6 +250,45 @@ def test_orientation_patterns_orient_each_length_once(monkeypatch):
     finally:
         clear_billiard_caches()
     assert oriented == [n for n in range(1, 41) if n % 3 != 2]
+
+
+def test_orientation_patterns_trace_every_word_off_the_shared_wiring(monkeypatch):
+    # a word whose diagram holds a wiring of its own is traced afresh, so
+    # 1,350 drawn words on 1,350 wirings make 1,350 orient calls
+    oriented = []
+    real_pd, real_orient = planar.billiard_pd, planar.orient
+
+    def fresh(word):
+        pd = real_pd(word)
+        return pd._replace(other=tuple(list(pd.other)))
+
+    def counting(pd):
+        oriented.append(pd.n)
+        return real_orient(pd)
+
+    monkeypatch.setattr(planar, "billiard_pd", fresh)
+    monkeypatch.setattr(planar, "orient", counting)
+    assert crosscheck.check_orientation_patterns() == 1350
+    assert len(oriented) == 1350
+
+
+def test_orientation_patterns_name_the_drawn_words_strip(monkeypatch):
+    # the strands are traced on the first drawn word's own diagram, so a
+    # failure names its strip, here at length 4, and nothing retries
+    traced = []
+    real = planar._trace
+
+    def closes_early(pd, p, state):
+        traced.append(pd.n)
+        if pd.n == 4:
+            raise words.InvariantError("strand traversal closes up",
+                                       planar._where(pd.crossings), "planted", "fault")
+        return real(pd, p, state)
+
+    monkeypatch.setattr(planar, "_trace", closes_early)
+    with pytest.raises(words.InvariantError, match=r"at strip 0/ 1/ 0\\ 1/:"):
+        crosscheck.check_orientation_patterns()
+    assert traced == [1, 3, 4]
 
 
 def test_billiard_determinant_checks_its_word(strip_builds):

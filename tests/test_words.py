@@ -316,7 +316,6 @@ def test_run_word_validation():
         words.RunWord("*", (1, 1, 1))
     r = words.RunWord("+", (1, 2, 1, 1, 1, 1))
     assert r.c == 6 and r.length == 7 and r.runs.count(2) == 1
-    assert [r.sign(i) for i in range(6)] == ["+", "-", "+", "-", "+", "-"]
     assert r.is_model
 
 
