@@ -18,12 +18,13 @@ each flag once, so the sums give the totals exactly.
 
 A CensusReport, the one census record, stores the totals and derives
 the averages and the bound from them; scan_totals and closed_form_totals
-return one with knot_classes and analyses None.  scan_census checks the
-scan's, with no enumeration, so it serves any c; run_census builds it
-from every model word and also checks the scan and the per-index counts
-against what it enumerates.  Both check the totals against the closed
-forms before returning, and every check raises InvariantError, also
-under python -O.
+return one with knot_classes and analyses None.  closed_form_totals
+serves any c with no enumeration; run_census builds a report from every
+model word and checks the scan, the closed forms and the per-index
+counts against what it enumerates.  check_report holds the checks every
+report passes: totals equal to the closed forms, a whole genus total and
+the genus bounds.  Every check raises InvariantError, also under
+python -O.
 
 The totals in closed form, for every c >= 3, with s = (-1)^c:
 
@@ -305,7 +306,7 @@ class CensusReport(namedtuple("CensusReport", "c word_count vertical_total viabl
 
     @property
     def closed_form_vertical_total(self):
-        """The vertical total, which _check compares with its closed form."""
+        """The vertical total, which check_report compares with its closed form."""
         return self.vertical_total
 
     @property
@@ -338,34 +339,21 @@ class CensusReport(namedtuple("CensusReport", "c word_count vertical_total viabl
         return out
 
 
-def _check(rep):
-    """Compare the totals with closed_form_totals, then check the genus bounds."""
+def check_report(rep):
+    """Compare the totals with closed_form_totals, check that the genus
+    total is whole, then check the genus bounds."""
     where = f"c={rep.c}"
     totals = rep._replace(knot_classes=None, analyses=None)
     closed = closed_form_totals(rep.c)
     if totals != closed:
         raise InvariantError("closed-form totals", where, closed, totals)
-    if not rep.avg_genus_lower <= rep.avg_genus <= Fraction(rep.c - 1, 2):
-        raise InvariantError("genus bounds", where,
-                             f"{rep.avg_genus_lower}..{Fraction(rep.c - 1, 2)}", rep.avg_genus)
-
-
-def scan_census(c):
-    """The census report of crossing number c from scan_totals, checked
-    against the closed forms, with no enumeration, for any c >= 3.  It
-    holds no word lists: knot_classes and analyses are None, and
-    knot_class_count(c) counts the classes.
-
-    >>> scan_census(7).avg_genus
-    Fraction(20, 11)
-    """
-    rep = scan_totals(c)
     # each word's genus (c - 1 - viable) / 2 is whole, so their sum is too
     genus_total = rep.avg_genus * rep.word_count
     if genus_total.denominator != 1:
-        raise InvariantError("genus parity", f"c={c}", "a whole genus total", genus_total)
-    _check(rep)
-    return rep
+        raise InvariantError("genus parity", where, "a whole genus total", genus_total)
+    if not rep.avg_genus_lower <= rep.avg_genus <= Fraction(rep.c - 1, 2):
+        raise InvariantError("genus bounds", where,
+                             f"{rep.avg_genus_lower}..{Fraction(rep.c - 1, 2)}", rep.avg_genus)
 
 
 def run_census(c, per_word=False, analyses=None):
@@ -410,7 +398,7 @@ def run_census(c, per_word=False, analyses=None):
     scanned = scan_totals(c)
     if scanned != totals:
         raise InvariantError("scan totals", where, totals, scanned)
-    _check(rep)
+    check_report(rep)
     contributions = rep.per_index_contributions
     if tuple(per_index) != (0, *contributions, 0):  # V never at crossing 1 or c
         raise InvariantError("per-index vertical counts", where, (0, *contributions, 0),

@@ -132,8 +132,9 @@ def _census_lines(rep):
 def cmd_census(args):
     if args.per_word or args.format == "json":  # these print every word or class
         rep = census.run_census(args.c, per_word=args.per_word)
-    else:
-        rep = census.scan_census(args.c)
+    else:  # the proved closed forms: no enumeration, so any c
+        rep = census.closed_form_totals(args.c)
+        census.check_report(rep)
     records = rep.analyses if args.per_word else [rep]
     _write(args.format, rep, records[0].CSV_COLUMNS, map(rational.csv_row, records),
            _census_lines(rep))

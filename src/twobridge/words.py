@@ -244,7 +244,7 @@ def is_palindromic_type(r):
 # one: model_count(26) = 5,592,405 words, and each step up doubles that.
 # enumeration_tasks (so enumerate_model_words and run_census) refuses a
 # larger c with ValueError, which the CLI reports as a usage error.
-# crosscheck.run_all stops lower, at CHECK_CEILING; scan_census needs no list.
+# crosscheck.run_all stops lower, at CHECK_CEILING; closed_form_totals lists none.
 ENUMERATION_CEILING = 26
 
 

@@ -26,12 +26,14 @@ def _viability_inverted(state, e, g):
     return (after, g, True), diagram.V, viable, viable if adjacent else 0
 
 
-# fault -> (the error census 15 exits with, the diagram attribute, its faulty value)
+# fault -> (the failed check and where, as census 15 --format json names
+# them on exit, the diagram attribute, its faulty value); analyze's own
+# genus parity check fails on the first word it reads
 FAULTS = {
-    "hv-shifted": ("genus parity", "STEP", lambda: diagram._table(_hv_shifted)),
-    "viability-inverted": ("closed-form totals", "STEP",
+    "hv-shifted": ("genus parity at s=9, c=15", "STEP", lambda: diagram._table(_hv_shifted)),
+    "viability-inverted": ("genus parity at s=7, c=15", "STEP",
                            lambda: diagram._table(_viability_inverted)),
-    "end-not-counted": ("closed-form totals", "ENDS_VIABLE",
+    "end-not-counted": ("genus parity at s=5, c=15", "ENDS_VIABLE",
                         lambda: (0,) * len(diagram.STATES)),
 }
 
@@ -45,9 +47,10 @@ def _swapped_generator():
 
 # generators(r) reads GENERATOR, so analyze, full_diagram and the planar
 # oracle all see this fault, and census.scan_totals reads it too; the
-# comparison with full_diagram is no check route for it
-ALL_FAULTS = {**FAULTS, "generator-swapped": ("closed-form totals", "GENERATOR",
-                                              _swapped_generator)}
+# comparison with full_diagram is no check route for it.  analyze's knot
+# fraction check fails on the first word it reads
+ALL_FAULTS = {**FAULTS, "generator-swapped": ("knot fraction at word +-++-+-+-+-+-+-+",
+                                              "GENERATOR", _swapped_generator)}
 
 
 def plant(fault, setter=setattr):

@@ -198,7 +198,7 @@ def test_lower_bound_is_the_papers_formula_on_every_route():
         paper = Fraction(c - 1, 2) - Fraction(
             3 * census.closed_form_vertical_total(c), 2 * (2 ** (c - 2) + census.star(c)))
         assert census.lower_bound_avg_genus(c) == paper, c
-        assert census.scan_census(c).avg_genus_lower == paper, c
+        assert census.scan_totals(c).avg_genus_lower == paper, c
 
 
 def test_lower_bound_below_half_c_minus_one():
@@ -281,7 +281,7 @@ def test_census_report_stores_only_what_was_counted():
     assert list(census.CensusReport._fields) == [
         "c", "word_count", "vertical_total", "viable_total", "sequential_total",
         "knot_classes", "analyses"]
-    rep = census.scan_census(9)
+    rep = census.scan_totals(9)
     assert rep.avg_genus_lower == census.lower_bound_avg_genus(9)
     assert rep.closed_form_vertical_total == census.closed_form_vertical_total(9)
     assert rep.per_index_contributions == tuple(census.index_contribution(9, i)
@@ -418,7 +418,7 @@ def test_closed_form_totals_check_divisibility():
 def test_scan_census_equals_run_census_without_word_lists():
     for c in (3, 6, 7, 12):
         enumerated = census.run_census(c)
-        assert census.scan_census(c) == enumerated._replace(knot_classes=None)
+        assert census.scan_totals(c) == enumerated._replace(knot_classes=None)
 
 
 def test_toggled_half_maps_palindromes_onto_half_length_model_words():

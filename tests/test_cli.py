@@ -244,7 +244,7 @@ def test_invariant_failure_with_huge_values_is_one_line(capsys, monkeypatch):
     def planted(c):
         raise words.InvariantError("planted", f"c={c}", 10 ** 5000, 0)
 
-    monkeypatch.setattr(census, "scan_census", planted)
+    monkeypatch.setattr(census, "closed_form_totals", planted)
     code, out, err = run(["census", "7"], capsys)
     assert code == 1 and out == ""
     assert err == f"error: planted at c=7: expected {huge}, got 0\n"
@@ -300,20 +300,21 @@ def test_enumeration_ceiling_is_inclusive():
     assert words.enumeration_tasks(words.ENUMERATION_CEILING)
 
 
-# scan_totals reports one viable crossing too many; python -O must not
-# switch the checks off on the path that does not enumerate
-_PLANTED_SCAN = """
+# closed_form_totals reports one viable crossing too many; python -O must
+# not switch the checks off on the path that does not enumerate, where the
+# genus parity check is the one that can see it
+_PLANTED_PARITY_FAULT = """
 import sys
 from twobridge import census, cli
-real = census.scan_totals
-census.scan_totals = lambda c: real(c)._replace(viable_total=real(c).viable_total + 1)
+real = census.closed_form_totals
+census.closed_form_totals = lambda c: real(c)._replace(viable_total=real(c).viable_total + 1)
 sys.exit(cli.main(["census", "8"]))
 """
 
 
 @pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
 def test_census_fails_on_planted_scan_fault(flags):
-    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_SCAN],
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_PARITY_FAULT],
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == ("error: genus parity at c=8: expected a whole genus "
@@ -321,14 +322,15 @@ def test_census_fails_on_planted_scan_fault(flags):
 
 
 # a fault planted in diagram's run automaton, which analyze and the scan
-# both read; argv is the tests directory and the fault's name
+# both read, so only the enumerating route can see it; argv is the tests
+# directory and the fault's name
 _PLANTED_TABLE = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import table_faults
 from twobridge import cli
 table_faults.plant(sys.argv[2])
-sys.exit(cli.main(["census", "15"]))
+sys.exit(cli.main(["census", "15", "--format", "json"]))
 """
 
 
@@ -342,17 +344,17 @@ def test_census_fails_on_planted_table_fault(fault):
     assert optimized == plain
     code, out, err = plain
     error = table_faults.ALL_FAULTS[fault][0]
-    assert code == 1 and out == "" and err.startswith(f"error: {error} at c=15: ")
+    assert code == 1 and out == "" and err.startswith(f"error: {error}: ")
 
 
-# closed_form_totals reports two viable crossings too many: the scan's
-# genus parity cannot see it, the comparison with the closed forms can
+# closed_form_totals reports two viable crossings too many: genus parity
+# cannot see it, the comparison with the enumerated totals can
 _PLANTED_CLOSED_FORM = """
 import sys
 from twobridge import census, cli
 real = census.closed_form_totals
 census.closed_form_totals = lambda c: real(c)._replace(viable_total=real(c).viable_total + 2)
-sys.exit(cli.main(["census", "40"]))
+sys.exit(cli.main(["census", "15", "--format", "json"]))
 """
 
 
@@ -361,8 +363,8 @@ def test_census_fails_on_planted_closed_form_fault(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_CLOSED_FORM],
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 1 and proc.stdout == ""
-    closed = census.closed_form_totals(40)
-    assert proc.stderr == (f"error: closed-form totals at c=40: expected "
+    closed = census.closed_form_totals(15)
+    assert proc.stderr == (f"error: closed-form totals at c=15: expected "
                            f"{closed._replace(viable_total=closed.viable_total + 2)}, "
                            f"got {closed}\n")
 
@@ -443,11 +445,27 @@ def test_census_writes_the_per_index_line_one_count_at_a_time():
 
 
 def test_census_csv_output_pinned(capsys):
-    # stdout sha256 pinned when every report still summed its index contributions
-    code, out, _ = run(["census", "3000", "--format", "csv"], capsys)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "a0675dd9ebfa5592a118b3bbb96444173686b51c26119f061344784469b43c92")
+    # stdout sha256 pinned when every report still summed its index
+    # contributions (c=3000) and when the totals still came from the scan
+    for c, digest in (
+            ("3000", "a0675dd9ebfa5592a118b3bbb96444173686b51c26119f061344784469b43c92"),
+            ("20000", "7326f5a6d3a7636857db22f021a316d92c298b5387da34a1e1fa9d28006bf117")):
+        code, out, _ = run(["census", c, "--format", "csv"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, c
+
+
+def test_census_reads_only_the_closed_forms(capsys, monkeypatch):
+    # human and CSV totals come from closed_form_totals; the scan is left
+    # to the enumerating route and the tests
+    scans = []
+    real = census.scan_totals
+    monkeypatch.setattr(census, "scan_totals", lambda c: scans.append(c) or real(c))
+    for c in ("8", "1000"):
+        for fmt in ("human", "csv"):
+            code, out, _ = run(["census", c, "--format", fmt], capsys)
+            assert code == 0 and out
+    assert scans == []
 
 
 def test_check_fails_on_planted_scan_fault(capsys, monkeypatch):
@@ -512,7 +530,7 @@ def test_bound_exact_column_matches_the_scan(capsys):
     assert header == ["c", "avg_genus_lower", "avg_genus"]
     expected = []
     for c in range(3, 301):
-        rep = census.scan_census(c)
+        rep = census.scan_totals(c)
         expected.append([str(c), rational.csv_cell(rep.avg_genus_lower),
                          rational.csv_cell(rep.avg_genus)])
     assert rows == expected

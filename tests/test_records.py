@@ -126,7 +126,7 @@ def test_construction_is_validated(build, error, message):
     (_word, ["first_sign", "runs"]),
     (lambda: diagram.analyze(_word()), list(diagram.WordAnalysis.CSV_COLUMNS)),
     (lambda: census.run_census(7).knot_classes[0], list(rational.KnotClass.CSV_COLUMNS)),
-    (lambda: census.scan_census(7), [
+    (lambda: census.closed_form_totals(7), [
         "c", "star", "word_count", "totals", "avg_s", "avg_s_upper", "avg_genus",
         "avg_genus_lower", "closed_form_vertical_total", "per_index_contributions",
         "knot_classes"]),
