@@ -270,7 +270,8 @@ def lower_bound_avg_genus(c):
 class CensusReport(namedtuple("CensusReport", "c word_count vertical_total viable_total "
                               "sequential_total knot_classes analyses", defaults=(None, None))):
     """The census totals of crossing number c (and the knot classes and word
-    analyses of an enumerated census); every other value derives from them."""
+    analyses of an enumerated census); every other value derives from them,
+    each average as one Fraction of two integers, so one gcd reduces it."""
 
     __slots__ = ()
 
@@ -287,22 +288,27 @@ class CensusReport(namedtuple("CensusReport", "c word_count vertical_total viabl
 
     @property
     def avg_s(self):
-        return 2 + Fraction(self.viable_total, self.word_count)
+        n = self.word_count
+        return Fraction(2 * n + self.viable_total, n)
 
     @property
     def avg_s_upper(self):
-        return 2 + Fraction(self.vertical_total, self.word_count)
+        n = self.word_count
+        return Fraction(2 * n + self.vertical_total, n)
 
     @property
     def avg_genus(self):
-        return Fraction(1 + self.c, 2) - self.avg_s / 2
+        """(c + 1)/2 - avg_s/2, as each word's genus is (c - 1 - viable)/2."""
+        n = self.word_count
+        return Fraction((self.c - 1) * n - self.viable_total, 2 * n)
 
     @property
     def avg_genus_lower(self):
         """The paper's bound (c-1)/2 - 3V / (2(2^(c-2) + star(c))) for the
         vertical total V: since 2^(c-2) + star(c) = 3 word_count, it is
         (c-1)/2 - V / (2 word_count)."""
-        return Fraction(self.c - 1, 2) - Fraction(self.vertical_total, 2 * self.word_count)
+        n = self.word_count
+        return Fraction((self.c - 1) * n - self.vertical_total, 2 * n)
 
     @property
     def closed_form_vertical_total(self):
@@ -341,17 +347,20 @@ class CensusReport(namedtuple("CensusReport", "c word_count vertical_total viabl
 
 def check_report(rep):
     """Compare the totals with closed_form_totals, check that the genus
-    total is whole, then check the genus bounds."""
+    total is whole, then check the genus bounds.  Both genus checks read
+    the integer totals; the fractions are built only for an error."""
     where = f"c={rep.c}"
     totals = rep._replace(knot_classes=None, analyses=None)
     closed = closed_form_totals(rep.c)
     if totals != closed:
         raise InvariantError("closed-form totals", where, closed, totals)
     # each word's genus (c - 1 - viable) / 2 is whole, so their sum is too
-    genus_total = rep.avg_genus * rep.word_count
-    if genus_total.denominator != 1:
-        raise InvariantError("genus parity", where, "a whole genus total", genus_total)
-    if not rep.avg_genus_lower <= rep.avg_genus <= Fraction(rep.c - 1, 2):
+    twice_genus_total = (rep.c - 1) * rep.word_count - rep.viable_total
+    if twice_genus_total & 1:
+        raise InvariantError("genus parity", where, "a whole genus total",
+                             Fraction(twice_genus_total, 2))
+    # the same as avg_genus_lower <= avg_genus <= (c - 1)/2, as word_count > 0
+    if not 0 <= rep.viable_total <= rep.vertical_total:
         raise InvariantError("genus bounds", where,
                              f"{rep.avg_genus_lower}..{Fraction(rep.c - 1, 2)}", rep.avg_genus)
 
@@ -392,7 +401,7 @@ def run_census(c, per_word=False, analyses=None):
     rep = totals._replace(knot_classes=tuple(rational.group_rows(rows)),
                           analyses=tuple(kept) if per_word else None)
     # the averaged genus formula must agree with summing per-word genus
-    if count and rep.avg_genus != Fraction(genus_total, count):
+    if count and 2 * genus_total != (c - 1) * count - viable:
         raise InvariantError("average genus", where, Fraction(genus_total, count),
                              rep.avg_genus)
     scanned = scan_totals(c)

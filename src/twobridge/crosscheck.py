@@ -156,10 +156,11 @@ def check_orientation_patterns(max_len=40, per_length=50, seed=2026):
         for i in range(0, n * per_length, n):
             w = letters[i:i + n]
             pd = planar.billiard_pd(w)
-            # a length's words share billiard_pd's wiring; orient reads no over flag
+            # a length's words share billiard_pd's wiring; orient reads no over
+            # flag, and the classification reads od alone
             if od is None or pd.other is not od.pd.other:
                 od = planar.orient(pd)
-            got = planar.classify_orientations(od)
+                got = planar.classify_orientations(od)
             if got != expected:
                 raise InvariantError("billiard orientation pattern", f"word {w}",
                                      "".join(expected), "".join(got))

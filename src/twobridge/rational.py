@@ -108,8 +108,13 @@ def knot_label(record):
 
 
 def decimal_string(x):
-    """Fixed-point rendering of an exact rational, no floats involved."""
-    n = round(Fraction(x) * 10 ** DECIMAL_PLACES)  # a half rounds to even
+    """Fixed-point rendering of an exact rational (an int or a Fraction),
+    no floats involved: round(x * 10**DECIMAL_PLACES) by one integer
+    division, a half rounding to even as Fraction.__round__ does."""
+    den = x.denominator
+    n, rest = divmod(x.numerator * 10 ** DECIMAL_PLACES, den)
+    if 2 * rest > den or 2 * rest == den and n & 1:
+        n += 1
     whole, fraction = divmod(abs(n), 10 ** DECIMAL_PLACES)
     return f"{'-' if n < 0 else ''}{whole}.{fraction:0{DECIMAL_PLACES}d}"
 

@@ -201,6 +201,19 @@ def test_lower_bound_is_the_papers_formula_on_every_route():
         assert census.scan_totals(c).avg_genus_lower == paper, c
 
 
+def test_averages_equal_their_composite_expressions():
+    # each average is one Fraction of two integers; these are the chained
+    # forms it replaced, on the same totals
+    for c in [*range(3, 301), 10_000]:
+        rep = census.closed_form_totals(c)
+        n, vert, viab = rep.word_count, rep.vertical_total, rep.viable_total
+        avg_s = 2 + Fraction(viab, n)
+        assert rep.avg_s == avg_s, c
+        assert rep.avg_s_upper == 2 + Fraction(vert, n), c
+        assert rep.avg_genus == Fraction(1 + c, 2) - avg_s / 2, c
+        assert rep.avg_genus_lower == Fraction(c - 1, 2) - Fraction(vert, 2 * n), c
+
+
 def test_lower_bound_below_half_c_minus_one():
     for c in range(3, 26):
         b = census.lower_bound_avg_genus(c)

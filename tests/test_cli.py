@@ -321,6 +321,30 @@ def test_census_fails_on_planted_scan_fault(flags):
                            "total, got 87/2\n")
 
 
+# closed_form_totals shifts the viable total by the even amount argv[1],
+# which keeps the genus total whole, so the genus bounds check is the one
+# that sees it: at c=8 the bounds hold for 0 <= viable <= 82 and 59 is right
+_PLANTED_BOUNDS_FAULT = """
+import sys
+from twobridge import census, cli
+real = census.closed_form_totals
+shift = int(sys.argv[1])
+census.closed_form_totals = lambda c: real(c)._replace(viable_total=real(c).viable_total + shift)
+sys.exit(cli.main(["census", "8"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+@pytest.mark.parametrize("shift, avg_genus", [(24, "32/21"), (-60, "74/21")],
+                         ids=["above_vertical", "below_zero"])
+def test_census_fails_on_planted_bounds_fault(flags, shift, avg_genus):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_BOUNDS_FAULT, str(shift)],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (f"error: genus bounds at c=8: expected 65/42..7/2, "
+                           f"got {avg_genus}\n")
+
+
 # a fault planted in diagram's run automaton, which analyze and the scan
 # both read, so only the enumerating route can see it; argv is the tests
 # directory and the fault's name
@@ -544,16 +568,19 @@ def test_bound_above_the_exact_ceiling_sums_no_index_contribution(capsys, index_
 
 
 # stdout sha256 of long and huge bound runs, pinned when the bound still
-# summed the index contributions of each c
+# summed the index contributions of each c; the JSON run, the only output
+# that sends the c-bit bounds through rational_json, was pinned while each
+# average was still a chain of Fraction operations
 BOUND_DIGESTS = {
     "3..2000": "ba65fb11a5ca8a8ffcdf2bac19a89b4742b78513a7d7cfc789d64742faa0447f",
     "15000": "4096a863c24b10a2ea8bc1f8df17a991677fb7558254e392edbc3bc5c36cd62a",
+    "3..3000 --format json": "afe6434d6c3e7230a9c256ccef301abd9203bae2536d5afbf96a77b8cca71e9b",
 }
 
 
 @pytest.mark.parametrize("bound_range", sorted(BOUND_DIGESTS))
 def test_bound_output_pinned(bound_range, capsys):
-    code, out, _ = run(["bound", bound_range], capsys)
+    code, out, _ = run(["bound", *bound_range.split()], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BOUND_DIGESTS[bound_range]
 

@@ -252,6 +252,40 @@ def test_orientation_patterns_orient_each_length_once(monkeypatch):
     assert oriented == [n for n in range(1, 41) if n % 3 != 2]
 
 
+def test_orientation_patterns_classify_each_wiring_once(monkeypatch):
+    # the classification reads the oriented wiring alone, so the 1,350
+    # drawn words on 27 wirings make 27 classify_orientations calls
+    classified = []
+    real = planar.classify_orientations
+
+    def counting(od):
+        classified.append(od.pd.n)
+        return real(od)
+
+    clear_billiard_caches()
+    monkeypatch.setattr(planar, "classify_orientations", counting)
+    try:
+        assert crosscheck.check_orientation_patterns() == 1350
+    finally:
+        clear_billiard_caches()
+    assert classified == [n for n in range(1, 41) if n % 3 != 2]
+
+
+def test_orientation_patterns_name_the_first_word_of_a_wrong_length(monkeypatch):
+    # a wrong pattern at length 4 fails on that length's first drawn word
+    real = planar.classify_orientations
+    monkeypatch.setattr(planar, "classify_orientations",
+                        lambda od: [diagram.V] * 4 if od.pd.n == 4 else real(od))
+    rng = random.Random(2026)
+    for n in (1, 3):  # the check draws 50 words of each length in turn
+        words.draw_letters(rng, 50 * n)
+    first = words.draw_letters(rng, 50 * 4)[:4]
+    with pytest.raises(words.InvariantError) as e:
+        crosscheck.check_orientation_patterns()
+    assert str(e.value) == (f"billiard orientation pattern at word {first}: "
+                            "expected HVVH, got VVVV")
+
+
 def test_orientation_patterns_trace_every_word_off_the_shared_wiring(monkeypatch):
     # a word whose diagram holds a wiring of its own is traced afresh, so
     # 1,350 drawn words on 1,350 wirings make 1,350 orient calls

@@ -3,6 +3,7 @@ model words into knot types."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,17 @@ def test_decimal_string():
     assert rational.decimal_string(Fraction(1, 3)) == "0.333333"
     assert rational.decimal_string(Fraction(2)) == "2.000000"
     assert rational.decimal_string(Fraction(-5, 2 * 10 ** 6)) == "-0.000002"  # half to even
+    # the reference is round(Fraction(x) * 10**6), a half to even: on exact
+    # halves of both signs, on ints and on random fractions
+    halves = [Fraction(k, 2 * 10 ** 6) for k in range(-9, 10, 2)]
+    ints = [0, 1, -1, 7, -12, 3 ** 200, -(5 ** 90)]
+    rng = random.Random(32)
+    randoms = [Fraction(rng.randrange(-10 ** 30, 10 ** 30), rng.randrange(1, 10 ** d))
+               for d in rng.choices(range(1, 30), k=2000)]
+    for x in halves + ints + randoms:
+        n = round(Fraction(x) * 10 ** 6)
+        whole, fraction = divmod(abs(n), 10 ** 6)
+        assert rational.decimal_string(x) == f"{'-' if n < 0 else ''}{whole}.{fraction:06d}", x
 
 
 def test_rational_rendering():
