@@ -133,8 +133,7 @@ def cmd_census(args):
     if args.per_word or args.format == "json":  # these print every word or class
         rep = census.run_census(args.c, per_word=args.per_word)
     else:  # the proved closed forms: no enumeration, so any c
-        rep = census.closed_form_totals(args.c)
-        census.check_report(rep)
+        rep = census.check_report(census.closed_form_totals(args.c))
     records = rep.analyses if args.per_word else [rep]
     _write(args.format, rep, records[0].CSV_COLUMNS, map(rational.csv_row, records),
            _census_lines(rep))
@@ -157,7 +156,8 @@ def _parse_range(text):
 
 def cmd_bound(args):
     lo, hi = _parse_range(args.range)
-    reports = map(census.closed_form_totals, range(lo, hi + 1))  # both columns, O(1) each
+    # both columns, O(1) each, from a checked report
+    reports = map(census.check_report, map(census.closed_form_totals, range(lo, hi + 1)))
     rows = ((r.c, r.avg_genus_lower, r.avg_genus if r.c <= args.exact_ceiling else None)
             for r in reports)
     columns = ("c", "avg_genus_lower", "avg_genus")

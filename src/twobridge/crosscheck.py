@@ -48,9 +48,9 @@ def check_census_closed_forms(c_max, classes):
     # the analyses the oracle pass makes, or its error; run_census checks, in
     # order: genus identity, enumerated totals = scan_totals (diagram.STEP
     # walked per word against its sum over states: the aggregation, not the
-    # rule), check_report (= closed_form_totals, genus parity and bound
-    # ordering), per-index counts = index_contribution, index symmetry, and
-    # class count = knot_class_count.
+    # rule), enumerated totals = closed_form_totals, check_report (genus
+    # parity and bound ordering), per-index counts = index_contribution,
+    # index symmetry, and class count = knot_class_count.
     # The rule's independent routes are the closed forms, the planar oracle
     # and full_diagram.
     count = 0

@@ -231,7 +231,7 @@ def test_census_invariant_failure_is_one_line_exit_1(capsys, monkeypatch):
         return a._replace(viable=a.viable + 1)
 
     monkeypatch.setattr(diagram, "analyze", one_more_viable)
-    # the json form enumerates; human and csv read the scan, not analyze
+    # the json form enumerates; human and csv read the closed forms, not analyze
     code, out, err = run(["census", "6", "--format", "json"], capsys)
     assert code == 1 and out == ""
     assert err == "error: average genus at c=6: expected 8/5, got 11/10\n"
@@ -313,12 +313,53 @@ sys.exit(cli.main(["census", "8"]))
 
 
 @pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
-def test_census_fails_on_planted_scan_fault(flags):
+def test_census_fails_on_planted_parity_fault(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_PARITY_FAULT],
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == ("error: genus parity at c=8: expected a whole genus "
                            "total, got 87/2\n")
+
+
+# the same fault under bound argv[1]: each row's report passes check_report
+# before it is written, so the first row's parity fault leaves stdout empty
+_PLANTED_BOUND_PARITY_FAULT = """
+import sys
+from twobridge import census, cli
+real = census.closed_form_totals
+census.closed_form_totals = lambda c: real(c)._replace(viable_total=real(c).viable_total + 1)
+sys.exit(cli.main(["bound", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+@pytest.mark.parametrize("bound_range, c, genus_total", [("8", 8, "87/2"), ("6..9", 6, "15/2")],
+                         ids=["single", "range"])
+def test_bound_fails_on_planted_parity_fault(flags, bound_range, c, genus_total):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_BOUND_PARITY_FAULT,
+                           bound_range], capture_output=True, text=True, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (f"error: genus parity at c={c}: expected a whole genus "
+                           f"total, got {genus_total}\n")
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["census", "15"], 1),
+    (["census", "15", "--format", "csv"], 1),
+    (["census", "15", "--format", "json"], 1),
+    (["census", "9", "--per-word"], 1),
+    (["classes", "12"], 1),
+    (["bound", "3..16"], 14),
+    (["check", "11"], 9),  # one census for each c = 3..11
+], ids=["human", "csv", "json", "per-word", "classes", "bound", "check"])
+def test_closed_forms_are_evaluated_once_per_report(argv, calls, capsys, monkeypatch):
+    # check_report reads only the report; run_census alone compares a
+    # report with the closed forms, so no report evaluates them twice
+    cs = []
+    real = census.closed_form_totals
+    monkeypatch.setattr(census, "closed_form_totals", lambda c: cs.append(c) or real(c))
+    code, _, _ = run(argv, capsys)
+    assert code == 0 and len(cs) == calls
 
 
 # closed_form_totals shifts the viable total by the even amount argv[1],
