@@ -236,11 +236,10 @@ def analyze(r):
     smoothings, vertical, viable, sequential, exponents = _scan(r, gens)
     word = from_runs(r)
     try:
-        frac = rational.continued_fraction(exponents)
+        frac, cc = rational.classify(exponents)
     except ValueError as e:  # every model word has a knot fraction
         raise InvariantError("knot fraction", f"word {word}",
                              "p odd, 0 < q < p, coprime", e) from e
-    cc = rational.canonical_class(frac)
     s = 2 + viable
     return WordAnalysis(
         word, r, _braid_word(gens[0], exponents), smoothings, vertical, viable,

@@ -9,6 +9,10 @@ every word exactly, independently of any diagram combinatorics, and p
 doubles as the knot determinant, which the planar module recomputes
 from Goeritz matrices as a cross-check.
 
+classify reads p/q and its class off one product M(a1)...M(ak) =
+[[p, p'], [q, q']], M(a) = [[a, 1], [1, 0]]: p q' - p' q = (-1)^k proves
+gcd(p, q) = 1 and gives q^-1 = (-1)^(k+1) p' mod p without an inverse.
+
 The module also owns how a value is written out: exact rationals as
 "num/den (decimal)" for people, and csv_cell/json_value for every CSV
 cell and JSON value the package emits.  Every record is a named tuple;
@@ -66,6 +70,45 @@ class CanonicalClass(NamedTuple):
     q_star: int
 
 
+_BLOCK = 256  # exponents folded one at a time; longer lists are halved
+
+
+def _mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _product(exponents):
+    """M(a1)...M(ak) as (p, p', q, q').  Halving makes operands of like
+    size meet, so the big products run in Karatsuba time."""
+    if len(exponents) > _BLOCK:
+        mid = len(exponents) // 2
+        return _mul(_product(exponents[:mid]), _product(exponents[mid:]))
+    p, p1, q, q1 = 1, 0, 0, 1
+    for a in exponents:
+        p, p1 = a * p + p1, p
+        q, q1 = a * q + q1, q
+    return p, p1, q, q1
+
+
+def classify(exponents):
+    """Knot fraction and canonical class of [a1, ..., ak] from one product;
+    a determinant other than (-1)^k raises ValueError, also under -O.
+
+    >>> classify([3, 1, 1, 1])
+    (KnotFraction(p=11, q=3), CanonicalClass(p=11, q_star=3))
+    """
+    if not exponents or min(exponents) < 1:
+        raise ValueError(f"exponents must be positive integers: {exponents}")
+    p, p1, q, q1 = _product(exponents)
+    sign, det = (-1) ** len(exponents), p * q1 - p1 * q
+    if det != sign:
+        raise ValueError(f"p q' - p' q must be (-1)^k = {sign}, got {det}")
+    # q^-1 = -sign p' mod p, and 0 < p' < p; the class minimizes over the sign
+    return KnotFraction(p, q), CanonicalClass(p, min(q, p - q, p1, p - p1))
+
+
 def continued_fraction(exponents):
     """Evaluate [a1, ..., ak] = a1 + 1/(a2 + 1/(... + 1/ak)) exactly.
 
@@ -76,12 +119,7 @@ def continued_fraction(exponents):
     >>> continued_fraction([1, 1, 1, 1, 1, 1, 1])
     KnotFraction(p=21, q=13)
     """
-    if not exponents or min(exponents) < 1:
-        raise ValueError(f"exponents must be positive integers: {exponents}")
-    num, den = exponents[-1], 1
-    for a in reversed(exponents[:-1]):
-        num, den = a * num + den, num
-    return KnotFraction(num, den)
+    return classify(exponents)[0]
 
 
 def canonical_class(f):

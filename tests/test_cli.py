@@ -166,14 +166,14 @@ def test_analyze_parity_fault_exits_1(flags):
                            "nonnegative even 1 - s + c, got 1\n")
 
 
-# continued_fraction adds one to the last exponent, so p comes out even;
+# classify adds one to the last exponent, so p comes out even;
 # KnotFraction's ValueError is a program fault here (exit 1), not a usage
 # error, also under python -O
 _PLANTED_FRACTION = """
 import sys
 from twobridge import cli, rational
-real = rational.continued_fraction
-rational.continued_fraction = lambda exponents: real([*exponents[:-1], exponents[-1] + 1])
+real = rational.classify
+rational.classify = lambda exponents: real([*exponents[:-1], exponents[-1] + 1])
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -189,6 +189,29 @@ def test_knot_fraction_fault_exits_1(flags, argv, word, fraction):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == (f"error: knot fraction at word {word}: expected p odd, "
                            f"0 < q < p, coprime, got p must be odd, got {fraction}\n")
+
+
+# the product of two halves comes out with its columns swapped, so the
+# continuant determinant p q' - p' q changes sign; the 3,001-letter word's
+# exponents are halved once, and the error names the determinant, not p and q
+_PLANTED_PRODUCT = """
+import sys
+from twobridge import cli, rational
+real = rational._mul
+rational._mul = lambda x, y: (lambda a, b, c, d: (b, a, d, c))(*real(x, y))
+sys.exit(cli.main(["sample", "3001", "1", "1"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_continuant_product_fault_exits_1(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_PRODUCT],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: knot fraction at word +")
+    assert proc.stderr.endswith(": expected p odd, 0 < q < p, coprime, got "
+                                "p q' - p' q must be (-1)^k = 1, got -1\n")
 
 
 # ----------------------------------------------------------------- census
@@ -715,13 +738,13 @@ def test_bound_and_sample_write_one_row_at_a_time(argv, fmt):
 def test_each_word_is_classified_once(argv, capsys, monkeypatch):
     # analyze decides a word's class; grouping and labels read it
     calls = []
-    real = rational.canonical_class
+    real = rational.classify
 
-    def counting(f):
-        calls.append(f)
-        return real(f)
+    def counting(exponents):
+        calls.append(exponents)
+        return real(exponents)
 
-    monkeypatch.setattr(rational, "canonical_class", counting)
+    monkeypatch.setattr(rational, "classify", counting)
     code, _, _ = run(argv, capsys)
     assert code == 0
     assert len(calls) == census.model_count(10) == 85
@@ -772,6 +795,17 @@ def test_sample_long_words_output_pinned(fmt, capsys):
     code, out, err = run(["sample", "--format", fmt, "3001", "3", "7"], capsys)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_3001_DIGESTS[fmt]
+
+
+# stdout sha256 of one 10^6-letter word (c = 308,559), pinned when its
+# fraction was a right fold and its class pow(q, -1, p), each quadratic
+SAMPLE_LONG_DIGEST = "b1d4ab978a650e3b1e0de46b07d1d27e34f161ac0867cd53b8fb8dae8f72b3d7"
+
+
+def test_sample_million_letter_word_output_pinned(capsys):
+    code, out, err = run(["sample", "1000000", "1", "1"], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_LONG_DIGEST
 
 
 # a sample of no words: human output is empty, JSON "[]", CSV the header alone

@@ -53,6 +53,58 @@ def test_fractions_from_alternating_words_golden(row):
     assert rational.KNOT_NAMES.get(rational.canonical_class(f)) == name
 
 
+# ------------------------------------------ classify against its check route
+
+def right_fold(exponents):
+    """[a1, ..., ak] folded from the right, one exponent at a time: the
+    check route for classify's continuant product."""
+    num, den = exponents[-1], 1
+    for a in reversed(exponents[:-1]):
+        num, den = a * num + den, num
+    return rational.KnotFraction(num, den)
+
+
+def assert_classify_agrees(exponents):
+    """classify against the right fold and canonical_class's pow(q, -1, p),
+    refusals included: both routes raise the same ValueError or neither does."""
+    try:
+        f = right_fold(exponents)
+    except ValueError as e:
+        with pytest.raises(ValueError) as info:
+            rational.classify(exponents)
+        assert str(info.value) == str(e)
+        return False
+    assert rational.classify(exponents) == (f, rational.canonical_class(f))
+    return True
+
+
+def word_exponents(r):
+    return diagram._scan(r, diagram.generators(r))[4]
+
+
+def test_classify_agrees_with_right_fold_on_model_words():
+    for r in model_words(3, 14):
+        assert assert_classify_agrees(word_exponents(r)), r
+
+
+def test_classify_agrees_with_right_fold_on_benchmark_words():
+    # the 960 words of the sample workload, about 489 exponents each
+    runs = [n.run_word for s in range(64) for n in map(words.normalize_to_model,
+                                                        words.sample(3001, 15, s))
+            if n.kind == words.MODEL]
+    assert len(runs) == 960
+    for r in runs:
+        assert assert_classify_agrees(word_exponents(r)), r
+
+
+@pytest.mark.parametrize("k", [1, 2, 255, 256, 257, 511, 512, 513, 1500])
+def test_classify_agrees_with_right_fold_across_block_edges(k):
+    rng = random.Random(k)
+    knots = sum(assert_classify_agrees([rng.randint(1, 20) for _ in range(k)])
+                for _ in range(30))
+    assert knots >= 10  # even p, and [1] alone, are refused by both routes
+
+
 # -------------------------------------------------------- canonical class
 
 def test_canonical_class_golden():
