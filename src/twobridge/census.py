@@ -376,13 +376,15 @@ def run_census(c, per_word=False, analyses=None):
     if analyses is None:
         analyses = map(diagram.analyze, enumerate_model_words(c))
     for a in analyses:
+        # one unpacking in WordAnalysis._fields order, which test_records pins
+        word, _, _, smoothings, vert, viab, seq, _, _, _, genus, p, q, q_star, _, palindromic = a
         count += 1
-        vertical += a.vertical
-        viable += a.viable
-        sequential += a.sequential
-        genus_total += a.genus
-        smoothing_counts[a.smoothings] += 1
-        rows.append(a.knot_row)
+        vertical += vert
+        viable += viab
+        sequential += seq
+        genus_total += genus
+        smoothing_counts[smoothings] += 1
+        rows.append(((p, q_star), word, q, genus, palindromic))  # as group_rows takes it
         if per_word:
             kept.append(a)
 

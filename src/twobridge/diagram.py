@@ -8,7 +8,7 @@ plat diagram: a (sign, run length) pair maps to a braid generator
 where s1 sits at the lower height (strands 1-2) and s2^-1 at the upper
 height (strands 2-3).  Model words start with +, so run i (0-based) of
 length e gives s1 exactly when i + e is odd.  GENERATOR[i & 1][e] holds
-this rule as data, and generators(r) and census.scan_totals both read it.
+this rule as data; _scan, census.scan_totals and generators(r) read it.
 
 The counting rule is one run automaton, written once in _step and held
 as data in STEP.  A run of length e smooths its crossing horizontally
@@ -26,12 +26,13 @@ adjacent; a vertical one settles it and becomes pending itself.
 STEP[state][e][g] gives the next state's index, the smoothing and the
 flags settled by a run of length e with generator g, and
 ENDS_VIABLE[state] counts the crossing still pending at the end.
-analyze walks STEP once per word (_scan), folding the braid word's
-exponents beside it; census.scan_totals sums it over all words of one
-crossing number.  full_diagram, the check route, reads no table: a
-right-to-left sweep that carries the nearest vertical crossing to the
-right sets its flags.  The planar oracle draws the diagram from
-generators(r) alone and traces its smoothings and Seifert circles.
+analyze walks STEP once per word (_scan), reading each run's generator
+and folding the braid word's exponents as it goes; census.scan_totals
+sums it over all words of one crossing number.  full_diagram, the check
+route, reads no table: a right-to-left sweep that carries the nearest
+vertical crossing to the right sets its flags.  The planar oracle
+draws the diagram from generators(r) alone and traces its smoothings
+and Seifert circles.
 """
 
 from itertools import accumulate, cycle, product
@@ -66,8 +67,7 @@ class CrossingInfo(NamedTuple):
     sequential: bool
 
 
-# exponent k -> the texts of s1^k and s2^-k, added as new exponents appear;
-# s2[k] is stored last, so a k in s2 is in both even while a thread adds it
+# exponent k -> the texts of s1^k and s2^-k, added as new exponents appear
 _POWERS = ({1: SIGMA1}, {1: SIGMA2_INV})
 
 
@@ -122,16 +122,19 @@ def _table(step):
 STEP = _table(_step)
 
 
-def _scan(r, gens):
-    """analyze's kernel: one walk of STEP over the runs and their generators,
-    with the fold of the generators beside it.  Returns the smoothing string,
-    the vertical, viable and sequential counts, and the folded exponents."""
+def _scan(r):
+    """analyze's kernel: one walk of STEP over the runs and their generators
+    from GENERATOR, folding the generators beside it.  Returns the first
+    generator, the smoothing string, the vertical, viable and sequential
+    counts, and the folded exponents."""
     smoothings = []
     exponents = []
     viable = sequential = 0
     state = START
-    prev, k = gens[0], 0
-    for e, g in zip(r.runs, gens):
+    first = prev = GENERATOR[0][r.runs[0]]
+    k = 0
+    for e, generator in zip(r.runs, cycle(GENERATOR)):
+        g = generator[e]
         if g == prev:
             k += 1
         else:
@@ -143,7 +146,8 @@ def _scan(r, gens):
         sequential += settled_sequential
     exponents.append(k)
     smoothings = "".join(smoothings)
-    return smoothings, smoothings.count(V), viable + ENDS_VIABLE[state], sequential, exponents
+    return (first, smoothings, smoothings.count(V), viable + ENDS_VIABLE[state], sequential,
+            exponents)
 
 
 def genus(s, c):
@@ -217,11 +221,6 @@ class WordAnalysis(NamedTuple):
     csv_row = rational.csv_row
     to_json = rational.to_json
 
-    @property
-    def knot_row(self):
-        """((p, q_star), word, q, genus, palindromic), the row rational.group_rows takes."""
-        return (self.p, self.q_star), self.word, self.q, self.genus, self.palindromic
-
 
 def analyze(r):
     """Full per-word record: diagram counts, genus, fraction, knot name.
@@ -232,8 +231,7 @@ def analyze(r):
     """
     if not r.is_model:
         raise ValueError(f"not a model word: {r}")
-    gens = generators(r)
-    smoothings, vertical, viable, sequential, exponents = _scan(r, gens)
+    first, smoothings, vertical, viable, sequential, exponents = _scan(r)
     word = from_runs(r)
     try:
         frac, cc = rational.classify(exponents)
@@ -242,6 +240,6 @@ def analyze(r):
                              "p odd, 0 < q < p, coprime", e) from e
     s = 2 + viable
     return WordAnalysis(
-        word, r, _braid_word(gens[0], exponents), smoothings, vertical, viable,
-        sequential, s, 2 + sequential, 2 + vertical, genus(s, len(gens)),
+        word, r, _braid_word(first, exponents), smoothings, vertical, viable,
+        sequential, s, 2 + sequential, 2 + vertical, genus(s, len(r.runs)),
         frac.p, frac.q, cc.q_star, rational.KNOT_NAMES.get(cc), is_palindromic_type(r))

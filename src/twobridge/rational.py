@@ -11,7 +11,8 @@ from Goeritz matrices as a cross-check.
 
 classify reads p/q and its class off one product M(a1)...M(ak) =
 [[p, p'], [q, q']], M(a) = [[a, 1], [1, 0]]: p q' - p' q = (-1)^k proves
-gcd(p, q) = 1 and gives q^-1 = (-1)^(k+1) p' mod p without an inverse.
+gcd(p, q) = 1, so classify takes no gcd (a direct KnotFraction(p, q)
+does), and gives q^-1 = (-1)^(k+1) p' mod p without an inverse.
 
 The module also owns how a value is written out: exact rationals as
 "num/den (decimal)" for people, and csv_cell/json_value for every CSV
@@ -49,17 +50,22 @@ KNOT_NAMES = {
 }
 
 
+def _check_knot(p, q):
+    """KnotFraction's checks but coprimality, which classify's determinant proves."""
+    if not 0 < q < p:
+        raise ValueError(f"need 0 < q < p, got {p}/{q}")
+    if p % 2 == 0:
+        # even determinant means a 2-component link, not a knot
+        raise ValueError(f"p must be odd, got {p}/{q}")
+
+
 class KnotFraction(namedtuple("KnotFraction", "p q")):
     """Reduced fraction p/q of a 2-bridge knot: p odd, 0 < q < p, coprime."""
 
     __slots__ = ()
 
     def __new__(cls, p, q):
-        if not 0 < q < p:
-            raise ValueError(f"need 0 < q < p, got {p}/{q}")
-        if p % 2 == 0:
-            # even determinant means a 2-component link, not a knot
-            raise ValueError(f"p must be odd, got {p}/{q}")
+        _check_knot(p, q)
         if gcd(p, q) != 1:
             raise ValueError(f"p, q must be coprime, got {p}/{q}")
         return tuple.__new__(cls, (p, q))
@@ -105,8 +111,10 @@ def classify(exponents):
     sign, det = (-1) ** len(exponents), p * q1 - p1 * q
     if det != sign:
         raise ValueError(f"p q' - p' q must be (-1)^k = {sign}, got {det}")
+    _check_knot(p, q)
     # q^-1 = -sign p' mod p, and 0 < p' < p; the class minimizes over the sign
-    return KnotFraction(p, q), CanonicalClass(p, min(q, p - q, p1, p - p1))
+    return (tuple.__new__(KnotFraction, (p, q)),
+            tuple.__new__(CanonicalClass, (p, min(q, p - q, p1, p - p1))))
 
 
 def continued_fraction(exponents):

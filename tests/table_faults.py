@@ -45,8 +45,8 @@ def _swapped_generator():
     return even, (None, odd[2], odd[1])
 
 
-# generators(r) reads GENERATOR, so analyze, full_diagram and the planar
-# oracle all see this fault, and census.scan_totals reads it too; the
+# analyze's kernel, census.scan_totals and generators(r) all read GENERATOR,
+# so analyze, full_diagram and the planar oracle all see this fault; the
 # comparison with full_diagram is no check route for it.  analyze's knot
 # fraction check fails on the first word it reads
 ALL_FAULTS = {**FAULTS, "generator-swapped": ("knot fraction at word +-++-+-+-+-+-+-+",

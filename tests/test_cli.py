@@ -148,9 +148,9 @@ import sys
 from twobridge import cli, diagram
 real = diagram._scan
 
-def one_more_viable(r, gens):
-    smoothings, vertical, viable, sequential, exponents = real(r, gens)
-    return smoothings, vertical, viable + 1, sequential, exponents
+def one_more_viable(r):
+    first, smoothings, vertical, viable, sequential, exponents = real(r)
+    return first, smoothings, vertical, viable + 1, sequential, exponents
 
 diagram._scan = one_more_viable
 sys.exit(cli.main(["analyze", "+-+-"]))

@@ -1,5 +1,6 @@
 """Per-crossing records, smoothing classification, Seifert circle count."""
 
+import hashlib
 import itertools
 import json
 
@@ -19,6 +20,15 @@ def run_word(word):
 def model_words(c_lo, c_hi):
     for c in range(c_lo, c_hi + 1):
         yield from words.enumerate_model_words(c)
+
+
+def benchmark_words():
+    """The 960 model words of the sample workload, sample 3001 15 s for s < 64."""
+    runs = [n.run_word for s in range(64)
+            for n in map(words.normalize_to_model, words.sample(3001, 15, s))
+            if n.kind == words.MODEL]
+    assert len(runs) == 960
+    return runs
 
 
 def vertical_indices(d):
@@ -82,17 +92,14 @@ def braid_word_by_comprehension(first, exps):
 
 
 def test_braid_word_matches_comprehension_form():
-    benchmark = [n.run_word for s in range(64)
-                 for n in map(words.normalize_to_model, words.sample(3001, 15, s))
-                 if n.kind == words.MODEL]
-    assert len(benchmark) > 100
+    benchmark = benchmark_words()
     # runs 1, 2, 1, 2, ..., 1: every crossing is s1, one fold of exponent 101
     torus = words.RunWord(words.PLUS, (1, 2) * 50 + (1,))
     assert torus.is_model and diagram.analyze(torus).alternating == "s1^101"
     for r in itertools.chain(model_words(3, 14), benchmark, [torus]):
-        gens = diagram.generators(r)
-        exps = diagram._scan(r, gens)[-1]
-        assert diagram._braid_word(gens[0], exps) == braid_word_by_comprehension(gens[0], exps)
+        first, *_, exps = diagram._scan(r)
+        assert first == diagram.generators(r)[0]
+        assert diagram._braid_word(first, exps) == braid_word_by_comprehension(first, exps)
     # a model word starts with s1; the memo serves either first generator
     for first in (diagram.SIGMA2_INV, diagram.SIGMA1):
         for exps in ([1], [2, 1, 1], [150, 1, 3, 1000]):
@@ -238,6 +245,18 @@ def test_analyze_golden(row):
     assert (a.p, a.q) == (p, q)
     assert a.name == name
     assert a.palindromic == pal
+
+
+@pytest.mark.parametrize("words_of, count, digest", [
+    (lambda: model_words(3, 14), 2730,
+     "3d3b899c5bad39a42febda91e6d5c866f406a3bca8d59f7eaf743cb3d64c348a"),
+    (benchmark_words, 960, "9c4f9d44f458d6d120a9bb17db0fa0459d9c558898d5e71b7378a0eac91e7286"),
+], ids=["c-3-to-14", "benchmark"])
+def test_analyze_records_are_pinned(words_of, count, digest):
+    # every field of every record: a faster kernel must leave them all as they are
+    records = [tuple(diagram.analyze(r)) for r in words_of()]
+    assert len(records) == count
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
 
 
 def assert_analyze_agrees_with_full_diagram(r):

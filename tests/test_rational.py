@@ -79,7 +79,7 @@ def assert_classify_agrees(exponents):
 
 
 def word_exponents(r):
-    return diagram._scan(r, diagram.generators(r))[4]
+    return diagram._scan(r)[-1]
 
 
 def test_classify_agrees_with_right_fold_on_model_words():
@@ -87,14 +87,36 @@ def test_classify_agrees_with_right_fold_on_model_words():
         assert assert_classify_agrees(word_exponents(r)), r
 
 
-def test_classify_agrees_with_right_fold_on_benchmark_words():
-    # the 960 words of the sample workload, about 489 exponents each
+def benchmark_exponents():
+    """The exponents of the 960 words of the sample workload, about 489 each."""
     runs = [n.run_word for s in range(64) for n in map(words.normalize_to_model,
                                                         words.sample(3001, 15, s))
             if n.kind == words.MODEL]
     assert len(runs) == 960
-    for r in runs:
-        assert assert_classify_agrees(word_exponents(r)), r
+    return map(word_exponents, runs)
+
+
+def test_classify_agrees_with_right_fold_on_benchmark_words():
+    for exponents in benchmark_exponents():
+        assert assert_classify_agrees(exponents)
+
+
+def test_classify_takes_no_gcd_and_knot_fraction_takes_one(monkeypatch):
+    # classify's determinant proves gcd(p, q) = 1; a direct construction
+    # has no determinant and checks coprimality itself
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(rational, "gcd", counting_gcd)
+    for exponents in benchmark_exponents():
+        rational.classify(exponents)
+    assert calls == []
+    with pytest.raises(ValueError, match="^p, q must be coprime, got 9/3$"):
+        rational.KnotFraction(9, 3)
+    assert calls == [(9, 3)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 255, 256, 257, 511, 512, 513, 1500])
