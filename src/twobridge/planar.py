@@ -30,7 +30,10 @@ quadrant between corner p and its clockwise neighbour is quadrant p, so
 N, E, S, W are 0, 1, 2, 3.  A face is an orbit of the map
 p -> clockwise(other[p]) on ports: leave p, arrive at a = other[p], turn
 clockwise around a's crossing and leave again; the face holds every
-quadrant a it turns through.
+quadrant a it turns through.  Quadrants a and clockwise(a) lie on the two
+sides of the edge at corner clockwise(a), so in a checkerboard colouring
+their faces differ; the face pass traces and colours the faces together,
+and checks that colour on both sides of every edge at both its ends.
 
 The trefoil as the billiard word +-+: crossing 0 (ports 0-3) and
 crossing 2 (ports 8-11) sit at heights 0-1, crossing 1 (ports 4-7) at
@@ -44,7 +47,6 @@ heights 1-2, and the long strand enters at crossing 0's sw corner.
 """
 
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple
 
 from .diagram import H, SIGMA1, V
@@ -267,62 +269,43 @@ def trace_seifert_circles(od):
 
 
 def _faces(pd):
-    """Orbit the darts into faces.  quadrant[a] is the face of quadrant a;
-    the dart leaving port p lies in face quadrant[other[p]].  Face 0 holds
-    the long strand's entry dart, the one arriving at the start port.
+    """Trace and colour the faces in one pass: face[a] is the face of
+    quadrant a and color[f] the colour, 0 or 1, of face f.  Face 0 has
+    colour 0 and holds the start port's quadrant, left of the long
+    strand's entry dart.
     """
     other = pd.other
     entry = other[pd.start]
     if other[entry] != pd.start:
         raise InvariantError("entry dart ends at the start port", _where(pd.crossings),
                              pd.start, other[entry])
-    quadrant = [-1] * len(other)
-    faces = 0
-    for first in chain((entry,), range(len(other))):
-        if quadrant[other[first]] >= 0:
-            continue
-        p = first
-        while True:
-            a = other[p]
-            if quadrant[a] >= 0:
-                raise InvariantError("each quadrant in one face", _where(pd.crossings),
-                                     f"quadrant {a} unvisited", f"in face {quadrant[a]}")
-            quadrant[a] = faces
-            p = (a & ~3) | ((a + 1) & 3)
-            if p == first:
-                break
-        faces += 1
-    if faces != pd.n + 2:
-        raise InvariantError("face count n + 2", _where(pd.crossings), pd.n + 2, faces)
-    return faces, quadrant
-
-
-def _checkerboard(pd, faces, quadrant):
-    """2-color the faces so adjacent faces across every edge differ: the
-    edge p -> q has face quadrant[q] on one side and quadrant[p] on the
-    other."""
-    neighbors = [[] for _ in range(faces)]
-    for p, q in enumerate(pd.other):
-        if quadrant[q] == quadrant[p]:
-            raise InvariantError("edge between two faces", _where(pd.crossings),
-                                 "two faces", f"face {quadrant[q]} on both sides")
-        neighbors[quadrant[q]].append(quadrant[p])
-    color = [-1] * faces
-    color[0] = 0
-    queue = [0]
+    face = [-1] * len(other)
+    color = []
+    queue = [(pd.start, 0)]  # (quadrant, the colour its face must have)
     while queue:
-        f = queue.pop()
-        for g in neighbors[f]:
-            if color[g] < 0:
-                color[g] = 1 - color[f]
-                queue.append(g)
-            elif color[g] == color[f]:
-                raise InvariantError("checkerboard colouring", _where(pd.crossings),
-                                     f"faces {f} and {g} differ", "same colour")
-    if -1 in color:
+        a, c = queue.pop()
+        f = face[a]
+        if f < 0:
+            first, f = a, len(color)
+            color.append(c)
+            while face[a] < 0:
+                face[a] = f
+                q = (a & ~3) | ((a + 1) & 3)
+                queue.append((q, 1 - c))
+                a = other[q]
+            if a != first:
+                raise InvariantError("each quadrant in one face", _where(pd.crossings),
+                                     f"quadrant {a} unvisited", f"in face {face[a]}")
+        elif color[f] != c:
+            raise InvariantError("checkerboard colouring", _where(pd.crossings),
+                                 f"quadrant {a} in a face of colour {c}",
+                                 f"face {f} of colour {color[f]}")
+    if -1 in face:
         raise InvariantError("connected face graph", _where(pd.crossings),
-                             faces, faces - color.count(-1))
-    return color
+                             "every quadrant in a face", f"quadrant {face.index(-1)} in none")
+    if len(color) != pd.n + 2:
+        raise InvariantError("face count n + 2", _where(pd.crossings), pd.n + 2, len(color))
+    return face, color
 
 
 def _int_det(a):
@@ -349,21 +332,14 @@ def _goeritz_layout(pd):
     """The Goeritz matrix of pd but for the signs, which alone read the
     over flags: the white face count (white avoids the face left of the
     long strand's entry) and, per crossing between two white faces,
-    (crossing, their rows, +1 if its N and S quadrants are shaded else -1)."""
-    faces, quadrant = _faces(pd)
-    color = _checkerboard(pd, faces, quadrant)
+    (crossing, their rows, +1 if its N and S quadrants are shaded else -1).
+    _faces has checked the colours: N and S share one, E and W the other."""
+    face, color = _faces(pd)
     white = 1 - color[0]
-    index = {f: i for i, f in enumerate(f for f in range(faces) if color[f] == white)}
+    index = {f: i for i, f in enumerate(f for f, c in enumerate(color) if c == white)}
     cells = []
     for ci in range(pd.n):
-        f_n, f_e, f_s, f_w = quadrant[4 * ci:4 * ci + 4]
-        if color[f_n] != color[f_s] or color[f_e] != color[f_w]:
-            raise InvariantError("opposite quadrants share a colour", _where(pd.crossings),
-                                 f"crossing {ci}: N=S and E=W",
-                                 (color[f_n], color[f_e], color[f_s], color[f_w]))
-        if color[f_n] == color[f_e]:
-            raise InvariantError("adjacent quadrants differ in colour", _where(pd.crossings),
-                                 f"crossing {ci}: N != E", (color[f_n], color[f_e]))
+        f_n, f_e, f_s, f_w = face[4 * ci:4 * ci + 4]
         shaded_ns = color[f_n] != white
         fa, fb = ((f_e, f_w) if shaded_ns else (f_n, f_s))
         if fa != fb:

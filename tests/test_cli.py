@@ -912,8 +912,9 @@ def test_check_fails_on_planted_planar_fault(flags):
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
     failed = [line for line in lines if "FAIL" in line]
-    assert failed == ["determinant equality: FAIL (InvariantError: face count n + 2 "
-                      "at strip 0/ 0/ 0/: expected 5, got 3)"]
+    assert failed == ["determinant equality: FAIL (InvariantError: checkerboard colouring "
+                      "at strip 0/ 0/ 0/: expected quadrant 8 in a face of colour 1, "
+                      "got face 0 of colour 0)"]
     assert len(lines) == 7 and proc.stderr == "FAILED\n"
 
 

@@ -357,26 +357,27 @@ def test_run_all_traces_each_billiard_length_once(monkeypatch):
     assert len(lengths) == 6 and len(traced) == 341 + 6
 
 
-# the face pass or the colouring goes wrong on every diagram: both the
-# alternating and the cached billiard route must raise its named error,
-# under python -O too, and the cache must not keep the failed layout
+# the face pass reads a wrong wiring of every diagram: crossing 0's nw and
+# ne edges trade far ends (twisted) or nw's edge ends where ne's does
+# (redirected).  Both the alternating and the cached billiard route must
+# raise the pass's named error, under python -O too, and the cache must
+# not keep the failed layout
 _PLANTED_LAYOUT = """
 import sys
 from twobridge import cli, planar, words
-which = sys.argv[1]
-real = getattr(planar, which)
+fault = sys.argv[1]
+real = planar._faces
 
 def faces(pd):
-    faces, quadrant = real(pd)
-    quadrant[0], quadrant[1] = quadrant[1], quadrant[0]
-    return faces, quadrant
+    other = list(pd.other)
+    a, b = other[0], other[1]
+    if fault == "twisted":
+        other[0], other[1], other[a], other[b] = b, a, 1, 0
+    else:
+        other[0] = b
+    return real(pd._replace(other=tuple(other)))
 
-def checkerboard(pd, faces, quadrant):
-    color = real(pd, faces, quadrant)
-    color[-1] = 1 - color[-1]
-    return color
-
-setattr(planar, which, {"_faces": faces, "_checkerboard": checkerboard}[which])
+planar._faces = faces
 for w in ("+-+", "-+-"):
     try:
         planar.billiard_determinant(w)
@@ -388,11 +389,11 @@ sys.exit(cli.main(["check", "6"]))
 
 
 @pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
-@pytest.mark.parametrize("which, name", [
-    ("_faces", "edge between two faces"),
-    ("_checkerboard", "opposite quadrants share a colour")])
-def test_check_fails_on_planted_layout_fault(flags, which, name):
-    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_LAYOUT, which],
+@pytest.mark.parametrize("fault, name", [
+    ("twisted", "checkerboard colouring"),
+    ("redirected", "each quadrant in one face")], ids=["twisted", "redirected"])
+def test_check_fails_on_planted_layout_fault(flags, fault, name):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_LAYOUT, fault],
                           capture_output=True, text=True, check=False, timeout=120)
     assert proc.returncode == 1 and proc.stderr == "FAILED\n"
     lines = proc.stdout.splitlines()
@@ -549,6 +550,60 @@ def test_goeritz_determinant_equals_fraction_numerator():
 def test_determinant_of_unknot_closures():
     assert planar.goeritz_determinant(planar.billiard_pd("+++")) == 1
     assert planar.goeritz_determinant(planar.billiard_pd("++-+")) == 1
+
+
+def test_faces_colour_the_two_sides_of_every_edge_apart():
+    # the one face pass leaves nothing to re-check: on every strip of at
+    # most 12 crossings that builds, the sides of each edge are two faces
+    # of two colours, and each crossing has N = S, E = W and N != E
+    built = 0
+    for n in range(1, 13):
+        for los in itertools.product((0, 1), repeat=n):
+            try:
+                pd = planar._build_strip([planar.Crossing(lower=lo, over="/") for lo in los])
+            except words.InvariantError:
+                continue
+            built += 1
+            face, color = planar._faces(pd)
+            for p, q in enumerate(pd.other):
+                assert face[p] != face[q] and color[face[p]] != color[face[q]], (los, p)
+            for ci in range(n):
+                c_n, c_e, c_s, c_w = (color[f] for f in face[4 * ci:4 * ci + 4])
+                assert c_n == c_s and c_e == c_w and c_n != c_e, (los, ci)
+    assert built == 8184
+
+
+# one entry of a built strip's other redirected, so other is no involution
+@pytest.mark.parametrize("gens, other, start", [
+    (["s1", "s1", "s1", "s2^-1", "s2^-1"],
+     [12, 8, 7, 10, 1, 8, 11, 2, 5, 15, 3, 6, 0, 16, 19, 9, 13, 18, 17, 14], 17),
+    (["s2^-1"] * 4 + ["s1", "s2^-1"],
+     [3, 4, 7, 0, 1, 8, 11, 2, 5, 12, 9, 6, 9, 20, 16, 10, 14, 23, 22, 21, 13, 19, 18, 17], 19),
+], ids=["five-crossings", "six-crossings"])
+def test_broken_wiring_gets_a_named_error(gens, other, start):
+    pd = planar.alternating_pd(gens)._replace(other=tuple(other), start=start)
+    with pytest.raises(words.InvariantError, match="^each quadrant in one face at strip "):
+        planar.goeritz_determinant(pd)
+
+
+def test_every_redirected_edge_gets_a_named_error():
+    # other[p] = q for q != other[p] leaves two ports ending at q, so some
+    # face orbit meets a quadrant twice or misses one: never a number,
+    # never a bare KeyError
+    rng = random.Random(7)
+    broken = 0
+    while broken < 2000:
+        gens = [rng.choice((diagram.SIGMA1, diagram.SIGMA2_INV)) for _ in range(rng.randint(1, 11))]
+        try:
+            pd = planar.alternating_pd(gens)
+        except words.InvariantError:
+            continue  # a lone s2^-1 leaves a portless cycle
+        other = list(pd.other)
+        p = rng.randrange(len(other))
+        other[p] = rng.choice([q for q in range(len(other)) if q != other[p]])
+        with pytest.raises(words.InvariantError):
+            planar.goeritz_determinant(pd._replace(other=tuple(other)))
+        broken += 1
 
 
 # ------------------------------------------------------ pinned outputs
