@@ -51,8 +51,8 @@ def check_census_closed_forms(c_max, classes):
     # rule), enumerated totals = closed_form_totals, check_report (genus
     # parity and bound ordering), per-index counts = index_contribution,
     # index symmetry, and class count = knot_class_count.
-    # The rule's independent routes are the closed forms, the planar oracle
-    # and full_diagram.
+    # In check the rule's independent routes are the closed forms and the
+    # planar oracle; full_diagram is tier-1's route, which check never calls.
     count = 0
     for c in range(3, c_max + 1):
         _result(*classes[c])
@@ -93,9 +93,11 @@ def _one_pass(c_max):
     """Analyze each model word with c <= c_max once, for the oracle check,
     the determinant check (c <= 12, both on a diagram drawn from the
     generator list alone) and run_census(c).  A check stops at its first
-    failure; a failed diagram build fails the live diagram checks, a
-    failed enumeration or analysis those and the census.  Returns
-    [count, exception or None] per c's class count and per diagram check."""
+    failure.  Each live diagram check builds the diagram in its own try,
+    reusing one an earlier check built, so a build that raises fails that
+    check and the next tries the build itself; a failed enumeration or
+    analysis fails them and the census.  Returns [count, exception or
+    None] per c's class count and per diagram check."""
     checks = ((check_oracle_agreement, c_max), (check_determinants, 12))
     out = [[0, None] for _ in checks]
 
@@ -104,19 +106,14 @@ def _one_pass(c_max):
         try:
             for r in enumerate_model_words(c):
                 a = diagram.analyze(r)
-                live = [(check, o) for check, o in mine if o[1] is None]
-                if live:
-                    try:
-                        pd = planar.alternating_pd(diagram.generators(r))
-                    except Exception as e:
-                        for _, o in live:
+                pd = None
+                for check, o in mine:
+                    if o[1] is None:
+                        try:
+                            pd = pd or planar.alternating_pd(diagram.generators(r))
+                            o[0] += check(a, pd)
+                        except Exception as e:
                             o[1] = e
-                        live = []
-                for check, o in live:
-                    try:
-                        o[0] += check(a, pd)
-                    except Exception as e:
-                        o[1] = e
                 yield a
         except Exception as e:
             for _, o in mine:

@@ -261,42 +261,28 @@ def enumerate_model_words(c):
     >>> [from_runs(r) for r in enumerate_model_words(3)]
     ['+--+']
     """
-    for d, first in enumeration_tasks(c):
-        yield from expand_task(c, d, first)
+    for d in enumeration_tasks(c):
+        yield from expand_task(c, d)
 
 
 def enumeration_tasks(c):
-    """Split the c enumeration into independent units (d, first_double).
-
-    Expanding the units in list order with expand_task reproduces
-    enumerate_model_words(c) exactly.  The split stays because
-    bench/run.py traces both functions and counts words from expand_task.
-    """
+    """The d level: the interior double counts of c, which expand_task,
+    the word level, expands in order into enumerate_model_words(c).  The
+    levels stay two names because bench/run.py traces both functions and
+    counts words from expand_task."""
     if c < 3:
         raise ValueError(f"model words need at least 3 runs, got c={c}")
     if c > ENUMERATION_CEILING:
         raise ValueError(f"c={c} is above the enumeration ceiling {ENUMERATION_CEILING}")
-    tasks = []
-    for d in double_counts(c):
-        if d == 0:
-            tasks.append((0, None))
-        else:
-            # smallest double position ranges over interior slots that
-            # leave room for the remaining d-1 doubles
-            tasks.extend((d, first) for first in range(1, c - d))
-    return tasks
+    return double_counts(c)
 
 
-def expand_task(c, d, first):
-    """Yield the model words of one enumeration unit from enumeration_tasks."""
-    base = [1] * c
-    if d == 0:
-        yield RunWord(PLUS, base)
-        return
-    for rest in itertools.combinations(range(first + 1, c - 1), d - 1):
-        runs = base.copy()
-        runs[first] = 2
-        for j in rest:
+def expand_task(c, d):
+    """Yield the model words with c runs and d interior doubles, double
+    positions in lexicographic order (d = 0 yields the one empty choice)."""
+    for doubles in itertools.combinations(range(1, c - 1), d):
+        runs = [1] * c
+        for j in doubles:
             runs[j] = 2
         yield RunWord(PLUS, runs)
 

@@ -187,6 +187,31 @@ def test_diagram_checks_fail_independently(monkeypatch, module, name, failed):
         assert byname["determinant equality"][0] == 42
 
 
+def test_diagram_build_failing_on_one_word_fails_both_diagram_checks(monkeypatch):
+    # each diagram check tries the build itself, so a build that fails on
+    # one word fails both checks with its error, and nothing else
+    real = planar.alternating_pd
+
+    def faulty(generators):
+        if generators == ["s1", "s2^-1", "s2^-1", "s1", "s1"]:  # third word, c = 5
+            raise AssertionError("planted build failure")
+        return real(generators)
+
+    monkeypatch.setattr(planar, "alternating_pd", faulty)
+    results, ok = crosscheck.run_all(8)
+    assert not ok
+    assert results == [
+        ("netto identities", 93, None),
+        ("census closed forms", 51, None),
+        ("oracle circle counts and orientations", None,
+         "AssertionError: planted build failure"),
+        ("determinant equality", None, "AssertionError: planted build failure"),
+        ("billiard orientation patterns", 1350, None),
+        ("knot class multiplicities", 26, None),
+        ("link detection", 1, None),
+    ]
+
+
 @pytest.mark.parametrize("fault", table_faults.ALL_FAULTS)
 def test_planted_table_fault_fails_census_and_oracle_checks(monkeypatch, fault):
     # the kernel and the scan read one table: the census checks compare it

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from twobridge import words
+from twobridge import census, words
 
 SIGNS = "+-"
 
@@ -358,7 +358,9 @@ def test_double_counts():
 
 
 def test_enumeration_counts_and_distinctness():
-    for c, expected in zip(range(3, 13), golden.MODEL_COUNTS):
+    # golden hand counts up to c = 12, census.model_count above that
+    for c in range(3, 19):
+        expected = golden.MODEL_COUNTS[c - 3] if c <= 12 else census.model_count(c)
         seen = list(words.enumerate_model_words(c))
         assert len(seen) == expected
         assert len(set(seen)) == expected
@@ -372,7 +374,7 @@ def test_enumeration_order_c6():
 
 
 def test_enumeration_groups_by_doubles_then_position():
-    for c in (7, 9, 10):
+    for c in range(3, 19):
         rows = [(r.runs.count(2), tuple(i for i, e in enumerate(r.runs) if e == 2))
                 for r in words.enumerate_model_words(c)]
         assert rows == sorted(rows)
@@ -384,10 +386,17 @@ def test_enumeration_rejects_small_c():
 
 
 def test_tasks_partition_enumeration():
+    # the tasks are the double counts d; each expands to the words with d
+    # doubles, and the expansions in task order are the enumeration
     for c in range(3, 12):
-        by_task = [r for d, first in words.enumeration_tasks(c)
-                   for r in words.expand_task(c, d, first)]
-        assert by_task == list(words.enumerate_model_words(c))
+        whole = list(words.enumerate_model_words(c))
+        assert list(words.enumeration_tasks(c)) == list(words.double_counts(c))
+        by_task = []
+        for d in words.enumeration_tasks(c):
+            got = list(words.expand_task(c, d))
+            assert got == [r for r in whole if r.runs.count(2) == d]
+            by_task += got
+        assert by_task == whole
 
 
 # ---------------------------------------------------------- normalization
