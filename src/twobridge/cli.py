@@ -154,8 +154,16 @@ def _parse_range(text):
     return lo, hi
 
 
+# The largest c whose bound is written.  Each row evaluates 2^c and writes
+# c-bit integers, which str turns into text in quadratic time: bound 10^6
+# takes about 2.8 s, 2*10^6 about 11 s, and 10^10 would need 1.25 GB.
+BOUND_CEILING = 10 ** 6
+
+
 def cmd_bound(args):
     lo, hi = _parse_range(args.range)
+    if hi > BOUND_CEILING:  # before any closed form is evaluated
+        raise ValueError(f"c={hi} is above the bound ceiling {BOUND_CEILING}")
     # both columns, O(1) each, from a checked report
     reports = map(census.check_report, map(census.closed_form_totals, range(lo, hi + 1)))
     rows = ((r.c, r.avg_genus_lower, r.avg_genus if r.c <= args.exact_ceiling else None)

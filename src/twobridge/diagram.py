@@ -67,18 +67,31 @@ class CrossingInfo(NamedTuple):
     sequential: bool
 
 
-# exponent k -> the texts of s1^k and s2^-k, added as new exponents appear
-_POWERS = ({1: SIGMA1}, {1: SIGMA2_INV})
+class _Powers(dict):
+    """Exponent k -> the text of one generator's k-th power, formatted the
+    first time k is read."""
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, generator, prefix):
+        super().__init__({1: generator})
+        self.prefix = prefix
+
+    def __missing__(self, k):
+        text = self[k] = f"{self.prefix}{k}"
+        return text
+
+
+_POWERS = _Powers(SIGMA1, "s1^"), _Powers(SIGMA2_INV, "s2^-")
 
 
 def _braid_word(first, exponents):
     """The folded word written out, e.g. "s1^3 s2^-1 s1 s2^-1".  Adjacent
     folds differ, so with two generators they alternate from first; each
-    power's text is formatted once, the first time its exponent appears."""
-    s1, s2 = _POWERS
-    for k in set(exponents).difference(s2):
-        s1[k], s2[k] = f"s1^{k}", f"s2^-{k}"
-    return " ".join(map(getitem, cycle(_POWERS if first == SIGMA1 else (s2, s1)), exponents))
+    power's text comes from _POWERS, which formats it the first time its
+    exponent is read."""
+    return " ".join(map(getitem, cycle(_POWERS if first == SIGMA1 else _POWERS[::-1]),
+                        exponents))
 
 
 def generators(r):
@@ -239,7 +252,8 @@ def analyze(r):
         raise InvariantError("knot fraction", f"word {word}",
                              "p odd, 0 < q < p, coprime", e) from e
     s = 2 + viable
-    return WordAnalysis(
+    # positional, past the generated __new__, as classify builds its records
+    return tuple.__new__(WordAnalysis, (
         word, r, _braid_word(first, exponents), smoothings, vertical, viable,
         sequential, s, 2 + sequential, 2 + vertical, genus(s, len(r.runs)),
-        frac.p, frac.q, cc.q_star, rational.KNOT_NAMES.get(cc), is_palindromic_type(r))
+        frac.p, frac.q, cc.q_star, rational.KNOT_NAMES.get(cc), is_palindromic_type(r)))

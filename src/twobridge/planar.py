@@ -50,7 +50,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .diagram import H, SIGMA1, V
-from .words import InvariantError
+from .words import InvariantError, only_signs
 
 
 class MultiComponent(InvariantError):
@@ -176,8 +176,8 @@ def billiard_pd(word, allow_link=False):
     n = len(word)
     if n % 3 == 2 and not allow_link:
         raise ValueError(f"length {n} is 2 mod 3: closure is a 2-component link")
-    rest = word.lstrip("+-")
-    if rest:
+    if not only_signs(word):
+        rest = word.lstrip("+-")
         raise ValueError(f"invalid letter {rest[0]!r} at position {len(word) - len(rest)}")
     crossings = [_BILLIARD[ch][i % 2] for i, ch in enumerate(word)]
     template = _billiard_strip(n)

@@ -251,6 +251,7 @@ def group_rows(rows):
     always agree in genus; all of that is checked, not assumed, and a
     violation raises InvariantError.
     """
+    new = tuple.__new__
     classes = {}
     for row in rows:
         classes.setdefault(row[0], []).append(row)
@@ -269,13 +270,7 @@ def group_rows(rows):
         if palindromic != (mult == 1,) * mult:
             raise InvariantError("palindromic exactly when single", f"words {' '.join(words)}",
                                  [mult == 1] * mult, list(palindromic))
-        out.append(KnotClass(
-            p=p,
-            q=qs[0],
-            q_star=q_star,
-            name=KNOT_NAMES.get((p, q_star)),
-            multiplicity=mult,
-            words=words,
-            genus=genera[0],
-        ))
+        # KnotClass field order, past the generated __new__ as classify does
+        out.append(new(KnotClass, (p, qs[0], q_star, KNOT_NAMES.get((p, q_star)), mult, words,
+                                   genera[0])))
     return out

@@ -66,6 +66,18 @@ class InvariantError(Exception):
         return f"{self.name} at {self.where}: expected {self.expected}, got {self.actual}"
 
 
+def only_signs(word):
+    """True when word holds only + and -, read at C speed: its bytes with
+    both letters deleted are empty ("?" stands for a non-ASCII character).
+    Callers scan a failing word again, one character at a time, to name
+    the bad character and its position.
+
+    >>> only_signs("+--+"), only_signs("+-x"), only_signs("+\u2212")
+    (True, False, False)
+    """
+    return not word.encode("ascii", "replace").translate(None, b"+-")
+
+
 def parse_word(text):
     """Parse text into a word over {+, -}; whitespace is ignored.
 
@@ -73,7 +85,7 @@ def parse_word(text):
     '+--+'
     """
     word = "".join(text.split())
-    if not word.strip("+-"):
+    if only_signs(word):
         return word
     # something else is in there (str.split and str.isspace agree on
     # whitespace): find it and report its position
@@ -182,7 +194,7 @@ class RunWord(namedtuple("RunWord", "first_sign runs")):
 
     @property
     def is_model(self):
-        return self.first_sign == PLUS and self.c >= 3 and self.length % 3 == 1
+        return self.first_sign == PLUS and len(self.runs) >= 3 and sum(self.runs) % 3 == 1
 
     def to_json(self):
         return {"first_sign": self.first_sign, "runs": list(self.runs)}
@@ -199,8 +211,8 @@ def to_runs(word):
     """
     if not word:
         raise NotReducedForm("empty word has no run form")
-    rest = word.lstrip("+-")
-    if rest:  # a space would split a run, any other letter join one
+    if not only_signs(word):  # a space would split a run, any other letter join one
+        rest = word.lstrip("+-")
         raise NotReducedForm(f"{rest[0]!r} at position {len(word) - len(rest)} is not + or -")
     if "+++" in word or "---" in word:
         runs = map(len, word.replace("+-", "+ -").replace("-+", "- +").split())
@@ -279,12 +291,18 @@ def enumeration_tasks(c):
 
 def expand_task(c, d):
     """Yield the model words with c runs and d interior doubles, double
-    positions in lexicographic order (d = 0 yields the one empty choice)."""
+    positions in lexicographic order (d = 0 yields the one empty choice).
+
+    Each word is built directly, past RunWord's checks, which its
+    construction proves: first sign +, single end runs, interior runs of
+    1 or 2, and length c + d = 1 mod 3 (double_counts).  The tests compare
+    every word with c <= 18 with one from RunWord's checked constructor."""
+    new = tuple.__new__
     for doubles in itertools.combinations(range(1, c - 1), d):
         runs = [1] * c
         for j in doubles:
             runs[j] = 2
-        yield RunWord(PLUS, runs)
+        yield new(RunWord, (PLUS, tuple(runs)))
 
 
 class Normalized(NamedTuple):

@@ -11,14 +11,18 @@ reduced, normalized and analyzed) and of its `sample 3001 15 S` report.
 """
 
 import hashlib
+import importlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from twobridge import census, cli, diagram, words
 
-REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+REFERENCE = BENCH / "reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +80,19 @@ def test_full_sample_references_rebuild(refs, capsys):
     for seed, ref in refs["sample"].items():
         assert sample_digest(3001, 15, int(seed)) == ref["lib"], seed
         assert cli_sha256(["sample", "3001", "15", seed], capsys) == ref["cli_sha256"], seed
+
+
+def test_bench_targets_exist(monkeypatch):
+    # bench/run.py's tracer reads every target from sys.modules once the
+    # CLI and the check battery are loaded; a renamed function or a module
+    # no longer loaded there fails here by name, not inside the tracer
+    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports spans.py beside it
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    importlib.import_module("twobridge.cli")
+    importlib.import_module("twobridge.crosscheck")
+    missing = [f"{t.module}.{t.attr}" for t in run.TARGETS
+               if not hasattr(sys.modules.get(t.module), t.attr)]
+    assert run.TARGETS
+    assert missing == []

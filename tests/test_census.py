@@ -456,3 +456,23 @@ def test_run_census_checks_class_count(monkeypatch):
     with pytest.raises(words.InvariantError,
                        match="knot class count at c=6: expected 3, got 4"):
         census.run_census(6)
+
+
+def test_run_census_builds_no_word_through_run_word_checks(monkeypatch):
+    # the enumeration's construction proves what RunWord's constructor
+    # checks (test_enumeration_counts_and_distinctness compares the two),
+    # so the census path builds its words past it; a direct construction
+    # still checks
+    calls = []
+    checked = words.RunWord.__new__
+
+    def counting_new(cls, *args):
+        calls.append(args)
+        return checked(cls, *args)
+
+    monkeypatch.setattr(words.RunWord, "__new__", counting_new)
+    assert census.run_census(12).word_count == 341
+    assert calls == []
+    with pytest.raises(words.NotReducedForm, match="^run lengths must be 1 or 2"):
+        words.RunWord("+", (1, 3, 1))
+    assert calls == [("+", (1, 3, 1))]

@@ -318,6 +318,22 @@ def test_check_refuses_above_its_ceiling_before_any_work(monkeypatch, capsys):
     assert code == 1 and "RuntimeError: no census or enumeration" in out
 
 
+def test_bound_refuses_above_its_ceiling_before_any_closed_form(monkeypatch, capsys):
+    def no_work(c):
+        raise RuntimeError("no closed form")
+
+    monkeypatch.setattr(census, "closed_form_totals", no_work)
+    above = cli.BOUND_CEILING + 1
+    for arg, refused in [(str(above), above), (f"3..{above}", above),
+                         ("10000000000", 10 ** 10)]:
+        code, out, err = run(["bound", arg], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: c={refused} is above the bound ceiling {cli.BOUND_CEILING}\n"
+    # the ceiling itself is accepted: the closed forms start, and fail on the stub
+    with pytest.raises(RuntimeError, match="no closed form"):
+        cli.main(["bound", f"{cli.BOUND_CEILING}..{cli.BOUND_CEILING}"])
+
+
 def test_enumeration_ceiling_is_inclusive():
     assert census.model_count(words.ENUMERATION_CEILING) == 5_592_405
     assert words.enumeration_tasks(words.ENUMERATION_CEILING)

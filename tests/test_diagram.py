@@ -91,7 +91,7 @@ def braid_word_by_comprehension(first, exps):
         for j, k in enumerate(exps)])
 
 
-def test_braid_word_matches_comprehension_form():
+def test_braid_word_matches_comprehension_form(monkeypatch):
     benchmark = benchmark_words()
     # runs 1, 2, 1, 2, ..., 1: every crossing is s1, one fold of exponent 101
     torus = words.RunWord(words.PLUS, (1, 2) * 50 + (1,))
@@ -104,6 +104,16 @@ def test_braid_word_matches_comprehension_form():
     for first in (diagram.SIGMA2_INV, diagram.SIGMA1):
         for exps in ([1], [2, 1, 1], [150, 1, 3, 1000]):
             assert diagram._braid_word(first, exps) == braid_word_by_comprehension(first, exps)
+    # on a fresh memo, each power's text is formatted the first time its
+    # exponent is read, whatever the order and however large
+    monkeypatch.setattr(diagram, "_POWERS", (diagram._Powers(diagram.SIGMA1, "s1^"),
+                                             diagram._Powers(diagram.SIGMA2_INV, "s2^-")))
+    for first in (diagram.SIGMA1, diagram.SIGMA2_INV):
+        for exps in ([7, 3, 150, 3, 1, 101, 7], [1000, 2, 1000, 999, 4], [5]):
+            assert diagram._braid_word(first, exps) == braid_word_by_comprehension(first, exps)
+    s1, s2 = diagram._POWERS
+    assert sorted(s1) == sorted(s2) == [1, 2, 3, 4, 5, 7, 101, 150, 999, 1000]
+    assert all(s1[k] == f"s1^{k}" and s2[k] == f"s2^-{k}" for k in s1 if k > 1)
 
 
 def test_end_generators_track_crossing_parity():

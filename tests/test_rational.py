@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import golden
+import table_faults
 from twobridge import census, diagram, rational, words
 
 
@@ -87,13 +88,18 @@ def test_classify_agrees_with_right_fold_on_model_words():
         assert assert_classify_agrees(word_exponents(r)), r
 
 
-def benchmark_exponents():
-    """The exponents of the 960 words of the sample workload, about 489 each."""
+def benchmark_runs():
+    """The 960 model words of the sample workload, sample 3001 15 s for s < 64."""
     runs = [n.run_word for s in range(64) for n in map(words.normalize_to_model,
                                                         words.sample(3001, 15, s))
             if n.kind == words.MODEL]
     assert len(runs) == 960
-    return map(word_exponents, runs)
+    return runs
+
+
+def benchmark_exponents():
+    """The exponents of the 960 words of the sample workload, about 489 each."""
+    return map(word_exponents, benchmark_runs())
 
 
 def test_classify_agrees_with_right_fold_on_benchmark_words():
@@ -125,6 +131,73 @@ def test_classify_agrees_with_right_fold_across_block_edges(k):
     knots = sum(assert_classify_agrees([rng.randint(1, 20) for _ in range(k)])
                 for _ in range(30))
     assert knots >= 10  # even p, and [1] alone, are refused by both routes
+
+
+# ------------------------------------- the genus from the even continued fraction
+
+def even_fraction_length(p, q):
+    """The number of terms of the continued fraction of p/q whose terms are
+    all even and nonzero, for p odd: 2 g, twice the genus of the 2-bridge
+    knot p/q.  An odd q is replaced by p - q, the mirror image, first.
+    Each step takes the even integer a nearest n/d, and continues with
+    d/(n - a d).  A third route to the genus: it reads p and q only,
+    nothing of diagram's run automaton or of the planar oracle."""
+    n, d = p, q if q % 2 == 0 else p - q
+    terms = 0
+    while d:
+        a = 2 * ((n + d) // (2 * d))
+        n, d = d, n - a * d
+        terms += 1
+    return terms
+
+
+def test_even_fraction_golden():
+    # 3_1 and 4_1 have genus 1, 5_1 genus 2, 7_1 genus 3
+    knots = [(3, 1), (5, 2), (5, 1), (7, 1)]
+    assert [even_fraction_length(p, q) for p, q in knots] == [2, 2, 4, 6]
+
+
+def test_even_fraction_gives_the_genus_of_every_word():
+    # all 10,922 model words with c <= 16 and the 960 benchmark words
+    count = 0
+    for r in itertools.chain(model_words(3, 16), benchmark_runs()):
+        a = diagram.analyze(r)
+        assert even_fraction_length(a.p, a.q) == 2 * a.genus, a.word
+        count += 1
+    assert count == sum(census.model_count(c) for c in range(3, 17)) + 960 == 11_882
+
+
+@pytest.mark.parametrize("fault, caught", [
+    ("hv-shifted", 682), ("viability-inverted", 677), ("end-not-counted", 677)])
+def test_even_fraction_catches_each_table_fault(monkeypatch, fault, caught):
+    # the faulted genus is read past analyze's parity check, as
+    # (c - 1 - viable) / 2 from the kernel's viable count; p/q comes from
+    # the exponents, which no table fault touches
+    table_faults.plant(fault, monkeypatch.setattr)
+    mismatched = sum(len(r.runs) - 1 - diagram._scan(r)[3]
+                     != even_fraction_length(*rational.classify(word_exponents(r))[0])
+                     for r in model_words(3, 12))
+    assert mismatched == caught  # of 682 words
+
+
+def test_group_rows_records_equal_keyword_built_classes():
+    # group_rows builds its records positionally; the same classes built
+    # by field name, from a grouping of the test's own
+    for c in range(3, 15):
+        analyses = [diagram.analyze(r) for r in words.enumerate_model_words(c)]
+        got = rational.group_rows(((a.p, a.q_star), a.word, a.q, a.genus, a.palindromic)
+                                  for a in analyses)
+        members = {}
+        for a in analyses:
+            members.setdefault((a.p, a.q_star), []).append(a)
+        want = [rational.KnotClass(p=p, q=ms[0].q, q_star=q_star,
+                                   name=rational.KNOT_NAMES.get((p, q_star)),
+                                   multiplicity=len(ms), words=tuple(a.word for a in ms),
+                                   genus=ms[0].genus)
+                for (p, q_star), ms in members.items()]
+        assert all(type(k) is rational.KnotClass for k in got)
+        assert [k._asdict() for k in got] == [k._asdict() for k in want]
+        assert len(got) == census.knot_class_count(c)
 
 
 # -------------------------------------------------------- canonical class

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from twobridge import census, words
+from twobridge import census, planar, words
 
 SIGNS = "+-"
 
@@ -76,6 +76,33 @@ def test_parse_matches_per_character_scan(text):
         assert str(exc.value) == str(e)
     else:
         assert words.parse_word(text) == want
+
+
+@pytest.mark.parametrize("bad", ["\u00e9", " ", "x", "\udcff"],
+                         ids=["non-ascii", "space", "x", "surrogate"])
+@pytest.mark.parametrize("pos", [0, 3, 6], ids=["first", "middle", "last"])
+def test_letter_checks_name_the_bad_character(bad, pos):
+    # only_signs reads the word at C speed; the error texts come from the
+    # per-character scan that runs only on a word that fails it
+    word = "+--+-+-"[:pos] + bad + "+--+-+-"[pos + 1:]
+    assert not words.only_signs(word)
+    if bad.isspace():
+        assert words.parse_word(word) == word.replace(bad, "")
+    else:
+        with pytest.raises(words.WordSyntaxError) as exc:
+            words.parse_word(word)
+        assert str(exc.value) == f"invalid character {bad!r} at position {pos}"
+    with pytest.raises(words.NotReducedForm) as exc:
+        words.to_runs(word)
+    assert str(exc.value) == f"{bad!r} at position {pos} is not + or -"
+    with pytest.raises(ValueError) as exc:
+        planar.billiard_pd(word)
+    assert str(exc.value) == f"invalid letter {bad!r} at position {pos}"
+
+
+@given(st.text(alphabet="+-x \u00e9\u2212\udcff", max_size=8))
+def test_only_signs_matches_strip(word):
+    assert words.only_signs(word) == (not word.strip("+-"))
 
 
 def test_mirror_and_reverse():
@@ -366,6 +393,9 @@ def test_enumeration_counts_and_distinctness():
         assert len(set(seen)) == expected
         for r in seen:
             assert r.c == c and r.is_model and r.length % 3 == 1
+            # expand_task builds its words past RunWord's checks, which
+            # the checked constructor must pass unchanged
+            assert type(r) is words.RunWord and r == words.RunWord(r.first_sign, r.runs)
 
 
 def test_enumeration_order_c6():
