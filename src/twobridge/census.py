@@ -67,7 +67,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from . import diagram, rational
-from .words import InvariantError, enumerate_model_words
+from .words import InvariantError, UsageError, enumerate_model_words
 
 # 2cos(m*pi/3) is periodic with period 6 and always a whole number
 _TWO_COS = (2, 1, -1, -2, -1, 1)
@@ -106,7 +106,7 @@ def star(c):
     (-1, 1)
     """
     if c < 3:
-        raise ValueError(f"need c >= 3, got {c}")
+        raise UsageError(f"need c >= 3, got {c}")
     return -(-1) ** c
 
 
@@ -127,7 +127,7 @@ def palindromic_count(c):
     [1, 1, 1, 1, 3, 3, 5, 5]
     """
     if c < 3:
-        raise ValueError(f"need c >= 3, got {c}")
+        raise UsageError(f"need c >= 3, got {c}")
     return model_count((c + 1) // 2 + 1)
 
 
@@ -151,7 +151,7 @@ def scan_totals(c):
                  sequential_total=4, knot_classes=None, analyses=None)
     """
     if c < 3:
-        raise ValueError(f"need c >= 3, got {c}")
+        raise UsageError(f"need c >= 3, got {c}")
     # state index -> (count, vertical, viable, sequential) of its prefixes
     states = {diagram.START: (1, 0, 0, 0)}
     for i in range(c):
@@ -179,7 +179,7 @@ def closed_form_totals(c):
     True
     """
     where = f"c={c}"
-    count = model_count(c)  # raises ValueError below c = 3
+    count = model_count(c)  # raises UsageError below c = 3
     power, sign = 2 ** c, (-1) ** c
     return CensusReport(
         c,
@@ -368,7 +368,7 @@ def run_census(c, per_word=False, analyses=None):
     knot class count against the aggregated values along the way.
     """
     if c < 3:
-        raise ValueError(f"need c >= 3, got {c}")
+        raise UsageError(f"need c >= 3, got {c}")
     count = vertical = viable = sequential = genus_total = 0
     smoothing_counts = Counter()  # few distinct strings: 377 among 2,731 words at c=15
     rows = []

@@ -2,7 +2,8 @@
 
 Subcommands: analyze, census, bound, enumerate, classes, sample, check.
 Output formats: human (default), json, csv.  Exit codes: 0 success, 1
-invariant failure, 2 usage or parse errors.  Identical invocations give
+invariant failure or other program fault, 2 usage or parse errors
+(words.UsageError).  Identical invocations give
 byte-identical output: orderings are fixed, arithmetic is exact and
 sampling is seeded.
 """
@@ -148,9 +149,9 @@ def _parse_range(text):
         else:
             lo = hi = int(lo)
     except ValueError:
-        raise ValueError(f"range must be N or A..B, got {text!r}") from None
+        raise words.UsageError(f"range must be N or A..B, got {text!r}") from None
     if lo < 3 or hi < lo:
-        raise ValueError(f"need 3 <= A <= B, got {text!r}")
+        raise words.UsageError(f"need 3 <= A <= B, got {text!r}")
     return lo, hi
 
 
@@ -163,7 +164,7 @@ BOUND_CEILING = 10 ** 6
 def cmd_bound(args):
     lo, hi = _parse_range(args.range)
     if hi > BOUND_CEILING:  # before any closed form is evaluated
-        raise ValueError(f"c={hi} is above the bound ceiling {BOUND_CEILING}")
+        raise words.UsageError(f"c={hi} is above the bound ceiling {BOUND_CEILING}")
     # both columns, O(1) each, from a checked report
     reports = map(census.check_report, map(census.closed_form_totals, range(lo, hi + 1)))
     rows = ((r.c, r.avg_genus_lower, r.avg_genus if r.c <= args.exact_ceiling else None)
@@ -296,9 +297,12 @@ def main(argv=None):
     except BrokenPipeError:  # the reader stopped early, as head does: not a failure
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except ValueError as e:  # WordSyntaxError included
+    except words.UsageError as e:  # WordSyntaxError included
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except ValueError as e:  # not the input's fault, so the program's
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
     except words.InvariantError as e:
         with _exact_output():  # its expected and actual values can be huge
             print(f"error: {e}", file=sys.stderr)

@@ -15,7 +15,7 @@ from math import comb
 
 from . import census, diagram, planar
 from .diagram import H, V
-from .words import InvariantError, draw_letters, enumerate_model_words
+from .words import InvariantError, UsageError, draw_letters, enumerate_model_words
 
 NETTO_K_MAX = 30  # check_netto compares every k <= NETTO_K_MAX, each residue r
 CHECK_CEILING = 20  # run_all's time and memory double per step of c_max (README)
@@ -188,9 +188,9 @@ def run_all(c_max):
     """Run every check; returns (results, ok) where results is a list of
     (name, assertion count or None, error text or None)."""
     if c_max < 3:
-        raise ValueError(f"need c_max >= 3, got {c_max}")
+        raise UsageError(f"need c_max >= 3, got {c_max}")
     if c_max > CHECK_CEILING:
-        raise ValueError(f"c_max={c_max} is above the check ceiling {CHECK_CEILING}")
+        raise UsageError(f"c_max={c_max} is above the check ceiling {CHECK_CEILING}")
     # one pass records each census's class count and each diagram check's
     # count, or their exceptions, and raises none; the checks read the records
     classes, (oracle, determinants) = _one_pass(c_max)

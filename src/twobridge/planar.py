@@ -35,6 +35,15 @@ sides of the edge at corner clockwise(a), so in a checkerboard colouring
 their faces differ; the face pass traces and colours the faces together,
 and checks that colour on both sides of every edge at both its ends.
 
+The Goeritz matrix has a row per white face, the colour face 0 lacks;
+each crossing between two white faces adds its sign to both diagonals
+and subtracts it from their shared entry, so the rows sum to zero and
+deleting any one row and column leaves |det|.  The oracle deletes the
+hub, the first white face traced, which meets crossings all along the
+strip; the other white faces follow one another along it, so every other
+crossing joins two consecutive rows and the minor is tridiagonal: its
+determinant is a continuant, one multiply-add per row.
+
 The trefoil as the billiard word +-+: crossing 0 (ports 0-3) and
 crossing 2 (ports 8-11) sit at heights 0-1, crossing 1 (ports 4-7) at
 heights 1-2, and the long strand enters at crossing 0's sw corner.
@@ -308,57 +317,48 @@ def _faces(pd):
     return face, color
 
 
-def _int_det(a):
-    # Bareiss fraction-free elimination in place on a's first len(a) columns
-    size = len(a)
-    sign = prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            r = next((r for r in range(k + 1, size) if a[r][k]), None)
-            if r is None:
-                return 0
-            a[k], a[r] = a[r], a[k]
-            sign = -sign
-        ak, akk, cols = a[k], a[k][k], range(k + 1, size)
-        for ai in a[k + 1:]:
-            aik = ai[k]
-            for j in cols:
-                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
-        prev = akk
-    return sign * a[-1][size - 1] if a else 1
-
-
 def _goeritz_layout(pd):
     """The Goeritz matrix of pd but for the signs, which alone read the
     over flags: the white face count (white avoids the face left of the
     long strand's entry) and, per crossing between two white faces,
-    (crossing, their rows, +1 if its N and S quadrants are shaded else -1).
-    _faces has checked the colours: N and S share one, E and W the other."""
+    (crossing, their rows in order, +1 if its N and S quadrants are
+    shaded else -1).  Row 0 is the first white face traced, the hub; the
+    others are numbered as the crossings first meet them, west before
+    east or north before south.  _faces has checked the colours: N and S
+    share one, E and W the other."""
     face, color = _faces(pd)
     white = 1 - color[0]
-    index = {f: i for i, f in enumerate(f for f, c in enumerate(color) if c == white)}
+    row = {color.index(white): 0}
     cells = []
     for ci in range(pd.n):
         f_n, f_e, f_s, f_w = face[4 * ci:4 * ci + 4]
         shaded_ns = color[f_n] != white
-        fa, fb = ((f_e, f_w) if shaded_ns else (f_n, f_s))
-        if fa != fb:
-            cells.append((ci, index[fa], index[fb], 1 if shaded_ns else -1))
-    return len(index), tuple(cells)
+        fa, fb = (f_w, f_e) if shaded_ns else (f_n, f_s)
+        ia, ib = row.setdefault(fa, len(row)), row.setdefault(fb, len(row))
+        if ia != ib:
+            cells.append((ci, min(ia, ib), max(ia, ib), 1 if shaded_ns else -1))
+    return len(row), tuple(cells)
 
 
 def _signed_det(k, cells, crossings):
     # eta = +1 where the rising diagonal is over just when N and S are
-    # shaded; either color class and either sign convention give one |det|
-    g = [[0] * k for _ in range(k)]
+    # shaded; either color class and either sign convention give one |det|.
+    # Without the hub's row and column the matrix is tridiagonal, diagonal
+    # d and off-diagonal e (the hub's d[0] and e[0] drop out): |det| is the
+    # continuant D_i = d_i D_(i-1) - e_(i-1)^2 D_(i-2), D_0 = 1, D_-1 = 0
+    d, e = [0] * k, [0] * k
     for ci, ia, ib, shade in cells:
+        if ia and ib != ia + 1:
+            raise InvariantError("tridiagonal Goeritz minor", _where(crossings),
+                                 f"rows {ia} and {ia + 1}", f"rows {ia} and {ib}")
         eta = shade if crossings[ci].over == "/" else -shade
-        g[ia][ib] -= eta
-        g[ib][ia] -= eta
-    for i in range(k):
-        g[i][i] = -sum(g[i])  # off-diagonal entries only so far
-    g.pop()  # the minor: _int_det reads only the first k - 1 columns
-    return abs(_int_det(g))
+        d[ia] += eta
+        d[ib] += eta
+        e[ia] -= eta
+    det, prev = 1, 0
+    for i in range(1, k):
+        det, prev = d[i] * det - e[i - 1] ** 2 * prev, det
+    return abs(det)
 
 
 def goeritz_determinant(pd):

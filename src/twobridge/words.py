@@ -41,7 +41,12 @@ UNKNOT = "unknot"
 LINK = "link"
 
 
-class WordSyntaxError(ValueError):
+class UsageError(ValueError):
+    """The input is malformed or out of range, not the program wrong: the
+    CLI exits 2 on it and exits 1 on any other ValueError."""
+
+
+class WordSyntaxError(UsageError):
     """Text is not a billiard table word."""
 
 
@@ -255,7 +260,7 @@ def is_palindromic_type(r):
 # The largest crossing number whose model words are ever listed one by
 # one: model_count(26) = 5,592,405 words, and each step up doubles that.
 # enumeration_tasks (so enumerate_model_words and run_census) refuses a
-# larger c with ValueError, which the CLI reports as a usage error.
+# larger c with UsageError, which the CLI reports as a usage error.
 # crosscheck.run_all stops lower, at CHECK_CEILING; closed_form_totals lists none.
 ENUMERATION_CEILING = 26
 
@@ -283,9 +288,9 @@ def enumeration_tasks(c):
     levels stay two names because bench/run.py traces both functions and
     counts words from expand_task."""
     if c < 3:
-        raise ValueError(f"model words need at least 3 runs, got c={c}")
+        raise UsageError(f"model words need at least 3 runs, got c={c}")
     if c > ENUMERATION_CEILING:
-        raise ValueError(f"c={c} is above the enumeration ceiling {ENUMERATION_CEILING}")
+        raise UsageError(f"c={c} is above the enumeration ceiling {ENUMERATION_CEILING}")
     return double_counts(c)
 
 
@@ -354,9 +359,9 @@ def sample(n, count, seed):
     can come out of them; a warning flags that case.
     """
     if n < 1:
-        raise ValueError("word length must be >= 1")
+        raise UsageError("word length must be >= 1")
     if count < 0:
-        raise ValueError("count must be >= 0")
+        raise UsageError("count must be >= 0")
     if n % 3 == 2:
         warnings.warn(f"length {n} is 2 mod 3: every sampled closure is a 2-component link")
     rng = random.Random(seed)
@@ -388,7 +393,7 @@ def draw_letters(rng, n):
     '+++-+--+'
     """
     if n >= _MAX_LETTERS:
-        raise ValueError(f"word length must be below {_MAX_LETTERS}, got {n}")
+        raise UsageError(f"word length must be below {_MAX_LETTERS}, got {n}")
     parts = []
     while n:
         top = rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]

@@ -166,6 +166,31 @@ def test_analyze_parity_fault_exits_1(flags):
                            "nonnegative even 1 - s + c, got 1\n")
 
 
+def test_value_error_other_than_usage_is_a_program_fault(monkeypatch, capsys):
+    # analyze's kernel returns nothing to unpack: the ValueError comes from
+    # the program, not from its input, so it exits 1 and names its type
+    monkeypatch.setattr(diagram, "_scan", lambda r: ())
+    code, out, err = run(["analyze", "+-+-"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: ValueError: not enough values to unpack (expected 6, got 0)\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "+-x"], "invalid character 'x' at position 2"),
+    (["bound", "abc"], "range must be N or A..B, got 'abc'"),
+    (["bound", "7..5"], "need 3 <= A <= B, got '7..5'"),
+    (["census", "2"], "need c >= 3, got 2"),
+    (["census", "2", "--per-word"], "need c >= 3, got 2"),
+    (["classes", "2"], "need c >= 3, got 2"),
+    (["enumerate", "2"], "model words need at least 3 runs, got c=2"),
+    (["sample", "0", "1", "1"], "word length must be >= 1"),
+    (["sample", "1", "-1", "1"], "count must be >= 0"),
+    (["check", "2"], "need c_max >= 3, got 2"),
+], ids=" ".join)
+def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
+    assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
+
 # classify adds one to the last exponent, so p comes out even;
 # KnotFraction's ValueError is a program fault here (exit 1), not a usage
 # error, also under python -O

@@ -2,6 +2,7 @@
 tracing, Goeritz determinants.  Everything here is independent of the
 smoothing shortcut, which is what makes the agreement tests meaningful."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -550,6 +551,146 @@ def test_goeritz_determinant_equals_fraction_numerator():
 def test_determinant_of_unknot_closures():
     assert planar.goeritz_determinant(planar.billiard_pd("+++")) == 1
     assert planar.goeritz_determinant(planar.billiard_pd("++-+")) == 1
+
+
+def bareiss_det(a):
+    # Bareiss fraction-free elimination in place on the square matrix a
+    size = len(a)
+    sign = prev = 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            r = next((r for r in range(k + 1, size) if a[r][k]), None)
+            if r is None:
+                return 0
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        ak, akk = a[k], a[k][k]
+        for ai in a[k + 1:]:
+            aik = ai[k]
+            for j in range(k + 1, size):
+                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
+        prev = akk
+    return sign * a[-1][-1] if a else 1
+
+
+def dense_goeritz_det(pd):
+    """The check route: the full Goeritz matrix over the white faces,
+    read straight off the traced faces in face order, with no hub and no
+    numbering along the strip, and dense Bareiss on the minor without the
+    last face."""
+    face, color = planar._faces(pd)
+    white = 1 - color[0]
+    rows = {f: i for i, f in enumerate(f for f, c in enumerate(color) if c == white)}
+    g = [[0] * len(rows) for _ in rows]
+    for ci, cr in enumerate(pd.crossings):
+        f_n, f_e, f_s, f_w = face[4 * ci:4 * ci + 4]
+        shaded_ns = color[f_n] != white
+        fa, fb = (f_e, f_w) if shaded_ns else (f_n, f_s)
+        if fa != fb:
+            fa, fb = rows[fa], rows[fb]
+            eta = (1 if shaded_ns else -1) * (1 if cr.over == "/" else -1)
+            g[fa][fb] -= eta
+            g[fb][fa] -= eta
+            g[fa][fa] += eta
+            g[fb][fb] += eta
+    return abs(bareiss_det([row[:-1] for row in g[:-1]]))
+
+
+@functools.lru_cache(maxsize=None)
+def built_strips():
+    # the 8,184 strips of at most 12 crossings that _build_strip builds,
+    # each with its lower heights
+    strips = []
+    for n in range(1, 13):
+        for los in itertools.product((0, 1), repeat=n):
+            try:
+                strips.append((los, planar._build_strip([planar.Crossing(lo, "/") for lo in los])))
+            except words.InvariantError:
+                continue
+    return strips
+
+
+def test_bareiss_reference_reads_known_determinants():
+    assert bareiss_det([]) == 1
+    assert bareiss_det([[0, 2], [3, 1]]) == -6
+    assert bareiss_det([[2, 1, 1], [1, 3, 2], [1, 0, 0]]) == -1
+    assert bareiss_det([[1, 2], [2, 4]]) == 0
+
+
+def test_continuant_equals_dense_bareiss_on_every_strip_up_to_12_crossings():
+    rng = random.Random(39)
+    strips = built_strips()
+    assert len(strips) == 8184
+    for los, pd in strips:
+        pd = pd._replace(crossings=tuple(planar.Crossing(lo, rng.choice("/\\")) for lo in los))
+        assert planar.goeritz_determinant(pd) == dense_goeritz_det(pd), pd.crossings
+
+
+def test_continuant_equals_dense_bareiss_on_billiard_words_up_to_length_12():
+    count = 0
+    for n in range(1, 13):
+        for w in map("".join, itertools.product("+-", repeat=n)):
+            pd = planar.billiard_pd(w, allow_link=True)
+            det = dense_goeritz_det(pd)
+            assert planar.goeritz_determinant(pd) == det, w
+            if n % 3 != 2:
+                assert planar.billiard_determinant(w) == det, w
+            count += 1
+    assert count == 8190
+
+
+def test_goeritz_layout_is_a_hub_and_a_path():
+    # every white face gets a row, row 0 is the first white face traced,
+    # and every cell off row 0 joins two consecutive rows
+    for los, pd in built_strips():
+        face, color = planar._faces(pd)
+        white = 1 - color[0]
+        hub = color.index(white)
+        k, cells = planar._goeritz_layout(pd)
+        assert k == color.count(white), los
+        for ci, ia, ib, _ in cells:
+            quadrants = {face[4 * ci + q] for q in range(4)}
+            assert (ia == 0) == (hub in quadrants), (los, ci)
+            assert ia == 0 or ib == ia + 1, (los, ci, ia, ib)
+
+
+# cells that join rows 1 and 3 are no tridiagonal minor: the continuant
+# must name the fault, under python -O too, and not return a number
+_PLANTED_CELLS = """
+from twobridge import planar, words
+crossings = planar.alternating_pd(["s1"] * 5).crossings
+try:
+    print(planar._signed_det(4, ((0, 0, 1, 1), (1, 1, 3, 1)), crossings))
+except words.InvariantError as e:
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_signed_det_names_a_cell_off_the_tridiagonal(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_CELLS],
+                          capture_output=True, text=True, check=False, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == ("tridiagonal Goeritz minor at strip 0/ 0/ 0/ 0/ 0/: "
+                           "expected rows 1 and 2, got rows 1 and 3\n")
+
+
+def test_oracle_reaches_long_sampled_words():
+    # 60 model words with c from 795 to 1,052: the continuant is linear in
+    # the rows, where dense elimination on minors of hundreds of rows of
+    # big integers would not fit in tier-1
+    count = 0
+    for seed in range(4):
+        for w in words.sample(3001, 15, seed):
+            norm = words.normalize_to_model(w)
+            assert norm.kind == words.MODEL, w
+            r = norm.run_word
+            a = diagram.analyze(r)
+            assert len(r.runs) > 750
+            det = planar.goeritz_determinant(planar.alternating_pd(diagram.generators(r)))
+            assert det == planar.billiard_determinant(a.word) == a.p, a.word
+            count += 1
+    assert count == 60
 
 
 def test_faces_colour_the_two_sides_of_every_edge_apart():

@@ -65,7 +65,9 @@ def test_every_named_tuple_is_a_checked_record():
 # a failed invariant means the program is wrong (exit 1), an input error
 # that the input is (exit 2)
 INVARIANT_ERRORS = {"InvariantError", "ParityError", "MultiComponent"}
-INPUT_ERRORS = {"WordSyntaxError", "NotReducedForm"}
+INPUT_ERRORS = {"UsageError", "WordSyntaxError", "NotReducedForm"}
+# the input errors the CLI turns into exit 2; NotReducedForm never reaches it
+USAGE_ERRORS = {"UsageError", "WordSyntaxError"}
 
 
 def test_every_exception_is_an_invariant_or_an_input_error():
@@ -80,6 +82,7 @@ def test_every_exception_is_an_invariant_or_an_input_error():
         invariant = name in INVARIANT_ERRORS
         assert issubclass(cls, words.InvariantError) is invariant, name
         assert issubclass(cls, ValueError) is not invariant, name
+        assert issubclass(cls, words.UsageError) is (name in USAGE_ERRORS), name
 
 
 @pytest.mark.parametrize("record", RECORDS)
