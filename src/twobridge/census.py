@@ -243,17 +243,6 @@ def index_contribution(c, i):
                            + const, 9, "index contribution", f"c={c}, i={i}")
 
 
-def closed_form_vertical_total(c):
-    """Total vertical crossings over all model words of crossing number c,
-    in closed form; index_contribution summed over 2 <= i <= c-1 is its
-    O(c) check route.
-
-    >>> closed_form_vertical_total(6), closed_form_vertical_total(7)
-    (14, 32)
-    """
-    return closed_form_totals(c).vertical_total
-
-
 def lower_bound_avg_genus(c):
     """Exact lower bound on the average genus over the c census: the
     paper's bound, CensusReport.avg_genus_lower, on the closed-form totals.
@@ -310,12 +299,6 @@ class CensusReport(namedtuple("CensusReport", "c word_count vertical_total viabl
         return Fraction((self.c - 1) * n - self.vertical_total, 2 * n)
 
     @property
-    def closed_form_vertical_total(self):
-        """The vertical total: closed_form_totals gives it, and run_census
-        checks an enumerated one against them."""
-        return self.vertical_total
-
-    @property
     def per_index_contributions(self):
         """index_contribution(c, i) for 2 <= i <= c-1, checked to sum to the
         vertical total: O(c) big-integer steps on each read."""
@@ -335,9 +318,10 @@ class CensusReport(namedtuple("CensusReport", "c word_count vertical_total viabl
             "totals": {"vertical": self.vertical_total, "viable": self.viable_total,
                        "sequential": self.sequential_total},
         }
-        for name in ("avg_s", "avg_s_upper", "avg_genus", "avg_genus_lower",
-                     "closed_form_vertical_total", "per_index_contributions",
-                     "knot_classes"):
+        for name in ("avg_s", "avg_s_upper", "avg_genus", "avg_genus_lower"):
+            out[name] = rational.json_value(getattr(self, name))
+        out["closed_form_vertical_total"] = self.vertical_total  # only the JSON key has this name
+        for name in ("per_index_contributions", "knot_classes"):
             out[name] = rational.json_value(getattr(self, name))
         if self.analyses is not None:
             out["words"] = rational.json_value(self.analyses)

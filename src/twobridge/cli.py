@@ -131,10 +131,15 @@ def _census_lines(rep):
 
 
 def cmd_census(args):
+    c = args.c
     if args.per_word or args.format == "json":  # these print every word or class
-        rep = census.run_census(args.c, per_word=args.per_word)
-    else:  # the proved closed forms: no enumeration, so any c
-        rep = census.check_report(census.closed_form_totals(args.c))
+        rep = census.run_census(c, per_word=args.per_word)
+    else:  # the proved closed forms: no enumeration, so any c below the ceilings
+        if args.format == "csv":
+            _check_bound_ceiling(c)
+        elif c >= 3:  # the per-index line: c - 2 counts of up to c bits
+            _check_output(c * (c - 2), f"census {c}")
+        rep = census.check_report(census.closed_form_totals(c))
     records = rep.analyses if args.per_word else [rep]
     _write(args.format, rep, records[0].CSV_COLUMNS, map(rational.csv_row, records),
            _census_lines(rep))
@@ -155,16 +160,32 @@ def _parse_range(text):
     return lo, hi
 
 
-# The largest c whose bound is written.  Each row evaluates 2^c and writes
-# c-bit integers, which str turns into text in quadratic time: bound 10^6
-# takes about 2.8 s, 2*10^6 about 11 s, and 10^10 would need 1.25 GB.
+# The largest c whose bound or CSV census is written.  Each evaluates 2^c
+# and writes c-bit integers, which str turns into text in quadratic time:
+# bound 10^6 takes about 2.8 s, 2*10^6 about 11 s, and 10^10 would need 1.25 GB.
 BOUND_CEILING = 10 ** 6
+# The most bits of exact integers one command writes, about 600 MB of
+# digits: census 40000 writes 482 MB and bound 3..20000 121 MB.
+OUTPUT_CEILING = 2 * 10 ** 9
+
+
+# Both checks read the arguments alone, before any closed form is evaluated.
+
+def _check_bound_ceiling(c):
+    if c > BOUND_CEILING:
+        raise words.UsageError(f"c={c} is above the bound ceiling {BOUND_CEILING}")
+
+
+def _check_output(bits, command):
+    if bits > OUTPUT_CEILING:
+        raise words.UsageError(f"{command} would write about {bits} bits, above the "
+                               f"output ceiling {OUTPUT_CEILING}")
 
 
 def cmd_bound(args):
     lo, hi = _parse_range(args.range)
-    if hi > BOUND_CEILING:  # before any closed form is evaluated
-        raise words.UsageError(f"c={hi} is above the bound ceiling {BOUND_CEILING}")
+    _check_bound_ceiling(hi)
+    _check_output((lo + hi) * (hi - lo + 1), f"bound {lo}..{hi}")  # two c-bit integers a row
     # both columns, O(1) each, from a checked report
     reports = map(census.check_report, map(census.closed_form_totals, range(lo, hi + 1)))
     rows = ((r.c, r.avg_genus_lower, r.avg_genus if r.c <= args.exact_ceiling else None)

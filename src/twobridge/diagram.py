@@ -51,11 +51,6 @@ H = "H"
 GENERATOR = ((None, SIGMA1, SIGMA2_INV), (None, SIGMA2_INV, SIGMA1))
 
 
-class ParityError(InvariantError):
-    """1 - s + c came out odd or negative: no knot diagram has that circle
-    count and crossing number, so the code that counted them is wrong."""
-
-
 class CrossingInfo(NamedTuple):
     index: int          # 1-based, left to right
     generator: str      # SIGMA1 or SIGMA2_INV
@@ -164,11 +159,13 @@ def _scan(r):
 
 
 def genus(s, c):
-    """Genus of an alternating knot from circle count and crossing number."""
+    """Genus of an alternating knot from circle count and crossing number.
+    An odd or negative 1 - s + c raises InvariantError: no knot diagram
+    has them, so the code that counted them is wrong."""
     n = 1 - s + c
     if n < 0 or n % 2:
-        raise ParityError("genus parity", f"s={s}, c={c}",
-                          "a nonnegative even 1 - s + c", n)
+        raise InvariantError("genus parity", f"s={s}, c={c}",
+                             "a nonnegative even 1 - s + c", n)
     return n // 2
 
 
@@ -247,7 +244,7 @@ def analyze(r):
     first, smoothings, vertical, viable, sequential, exponents = _scan(r)
     word = from_runs(r)
     try:
-        frac, cc = rational.classify(exponents)
+        frac, knot = rational.classify(exponents)
     except ValueError as e:  # every model word has a knot fraction
         raise InvariantError("knot fraction", f"word {word}",
                              "p odd, 0 < q < p, coprime", e) from e
@@ -256,4 +253,4 @@ def analyze(r):
     return tuple.__new__(WordAnalysis, (
         word, r, _braid_word(first, exponents), smoothings, vertical, viable,
         sequential, s, 2 + sequential, 2 + vertical, genus(s, len(r.runs)),
-        frac.p, frac.q, cc.q_star, rational.KNOT_NAMES.get(cc), is_palindromic_type(r)))
+        frac.p, frac.q, knot[1], rational.KNOT_NAMES.get(knot), is_palindromic_type(r)))

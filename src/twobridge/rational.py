@@ -71,11 +71,6 @@ class KnotFraction(namedtuple("KnotFraction", "p q")):
         return tuple.__new__(cls, (p, q))
 
 
-class CanonicalClass(NamedTuple):
-    p: int
-    q_star: int
-
-
 _BLOCK = 256  # exponents folded one at a time; longer lists are halved
 
 
@@ -99,11 +94,11 @@ def _product(exponents):
 
 
 def classify(exponents):
-    """Knot fraction and canonical class of [a1, ..., ak] from one product;
-    a determinant other than (-1)^k raises ValueError, also under -O.
+    """Knot fraction and canonical class (p, q*) of [a1, ..., ak] from one
+    product; a determinant other than (-1)^k raises ValueError, also under -O.
 
     >>> classify([3, 1, 1, 1])
-    (KnotFraction(p=11, q=3), CanonicalClass(p=11, q_star=3))
+    (KnotFraction(p=11, q=3), (11, 3))
     """
     if not exponents or min(exponents) < 1:
         raise ValueError(f"exponents must be positive integers: {exponents}")
@@ -113,8 +108,7 @@ def classify(exponents):
         raise ValueError(f"p q' - p' q must be (-1)^k = {sign}, got {det}")
     _check_knot(p, q)
     # q^-1 = -sign p' mod p, and 0 < p' < p; the class minimizes over the sign
-    return (tuple.__new__(KnotFraction, (p, q)),
-            tuple.__new__(CanonicalClass, (p, min(q, p - q, p1, p - p1))))
+    return tuple.__new__(KnotFraction, (p, q)), (p, min(q, p - q, p1, p - p1))
 
 
 def continued_fraction(exponents):
@@ -131,7 +125,7 @@ def continued_fraction(exponents):
 
 
 def canonical_class(f):
-    """Smallest q among {q, p-q, q^-1 mod p, p - q^-1 mod p}.
+    """The class (p, q*), q* the smallest of {q, p-q, q^-1 mod p, p - q^-1 mod p}.
 
     Inverting q changes which bridge is traced first, negating it mirrors
     the knot; minimizing over both gives one label per unoriented knot up
@@ -139,13 +133,13 @@ def canonical_class(f):
     same class.
 
     >>> canonical_class(KnotFraction(9, 7))
-    CanonicalClass(p=9, q_star=2)
+    (9, 2)
     >>> canonical_class(KnotFraction(21, 13))
-    CanonicalClass(p=21, q_star=8)
+    (21, 8)
     """
     p, q = f.p, f.q
     qinv = pow(q, -1, p)
-    return CanonicalClass(p, min(q, p - q, qinv, p - qinv))
+    return p, min(q, p - q, qinv, p - qinv)
 
 
 def knot_label(record):

@@ -165,11 +165,11 @@ def test_index_contribution_counts_enumerated_verticals():
 
 
 def test_closed_form_vertical_totals():
-    assert census.closed_form_vertical_total(3) == 0
-    assert census.closed_form_vertical_total(6) == 14
-    assert census.closed_form_vertical_total(7) == 32
+    assert census.closed_form_totals(3).vertical_total == 0
+    assert census.closed_form_totals(6).vertical_total == 14
+    assert census.closed_form_totals(7).vertical_total == 32
     with pytest.raises(ValueError):
-        census.closed_form_vertical_total(2)
+        census.closed_form_totals(2).vertical_total
 
 
 def test_index_contribution_rejects_bad_index():
@@ -196,7 +196,7 @@ def test_lower_bound_exact_at_c100():
 def test_lower_bound_is_the_papers_formula_on_every_route():
     for c in range(3, 301):
         paper = Fraction(c - 1, 2) - Fraction(
-            3 * census.closed_form_vertical_total(c), 2 * (2 ** (c - 2) + census.star(c)))
+            3 * census.closed_form_totals(c).vertical_total, 2 * (2 ** (c - 2) + census.star(c)))
         assert census.lower_bound_avg_genus(c) == paper, c
         assert census.scan_totals(c).avg_genus_lower == paper, c
 
@@ -233,7 +233,7 @@ def check_report(rep, want):
     assert rep.avg_genus == want["avg_genus"]
     assert rep.avg_genus_lower == want["bound"]
     assert rep.per_index_contributions == want["contributions"]
-    assert rep.closed_form_vertical_total == want["vertical_total"]
+    assert census.closed_form_totals(rep.c).vertical_total == want["vertical_total"]
     for x in (rep.avg_s, rep.avg_s_upper, rep.avg_genus,
               rep.avg_genus_lower):
         assert isinstance(x, Fraction)
@@ -296,7 +296,7 @@ def test_census_report_stores_only_what_was_counted():
         "knot_classes", "analyses"]
     rep = census.scan_totals(9)
     assert rep.avg_genus_lower == census.lower_bound_avg_genus(9)
-    assert rep.closed_form_vertical_total == census.closed_form_vertical_total(9)
+    assert rep.vertical_total == census.closed_form_totals(9).vertical_total
     assert rep.per_index_contributions == tuple(census.index_contribution(9, i)
                                                 for i in range(2, 9))
 
@@ -362,7 +362,7 @@ def test_scan_equals_enumerated_totals():
 def test_scan_count_and_vertical_match_closed_forms():
     for c in range(3, 301):
         assert scanned(c).word_count == census.model_count(c), c
-        assert scanned(c).vertical_total == census.closed_form_vertical_total(c), c
+        assert scanned(c).vertical_total == census.closed_form_totals(c).vertical_total, c
 
 
 def test_closed_form_totals_equal_scan_for_every_c():

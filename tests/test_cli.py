@@ -5,6 +5,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -153,17 +154,37 @@ def one_more_viable(r):
     return first, smoothings, vertical, viable + 1, sequential, exponents
 
 diagram._scan = one_more_viable
-sys.exit(cli.main(["analyze", "+-+-"]))
+sys.exit(cli.main(sys.argv[1:]))
 """
 
 
 @pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
 def test_analyze_parity_fault_exits_1(flags):
-    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_PARITY],
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_PARITY, "analyze", "+-+-"],
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == ("error: genus parity at s=4, c=4: expected a "
                            "nonnegative even 1 - s + c, got 1\n")
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_check_prints_the_parity_fault_of_every_check_that_reads_words(flags):
+    # the first word, +--+ (s=3, c=3), fails each check that reads the word
+    # stream; the fault is a plain InvariantError, named as such
+    proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_PARITY, "check", "6"],
+                          capture_output=True, text=True, check=False)
+    fail = ("FAIL (InvariantError: genus parity at s=3, c=3: expected a nonnegative "
+            "even 1 - s + c, got 1)")
+    assert proc.returncode == 1 and proc.stderr == "FAILED\n"
+    assert proc.stdout.splitlines() == [
+        "netto identities: 93 checks",
+        f"census closed forms: {fail}",
+        f"oracle circle counts and orientations: {fail}",
+        f"determinant equality: {fail}",
+        "billiard orientation patterns: 1350 checks",
+        f"knot class multiplicities: {fail}",
+        "link detection: 1 checks",
+    ]
 
 
 def test_value_error_other_than_usage_is_a_program_fault(monkeypatch, capsys):
@@ -359,6 +380,51 @@ def test_bound_refuses_above_its_ceiling_before_any_closed_form(monkeypatch, cap
         cli.main(["bound", f"{cli.BOUND_CEILING}..{cli.BOUND_CEILING}"])
 
 
+def test_output_ceiling_refuses_before_any_closed_form(monkeypatch, capsys):
+    def no_work(c):
+        raise RuntimeError("no closed form")
+
+    monkeypatch.setattr(census, "closed_form_totals", no_work)
+    ceiling = cli.OUTPUT_CEILING
+    # human census C writes c (c - 2) bits, bound 3..B (3 + B)(B - 2)
+    c = next(c for c in itertools.count(3) if c * (c - 2) > ceiling)
+    b = next(b for b in itertools.count(3) if (3 + b) * (b - 2) > ceiling)
+    for argv, bits in [(["census", str(c)], c * (c - 2)),
+                       (["bound", f"3..{b}"], (3 + b) * (b - 2)),
+                       (["census", "300000"], 300000 * 299998),
+                       (["bound", "3..1000000"], 1000003 * 999998)]:
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: {' '.join(argv)} would write about {bits} bits, "
+                       f"above the output ceiling {ceiling}\n")
+    # the values below the first refused ones, and the largest runs README
+    # names, are accepted: the closed forms start, and fail on the stub
+    for argv in (["census", str(c - 1)], ["bound", f"3..{b - 1}"], ["census", "40000"],
+                 ["bound", "3..20000"], ["bound", "1000000"]):
+        with pytest.raises(RuntimeError, match="no closed form"):
+            cli.main(argv)
+    # the ceiling itself is accepted: census 8 writes 8 * 6 bits
+    monkeypatch.setattr(cli, "OUTPUT_CEILING", 8 * 6)
+    with pytest.raises(RuntimeError, match="no closed form"):
+        cli.main(["census", "8"])
+    assert run(["census", "9"], capsys)[:2] == (2, "")
+
+
+def test_csv_census_refuses_above_the_bound_ceiling(monkeypatch, capsys):
+    def no_work(c):
+        raise RuntimeError("no closed form")
+
+    monkeypatch.setattr(census, "closed_form_totals", no_work)
+    above = cli.BOUND_CEILING + 1
+    code, out, err = run(["census", str(above), "--format", "csv"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: c={above} is above the bound ceiling {cli.BOUND_CEILING}\n"
+    # the ceiling itself is accepted, though its human form is refused
+    with pytest.raises(RuntimeError, match="no closed form"):
+        cli.main(["census", str(cli.BOUND_CEILING), "--format", "csv"])
+    assert run(["census", str(cli.BOUND_CEILING)], capsys)[:2] == (2, "")
+
+
 def test_enumeration_ceiling_is_inclusive():
     assert census.model_count(words.ENUMERATION_CEILING) == 5_592_405
     assert words.enumeration_tasks(words.ENUMERATION_CEILING)
@@ -513,7 +579,7 @@ def test_census_fails_on_planted_index_contribution_fault(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", _PLANTED_INDEX],
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 1 and proc.stdout == ""
-    vertical = census.closed_form_vertical_total(20)
+    vertical = census.closed_form_totals(20).vertical_total
     assert proc.stderr == (f"error: vertical total by index at c=20: expected "
                            f"{vertical}, got {vertical + 1}\n")
 
@@ -720,6 +786,25 @@ def test_bound_prints_values_above_the_digit_limit():
     assert len(str(b.denominator)) > 640
     assert proc.stdout == (f"c=2200  avg genus lower bound: "
                            f"{rational.format_rational(b)}\n640\n")
+
+
+def test_output_without_a_digit_limit_is_the_same(monkeypatch, capsys):
+    # Python 3.10.0 to 3.10.6 have no int/str digit limit to lift
+    real = census.closed_form_totals
+
+    def runs():
+        out = [run(["census", "8"], capsys), run(["bound", "17..20", "--format", "json"], capsys)]
+        with monkeypatch.context() as m:  # an InvariantError exit: a genus parity fault
+            m.setattr(census, "closed_form_totals",
+                      lambda c: real(c)._replace(viable_total=real(c).viable_total + 1))
+            return [*out, run(["census", "8"], capsys)]
+
+    with_limit = runs()
+    assert with_limit[2] == (1, "", "error: genus parity at c=8: expected a whole genus "
+                                    "total, got 87/2\n")
+    for name in ("set_int_max_str_digits", "get_int_max_str_digits"):
+        monkeypatch.delattr(sys, name, raising=False)
+    assert runs() == with_limit
 
 
 # -------------------------------------------------------------- enumerate

@@ -223,9 +223,9 @@ def test_seifert_count_and_genus_golden(word, s, g):
 def test_genus_parity_errors():
     assert diagram.genus(2, 3) == 1
     assert diagram.genus(4, 3) == 0
-    with pytest.raises(diagram.ParityError):
+    with pytest.raises(words.InvariantError, match="genus parity"):
         diagram.genus(2, 4)  # 1 - s + c odd
-    with pytest.raises(diagram.ParityError):
+    with pytest.raises(words.InvariantError, match="genus parity"):
         diagram.genus(7, 3)  # 1 - s + c negative
 
 

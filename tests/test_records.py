@@ -47,8 +47,6 @@ RECORDS = {
     "PlanarDiagram": (lambda: planar.billiard_pd("+-+"), ("crossings", "other", "start")),
     "OrientedDiagram": (lambda: planar.orient(planar.alternating_pd(["s1"] * 3)),
                         ("pd", "state")),
-    "CanonicalClass": (lambda: rational.canonical_class(rational.KnotFraction(9, 7)),
-                       ("p", "q_star")),
 }
 
 
@@ -64,7 +62,7 @@ def test_every_named_tuple_is_a_checked_record():
 
 # a failed invariant means the program is wrong (exit 1), an input error
 # that the input is (exit 2)
-INVARIANT_ERRORS = {"InvariantError", "ParityError", "MultiComponent"}
+INVARIANT_ERRORS = {"InvariantError", "MultiComponent"}
 INPUT_ERRORS = {"UsageError", "WordSyntaxError", "NotReducedForm"}
 # the input errors the CLI turns into exit 2; NotReducedForm never reaches it
 USAGE_ERRORS = {"UsageError", "WordSyntaxError"}
