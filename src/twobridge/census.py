@@ -1,11 +1,12 @@
 """Exact counting and census aggregation over model words.
 
-Three routes to the same numbers live here.  The closed forms (Netto
-partial sums, the model-count formula, the census totals of
-closed_form_totals, the palindromic and knot-class counts) evaluate in
-pure integer arithmetic with O(1) big-integer operations each.  The
-per-index vertical counts, three Netto residue-class products each, sum
-to the vertical total in O(c) steps and are its check route.  The run
+Three routes to the same numbers live here.  The closed forms (the
+model-count formula, the census totals of closed_form_totals, the
+palindromic and knot-class counts) evaluate in pure integer arithmetic
+with O(1) big-integer operations each.  The per-index vertical counts
+sum to the vertical total in O(c) steps and are its check route.  Each
+is three products of Netto sums N(k, r), the sum of C(k, j) over j = r
+(mod 3), which equals (2^k + two_cos_pi_thirds(k - 2r)) / 3.  The run
 scan, scan_totals, gives the census totals (word count and vertical,
 viable and sequential crossings) in O(c) big-integer steps: it sums
 diagram.STEP over its states, each carrying (count, vertical, viable,
@@ -75,21 +76,6 @@ _TWO_COS = (2, 1, -1, -2, -1, 1)
 
 def two_cos_pi_thirds(m):
     return _TWO_COS[m % 6]
-
-
-def netto_partial_sum(k, r):
-    """Sum of C(k, j) over j = r (mod 3), by the exact closed form
-    (2^k + 2cos((k - 2r)pi/3)) / 3.
-
-    >>> netto_partial_sum(4, 0)
-    5
-    >>> netto_partial_sum(6, 1)
-    21
-    """
-    if k < 0 or r not in (0, 1, 2):
-        raise ValueError(f"need k >= 0 and r in 0..2, got k={k}, r={r}")
-    return _exact_quotient(2 ** k + two_cos_pi_thirds(k - 2 * r), 3, "Netto sum",
-                           f"k={k}, r={r}")
 
 
 def _exact_quotient(total, divisor, name, where):
@@ -212,7 +198,8 @@ def index_contribution(c, i):
     so its smoothing depends on d1 only through (i + d1) mod 3.  The total
     length c + d1 + d2 (+ 1 if run i is double) must be 1 mod 3, which
     fixes d2 mod 3 once d1 mod 3 is known.  Grouping d1 by its residue r
-    turns the placements into Netto sums N(k, r) = netto_partial_sum(k, r):
+    turns the placements into Netto sums N(k, r), the sum of C(k, j) over
+    j = r (mod 3):
 
         sum over r = 0..2 of N(i-2, r) * (delta_single(i, r) * N(c-i-1, (1-c-r) mod 3)
                                         + delta_double(i, r) * N(c-i-1, (-c-r) mod 3))

@@ -185,10 +185,12 @@ def _check_output(bits, command):
 def cmd_bound(args):
     lo, hi = _parse_range(args.range)
     _check_bound_ceiling(hi)
-    _check_output((lo + hi) * (hi - lo + 1), f"bound {lo}..{hi}")  # two c-bit integers a row
+    top = min(hi, args.exact_ceiling)  # two c-bit integers a row, two more up to top
+    _check_output((lo + hi) * (hi - lo + 1) + (lo + top) * max(0, top - lo + 1),
+                  f"bound {lo}..{hi}")
     # both columns, O(1) each, from a checked report
     reports = map(census.check_report, map(census.closed_form_totals, range(lo, hi + 1)))
-    rows = ((r.c, r.avg_genus_lower, r.avg_genus if r.c <= args.exact_ceiling else None)
+    rows = ((r.c, r.avg_genus_lower, r.avg_genus if r.c <= top else None)
             for r in reports)
     columns = ("c", "avg_genus_lower", "avg_genus")
     lines = (f"c={c}  avg genus lower bound: {rational.format_rational(b)}"

@@ -5,9 +5,10 @@ through an independent route and compared: closed forms against
 enumeration (inside run_census), circle counts and orientations against
 honest diagram traversal, determinants against the continued-fraction p,
 multiplicity structure against the classification.  The oracle checks
-compare against analyze itself, the record the CLI prints.  A clean run
-is real evidence; any mismatch raises InvariantError, under python -O
-too, and is reported as a failure, never patched over.
+compare against analyze itself, the record the CLI prints.  One pass
+over the model words keeps one [count, first error] record per check
+that reads them.  A clean run is real evidence; any mismatch raises
+InvariantError, under python -O too, and is reported as a failure.
 """
 
 import random
@@ -18,6 +19,7 @@ from .diagram import H, V
 from .words import InvariantError, UsageError, draw_letters, enumerate_model_words
 
 NETTO_K_MAX = 30  # check_netto compares every k <= NETTO_K_MAX, each residue r
+ORIENTATION_MAX_LEN, ORIENTATION_PER_LENGTH, ORIENTATION_SEED = 40, 50, 2026  # seeded draws
 CHECK_CEILING = 20  # run_all's time and memory double per step of c_max (README)
 
 
@@ -32,11 +34,12 @@ def expected_pattern(n):
 
 
 def check_netto():
+    """3 N(k, r) = 2^k + two_cos_pi_thirds(k - 2r), as census.index_contribution has it."""
     count = 0
     for k in range(NETTO_K_MAX + 1):
         for r in (0, 1, 2):
-            direct = sum(comb(k, j) for j in range(r, k + 1, 3))
-            closed = census.netto_partial_sum(k, r)
+            direct = 3 * sum(comb(k, j) for j in range(r, k + 1, 3))
+            closed = 2 ** k + census.two_cos_pi_thirds(k - 2 * r)
             if closed != direct:
                 raise InvariantError("Netto closed form", f"k={k}, r={r}", direct, closed)
             count += 1
@@ -44,20 +47,17 @@ def check_netto():
 
 
 def check_census_closed_forms(c_max, classes):
-    # classes[c] records the class count of run_census(c), run once per c on
-    # the analyses the oracle pass makes, or its error; run_census checks, in
-    # order: genus identity, enumerated totals = scan_totals (diagram.STEP
-    # walked per word against its sum over states: the aggregation, not the
-    # rule), enumerated totals = closed_form_totals, check_report (genus
-    # parity and bound ordering), per-index counts = index_contribution,
-    # index symmetry, and class count = knot_class_count.
+    # classes records the class total of run_census(c) over every c, each
+    # run once on the analyses the oracle pass makes, or the first error;
+    # run_census checks, in order: genus identity, enumerated totals =
+    # scan_totals (diagram.STEP walked per word against its sum over states:
+    # the aggregation, not the rule), enumerated totals = closed_form_totals,
+    # check_report (genus parity and bound ordering), per-index counts =
+    # index_contribution, index symmetry, and class count = knot_class_count.
     # In check the rule's independent routes are the closed forms and the
     # planar oracle; full_diagram is tier-1's route, which check never calls.
-    count = 0
-    for c in range(3, c_max + 1):
-        _result(*classes[c])
-        count += 5 + (c - 2)
-    return count
+    _result(*classes)
+    return sum(5 + (c - 2) for c in range(3, c_max + 1))
 
 
 def check_oracle_agreement(a, pd):
@@ -96,10 +96,10 @@ def _one_pass(c_max):
     failure.  Each live diagram check builds the diagram in its own try,
     reusing one an earlier check built, so a build that raises fails that
     check and the next tries the build itself; a failed enumeration or
-    analysis fails them and the census.  Returns [count, exception or
-    None] per c's class count and per diagram check."""
+    analysis fails them and the census.  Returns [count, first exception
+    or None] for the censuses' class total and each diagram check."""
     checks = ((check_oracle_agreement, c_max), (check_determinants, 12))
-    out = [[0, None] for _ in checks]
+    classes, *out = [[0, None] for _ in range(3)]
 
     def analyses(c):
         mine = [(check, o) for (check, top), o in zip(checks, out) if c <= top]
@@ -121,18 +121,17 @@ def _one_pass(c_max):
                     o[1] = e
             raise
 
-    classes = {}
     for c in range(3, c_max + 1):
         stream = analyses(c)
         try:
             try:  # keep the class count, not the report
-                classes[c] = [len(census.run_census(c, False, stream).knot_classes), None]
+                classes[0] += len(census.run_census(c, False, stream).knot_classes)
             finally:
                 for _ in stream:  # the words a failed census left unread
                     pass
         except Exception as e:  # a failed stream fails the census too
-            classes[c] = [None, e]
-    return classes, out
+            classes[1] = classes[1] or e  # the first
+    return classes, *out
 
 
 def _result(count, error):
@@ -141,16 +140,16 @@ def _result(count, error):
     return count
 
 
-def check_orientation_patterns(max_len=40, per_length=50, seed=2026):
-    rng = random.Random(seed)
+def check_orientation_patterns():
+    rng = random.Random(ORIENTATION_SEED)
     count = 0
-    for n in range(1, max_len + 1):
+    for n in range(1, ORIENTATION_MAX_LEN + 1):
         if n % 3 == 2:
             continue
         expected = expected_pattern(n)
-        letters = draw_letters(rng, n * per_length)  # as per_length draws of n
+        letters = draw_letters(rng, n * ORIENTATION_PER_LENGTH)  # the length's words at once
         od = None
-        for i in range(0, n * per_length, n):
+        for i in range(0, n * ORIENTATION_PER_LENGTH, n):
             w = letters[i:i + n]
             pd = planar.billiard_pd(w)
             # a length's words share billiard_pd's wiring; orient reads no over
@@ -165,13 +164,10 @@ def check_orientation_patterns(max_len=40, per_length=50, seed=2026):
     return count
 
 
-def check_multiplicities(c_max, classes):
-    # group_rows, inside run_census(c) behind classes[c], checks
+def check_multiplicities(classes):
+    # group_rows, inside each run_census(c) behind classes, checks
     # multiplicity in {1,2}, palindromic singles and genus agreement
-    count = 0
-    for c in range(3, c_max + 1):
-        count += _result(*classes[c])
-    return count
+    return _result(*classes)
 
 
 def check_link_detection():
@@ -191,16 +187,16 @@ def run_all(c_max):
         raise UsageError(f"need c_max >= 3, got {c_max}")
     if c_max > CHECK_CEILING:
         raise UsageError(f"c_max={c_max} is above the check ceiling {CHECK_CEILING}")
-    # one pass records each census's class count and each diagram check's
-    # count, or their exceptions, and raises none; the checks read the records
-    classes, (oracle, determinants) = _one_pass(c_max)
+    # one pass records the censuses' class total and each diagram check's
+    # count, or their first exceptions, and raises none; the checks read the records
+    classes, oracle, determinants = _one_pass(c_max)
     checks = [
         ("netto identities", check_netto),
         ("census closed forms", lambda: check_census_closed_forms(c_max, classes)),
         ("oracle circle counts and orientations", lambda: _result(*oracle)),
         ("determinant equality", lambda: _result(*determinants)),
         ("billiard orientation patterns", check_orientation_patterns),
-        ("knot class multiplicities", lambda: check_multiplicities(c_max, classes)),
+        ("knot class multiplicities", lambda: check_multiplicities(classes)),
         ("link detection", check_link_detection),
     ]
     results = []

@@ -110,10 +110,12 @@ def test_criterion_06_oracle_seifert_equivalence_up_to_14():
     done(6, f"traced circles equal 2+viable on {n} words, c<=14", elapsed, 60.0)
 
 
-def test_criterion_07_billiard_orientation_patterns():
+def test_criterion_07_billiard_orientation_patterns(monkeypatch):
+    monkeypatch.setattr(crosscheck, "ORIENTATION_MAX_LEN", 40)
+    monkeypatch.setattr(crosscheck, "ORIENTATION_PER_LENGTH", 500)
+    monkeypatch.setattr(crosscheck, "ORIENTATION_SEED", 20260814)
     t0 = time.perf_counter()
-    checks = crosscheck.check_orientation_patterns(max_len=40, per_length=500,
-                                                   seed=20260814)
+    checks = crosscheck.check_orientation_patterns()
     elapsed = time.perf_counter() - t0
     assert checks == 500 * len([n for n in range(1, 41) if n % 3 != 2])
     done(7, f"{checks} random billiard closures follow the forced V/H pattern",
@@ -175,5 +177,5 @@ def test_criterion_11_netto_identities_up_to_30():
     for k in range(31):
         for r in range(3):
             direct = sum(math.comb(k, j) for j in range(r, k + 1, 3))
-            assert census.netto_partial_sum(k, r) == direct, (k, r)
+            assert 2 ** k + census.two_cos_pi_thirds(k - 2 * r) == 3 * direct, (k, r)
     done(11, "binomial residue-class sums match closed forms for k<=30")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from twobridge import census, diagram, words
+from twobridge import census, crosscheck, diagram, words
 
 
 # ----------------------------------------------------------- Netto counts
@@ -22,30 +22,46 @@ def test_two_cos_table():
     assert vals == [2, 1, -1, -2, -1, 1, 2, 1]
 
 
+def netto(k, r):
+    """N(k, r), the sum of C(k, j) over j = r (mod 3), in the closed form
+    index_contribution evaluates: (2^k + two_cos_pi_thirds(k - 2r)) / 3."""
+    total = 2 ** k + census.two_cos_pi_thirds(k - 2 * r)
+    assert total % 3 == 0, (k, r)
+    return total // 3
+
+
 def test_netto_partial_sums_match_direct_binomial_sums():
     for k in range(21):
         for r in range(3):
             direct = sum(math.comb(k, j) for j in range(r, k + 1, 3))
-            assert census.netto_partial_sum(k, r) == direct
+            assert netto(k, r) == direct
 
 
 def test_netto_golden():
-    assert census.netto_partial_sum(4, 0) == 5
-    assert census.netto_partial_sum(6, 1) == 21
-    assert census.netto_partial_sum(0, 0) == 1
-    assert census.netto_partial_sum(0, 1) == 0
+    assert netto(4, 0) == 5
+    assert netto(6, 1) == 21
+    assert netto(0, 0) == 1
+    assert netto(0, 1) == 0
 
 
 @given(st.integers(min_value=0, max_value=400))
 def test_netto_residue_classes_cover_all_subsets(k):
-    assert sum(census.netto_partial_sum(k, r) for r in range(3)) == 2 ** k
+    assert sum(netto(k, r) for r in range(3)) == 2 ** k
 
 
-def test_netto_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        census.netto_partial_sum(-1, 0)
-    with pytest.raises(ValueError):
-        census.netto_partial_sum(3, 5)
+@pytest.mark.parametrize("entry, wrong", [(0, 3), (3, -1), (5, 0)])
+def test_check_netto_reads_the_table_the_census_uses(monkeypatch, entry, wrong):
+    # one wrong entry of 2cos(m pi/3) fails check's Netto identities and
+    # the per-index counts inside each run_census, and nothing else
+    table = list(census._TWO_COS)
+    table[entry] = wrong
+    monkeypatch.setattr(census, "_TWO_COS", tuple(table))
+    results, ok = crosscheck.run_all(8)
+    assert not ok
+    errors = {name: error for name, _, error in results if error is not None}
+    assert list(errors) == ["netto identities", "census closed forms",
+                            "knot class multiplicities"]
+    assert errors["netto identities"].startswith("InvariantError: Netto closed form at k=")
 
 
 # ------------------------------------------------------------ word counts
@@ -117,9 +133,9 @@ def _index_contribution_by_netto_products(c, i):
     left_slots = i - 2
     right_slots = c - i - 1
     for r in (0, 1, 2):
-        right = (census.delta_single(i, r) * census.netto_partial_sum(right_slots, (1 - c - r) % 3)
-                 + census.delta_double(i, r) * census.netto_partial_sum(right_slots, (-c - r) % 3))
-        total += census.netto_partial_sum(left_slots, r) * right
+        right = (census.delta_single(i, r) * netto(right_slots, (1 - c - r) % 3)
+                 + census.delta_double(i, r) * netto(right_slots, (-c - r) % 3))
+        total += netto(left_slots, r) * right
     return total
 
 

@@ -386,13 +386,15 @@ def test_output_ceiling_refuses_before_any_closed_form(monkeypatch, capsys):
 
     monkeypatch.setattr(census, "closed_form_totals", no_work)
     ceiling = cli.OUTPUT_CEILING
-    # human census C writes c (c - 2) bits, bound 3..B (3 + B)(B - 2)
+    # human census C writes c (c - 2) bits, bound 3..B (3 + B)(B - 2) and
+    # (3 + 16)(16 - 2) more for the exact column up to the default ceiling 16
+    exact = 19 * 14
     c = next(c for c in itertools.count(3) if c * (c - 2) > ceiling)
-    b = next(b for b in itertools.count(3) if (3 + b) * (b - 2) > ceiling)
+    b = next(b for b in itertools.count(3) if (3 + b) * (b - 2) + exact > ceiling)
     for argv, bits in [(["census", str(c)], c * (c - 2)),
-                       (["bound", f"3..{b}"], (3 + b) * (b - 2)),
+                       (["bound", f"3..{b}"], (3 + b) * (b - 2) + exact),
                        (["census", "300000"], 300000 * 299998),
-                       (["bound", "3..1000000"], 1000003 * 999998)]:
+                       (["bound", "3..1000000"], 1000003 * 999998 + exact)]:
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert err == (f"error: {' '.join(argv)} would write about {bits} bits, "
@@ -408,6 +410,29 @@ def test_output_ceiling_refuses_before_any_closed_form(monkeypatch, capsys):
     with pytest.raises(RuntimeError, match="no closed form"):
         cli.main(["census", "8"])
     assert run(["census", "9"], capsys)[:2] == (2, "")
+
+
+def test_output_ceiling_counts_the_exact_column(monkeypatch, capsys):
+    def no_work(c):
+        raise RuntimeError("no closed form")
+
+    monkeypatch.setattr(census, "closed_form_totals", no_work)
+    # bound A..B writes two c-bit integers a row, and two more a row up to
+    # M = min(B, --exact-ceiling): (A + B)(B - A + 1) + (A + M)(M - A + 1) bits
+    code, out, err = run(["bound", "3..31623", "--exact-ceiling", "31623"], capsys)
+    bits = 2 * 31626 * 31621
+    assert bits > cli.OUTPUT_CEILING
+    assert code == 2 and out == ""
+    assert err == (f"error: bound 3..31623 would write about {bits} bits, "
+                   f"above the output ceiling {cli.OUTPUT_CEILING}\n")
+    # one row less is accepted: the closed forms start, and fail on the stub
+    assert 2 * 31625 * 31620 <= cli.OUTPUT_CEILING
+    with pytest.raises(RuntimeError, match="no closed form"):
+        cli.main(["bound", "3..31622", "--exact-ceiling", "31622"])
+    # an exact ceiling below A adds nothing, however low
+    with pytest.raises(RuntimeError, match="no closed form"):
+        cli.main(["bound", "3..44720", "--exact-ceiling", "-100000"])
+    assert run(["bound", "3..44721", "--exact-ceiling", "2"], capsys)[0] == 2
 
 
 def test_csv_census_refuses_above_the_bound_ceiling(monkeypatch, capsys):

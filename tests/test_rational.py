@@ -180,6 +180,89 @@ def test_even_fraction_catches_each_table_fault(monkeypatch, fault, caught):
     assert mismatched == caught  # of 682 words
 
 
+# ------------------------ a census of 2-bridge knots that reads no model word
+
+def compositions(c):
+    """Every composition (a1, ..., ak) of c, all ai >= 1: 2^(c-1) of them."""
+    for k in range(c):
+        for cuts in itertools.combinations(range(1, c), k):
+            ends = (0, *cuts, c)
+            yield [b - a for a, b in zip(ends, ends[1:])]
+
+
+def composition_census(c):
+    """{(p, q*): [compositions, 2 g]} over the 4-plats C(a1, ..., ak), one
+    per composition of c with p odd: the class from classify, twice the
+    genus from even_fraction_length.  No run word, no STEP and no planar
+    diagram is read."""
+    out = {}
+    for parts in compositions(c):
+        try:
+            frac, key = rational.classify(parts)
+        except ValueError as e:  # p even: a 2-component link
+            assert str(e).startswith("p must be odd"), parts
+            continue
+        out.setdefault(key, [0, even_fraction_length(*frac)])[0] += 1
+    return out
+
+
+def composition_census_faults(c, classes):
+    """The properties in which the composition census of c disagrees with
+    the model's classes {(p, q*): (multiplicity, 2 g)}."""
+    reached = composition_census(c)
+    counts = {key: n for key, (n, _) in reached.items()}
+    holds = {
+        "class set": reached.keys() == classes.keys(),
+        "genus": {key: g for key, (_, g) in reached.items()}
+                 == {key: g for key, (_, g) in classes.items()},
+        "4 model_count compositions": sum(counts.values()) == 4 * census.model_count(c),
+        # 8 compositions reach a class of two model words, 4 a single one
+        "8 or 4 per class": set(counts.values()) <= {4, 8}
+                            and counts == {key: 4 * m for key, (m, _) in classes.items()},
+        "palindromic_count classes reached 4 times":
+            list(counts.values()).count(4) == census.palindromic_count(c),
+    }
+    return [name for name, ok in holds.items() if not ok]
+
+
+def model_classes(c):
+    return {(k.p, k.q_star): (k.multiplicity, 2 * k.genus)
+            for k in census.run_census(c).knot_classes}
+
+
+def kernel_classes(c):
+    """model_classes read from diagram's kernel past analyze's checks, as
+    test_even_fraction_catches_each_table_fault reads the genus."""
+    out = {}
+    for r in words.enumerate_model_words(c):
+        key = rational.classify(word_exponents(r))[1]
+        out[key] = (out.get(key, (0,))[0] + 1, len(r.runs) - 1 - diagram._scan(r)[3])
+    return out
+
+
+def test_composition_census_matches_the_model():
+    for c in range(3, 17):
+        assert composition_census_faults(c, model_classes(c)) == [], c
+
+
+def test_composition_census_catches_a_table_fault(monkeypatch):
+    assert kernel_classes(10) == model_classes(10)
+    table_faults.plant("hv-shifted", monkeypatch.setattr)
+    with pytest.raises(words.InvariantError, match="genus parity"):
+        model_classes(10)
+    assert composition_census_faults(10, kernel_classes(10)) == ["genus"]
+
+
+def test_composition_census_catches_a_grouping_fault(monkeypatch):
+    # group_rows writes each class's representative q as its q*: run_census
+    # checks only the class count, which is unchanged
+    real = rational.group_rows
+    monkeypatch.setattr(rational, "group_rows",
+                        lambda rows: [k._replace(q_star=k.q) for k in real(rows)])
+    assert composition_census_faults(10, model_classes(10)) == [
+        "class set", "genus", "8 or 4 per class"]
+
+
 def test_group_rows_records_equal_keyword_built_classes():
     # group_rows builds its records positionally; the same classes built
     # by field name, from a grouping of the test's own
