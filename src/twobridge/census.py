@@ -4,11 +4,10 @@ Three routes to the same numbers live here.  The closed forms (the
 model-count formula, the census totals of closed_form_totals, the
 palindromic and knot-class counts) evaluate in pure integer arithmetic
 with O(1) big-integer operations each.  The per-index vertical counts
-sum to the vertical total in O(c) steps and are its check route.  Each
-is three products of Netto sums N(k, r), the sum of C(k, j) over j = r
-(mod 3), which equals (2^k + two_cos_pi_thirds(k - 2r)) / 3.  The run
-scan, scan_totals, gives the census totals (word count and vertical,
-viable and sequential crossings) in O(c) big-integer steps: it sums
+sum to the vertical total in O(c) steps and are its check route; each
+is one closed form of three shifts, proved below.  The run scan,
+scan_totals, gives the census totals (word count and vertical, viable
+and sequential crossings) in O(c) big-integer steps: it sums
 diagram.STEP over its states, each carrying (count, vertical, viable,
 sequential) summed over the prefixes that end there.  Run i (0-based)
 has length 1 or 2, 1 for the first and last run.  A word is accepted
@@ -49,6 +48,22 @@ most 76, so it is zero for every k once it is zero on 76 consecutive
 values of k.  tests/test_census.py compares them on c = 3..300, 149
 values of each parity, which proves the closed forms for every c.
 
+The per-index count of index_contribution, for 2 <= i <= c - 1,
+
+    (2^(c-1) + (-1)^(c+i) 2^(i-2) - (-1)^i 2^(c-i-1) + 2 (-1)^c) / 9,
+
+is proved by a finite check too.  Counting placements of doubles by
+their residue mod 3 (index_contribution has the derivation) writes the
+count as four products of Netto sums N(a, r) N(b, r'), a = i - 2 and
+b = c - i - 1, where N(k, r), the sum of C(k, j) over j = r (mod 3), is
+(2^k + t) / 3 with t = 2cos((k - 2r) pi/3).  So nine times the count is
+4 2^(c-3) = 2^(c-1) plus three coefficients times 2^a, 2^b and 1, sums
+of t and of products of t.  t reads k - 2r mod 6, the H/V rule i + r
+mod 3 and r' c + r mod 3, so those coefficients depend only on i mod 6
+and c mod 6, and so do the closed form's.  tests/test_census.py reads
+them off the Netto products for all 36 pairs of residues and compares,
+which proves the form for every c.
+
 A knot class holds two model words, or one whose run vector is its own
 reversal (words.is_palindromic_type), so there are (model_count +
 palindromic_count) / 2 classes.  A palindromic vector is fixed by its
@@ -69,14 +84,6 @@ from fractions import Fraction
 
 from . import diagram, rational
 from .words import InvariantError, UsageError, enumerate_model_words
-
-# 2cos(m*pi/3) is periodic with period 6 and always a whole number
-_TWO_COS = (2, 1, -1, -2, -1, 1)
-
-
-def two_cos_pi_thirds(m):
-    return _TWO_COS[m % 6]
-
 
 def _exact_quotient(total, divisor, name, where):
     """total // divisor, checking that the division is exact."""
@@ -177,57 +184,31 @@ def closed_form_totals(c):
     )
 
 
-def delta_single(i, d1):
-    """1 when a single run at crossing i, with d1 doubles before it,
-    starts at a letter position that is not 1 mod 3 (so smooths V)."""
-    return 1 if (i + d1) % 3 != 1 else 0
-
-
-def delta_double(i, d1):
-    """Same for a double run at crossing i: V unless the start is 2 mod 3."""
-    return 1 if (i + d1) % 3 != 2 else 0
-
-
 def index_contribution(c, i):
     """Number of model words of crossing number c whose crossing i smooths
-    vertically.
+    vertically: three shifts.
 
-    Run i is single or double, with d1 doubles among the i - 2 runs to its
-    left and d2 among the c - i - 1 runs to its right.  Run i starts at
-    letter position i + d1 and the H/V rule reads only that start mod 3,
-    so its smoothing depends on d1 only through (i + d1) mod 3.  The total
-    length c + d1 + d2 (+ 1 if run i is double) must be 1 mod 3, which
-    fixes d2 mod 3 once d1 mod 3 is known.  Grouping d1 by its residue r
-    turns the placements into Netto sums N(k, r), the sum of C(k, j) over
-    j = r (mod 3):
-
-        sum over r = 0..2 of N(i-2, r) * (delta_single(i, r) * N(c-i-1, (1-c-r) mod 3)
-                                        + delta_double(i, r) * N(c-i-1, (-c-r) mod 3))
-
-    With N(k, r) = (2^k + t) / 3, t = two_cos_pi_thirds(k - 2r), each
-    product N(a, r) N(b, r') is (2^(a+b) + t' 2^a + t 2^b + t t') / 9.  So
-    nine times the sum is four small coefficients times 2^(a+b), 2^a, 2^b
-    and 1: three shifts, no big multiplication.
+    Run i is single or double, with d1 doubles among the a = i - 2 runs to
+    its left and d2 among the b = c - i - 1 runs to its right.  Run i
+    starts at letter position i + d1, and the H/V rule reads only that
+    start mod 3: a single run is V unless it is 1, a double unless it is
+    2.  The total length c + d1 + d2 (+ 1 if run i is double) must be 1
+    mod 3, which fixes d2 mod 3 once d1 mod 3 is known.  Grouping d1 and
+    d2 by their residues turns the placements into Netto sums: for each
+    r in 0..2, N(a, r) N(b, (1 - c - r) mod 3) when a single run i is V
+    and N(a, r) N(b, (-c - r) mod 3) when a double one is.  As r runs over
+    0..2 so does i + r, so the single and the double are each V for two
+    of the three: four products.  The module docstring expands them into
+    this closed form and proves it.
 
     >>> [index_contribution(7, i) for i in range(2, 7)]
     [5, 8, 6, 8, 5]
     """
     if c < 3 or not 2 <= i <= c - 1:
         raise ValueError(f"need 3 <= c and 2 <= i <= c-1, got c={c}, i={i}")
-    left, right = i - 2, c - i - 1
-    both = by_left = by_right = const = 0  # coefficients of 2^(left+right), 2^left, 2^right, 1
-    for r in (0, 1, 2):
-        t = two_cos_pi_thirds(left - 2 * r)
-        for vertical, r2 in ((delta_single(i, r), (1 - c - r) % 3),
-                             (delta_double(i, r), (-c - r) % 3)):
-            if vertical:
-                u = two_cos_pi_thirds(right - 2 * r2)
-                both += 1
-                by_left += u
-                by_right += t
-                const += t * u
-    return _exact_quotient((both << (left + right)) + (by_left << left) + (by_right << right)
-                           + const, 9, "index contribution", f"c={c}, i={i}")
+    sc, si = (-1) ** c, (-1) ** i
+    return _exact_quotient((1 << (c - 1)) + sc * si * (1 << (i - 2)) - si * (1 << (c - i - 1))
+                           + 2 * sc, 9, "index contribution", f"c={c}, i={i}")
 
 
 def lower_bound_avg_genus(c):

@@ -186,8 +186,11 @@ def cmd_bound(args):
     lo, hi = _parse_range(args.range)
     _check_bound_ceiling(hi)
     top = min(hi, args.exact_ceiling)  # two c-bit integers a row, two more up to top
-    _check_output((lo + hi) * (hi - lo + 1) + (lo + top) * max(0, top - lo + 1),
-                  f"bound {lo}..{hi}")
+    lower = (lo + hi) * (hi - lo + 1)
+    command = f"bound {lo}..{hi}"
+    if lower <= OUTPUT_CEILING:  # only the exact column can push it over: name it
+        command += f" --exact-ceiling {args.exact_ceiling}"
+    _check_output(lower + (lo + top) * max(0, top - lo + 1), command)
     # both columns, O(1) each, from a checked report
     reports = map(census.check_report, map(census.closed_form_totals, range(lo, hi + 1)))
     rows = ((r.c, r.avg_genus_lower, r.avg_genus if r.c <= top else None)

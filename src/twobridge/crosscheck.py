@@ -1,7 +1,8 @@
 """The full two-route validation battery behind the check command.
 
 Every fact the fast modules compute combinatorially is recomputed here
-through an independent route and compared: closed forms against
+through an independent route and compared: the Netto sums behind the
+per-index closed form against direct binomial sums, closed forms against
 enumeration (inside run_census), circle counts and orientations against
 honest diagram traversal, determinants against the continued-fraction p,
 multiplicity structure against the classification.  The oracle checks
@@ -21,6 +22,8 @@ from .words import InvariantError, UsageError, draw_letters, enumerate_model_wor
 NETTO_K_MAX = 30  # check_netto compares every k <= NETTO_K_MAX, each residue r
 ORIENTATION_MAX_LEN, ORIENTATION_PER_LENGTH, ORIENTATION_SEED = 40, 50, 2026  # seeded draws
 CHECK_CEILING = 20  # run_all's time and memory double per step of c_max (README)
+# 2cos(m pi/3) for m mod 6: periodic and always a whole number
+_TWO_COS = (2, 1, -1, -2, -1, 1)
 
 
 def expected_pattern(n):
@@ -34,12 +37,13 @@ def expected_pattern(n):
 
 
 def check_netto():
-    """3 N(k, r) = 2^k + two_cos_pi_thirds(k - 2r), as census.index_contribution has it."""
+    """3 N(k, r) = 2^k + 2cos((k - 2r) pi/3) for the Netto sum N(k, r), the
+    lemma census.index_contribution's closed form is derived from."""
     count = 0
     for k in range(NETTO_K_MAX + 1):
         for r in (0, 1, 2):
             direct = 3 * sum(comb(k, j) for j in range(r, k + 1, 3))
-            closed = 2 ** k + census.two_cos_pi_thirds(k - 2 * r)
+            closed = 2 ** k + _TWO_COS[(k - 2 * r) % 6]
             if closed != direct:
                 raise InvariantError("Netto closed form", f"k={k}, r={r}", direct, closed)
             count += 1
@@ -52,8 +56,9 @@ def check_census_closed_forms(c_max, classes):
     # run_census checks, in order: genus identity, enumerated totals =
     # scan_totals (diagram.STEP walked per word against its sum over states:
     # the aggregation, not the rule), enumerated totals = closed_form_totals,
-    # check_report (genus parity and bound ordering), per-index counts =
-    # index_contribution, index symmetry, and class count = knot_class_count.
+    # check_report (genus parity and bound ordering), the enumerated V count
+    # at each crossing = index_contribution's closed form, index symmetry,
+    # and class count = knot_class_count.
     # In check the rule's independent routes are the closed forms and the
     # planar oracle; full_diagram is tier-1's route, which check never calls.
     _result(*classes)

@@ -81,6 +81,10 @@ CENSUS_C7 = dict(
 # model word counts for c = 3..12
 MODEL_COUNTS = [1, 1, 3, 5, 11, 21, 43, 85, 171, 341]
 
+# 2cos(m pi/3) for m mod 6, the correction term of the Netto sums: the
+# tests' own table, apart from the one crosscheck.check_netto reads
+TWO_COS = (2, 1, -1, -2, -1, 1)
+
 # knot class name -> multiplicity per crossing number
 CLASSES_C6 = {"6_1": 2, "6_2": 2, "6_3": 1}
 CLASSES_C7 = {"7_1": 1, "7_2": 2, "7_3": 2, "7_4": 1, "7_5": 2, "7_6": 2, "7_7": 1}
@@ -88,3 +92,7 @@ CLASSES_C7 = {"7_1": 1, "7_2": 2, "7_3": 2, "7_4": 1, "7_5": 2, "7_6": 2, "7_7":
 
 def vertical_set(smoothings):
     return {i for i, x in enumerate(smoothings, start=1) if x == "V"}
+
+
+def two_cos_pi_thirds(m):
+    return TWO_COS[m % 6]

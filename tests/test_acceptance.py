@@ -177,5 +177,5 @@ def test_criterion_11_netto_identities_up_to_30():
     for k in range(31):
         for r in range(3):
             direct = sum(math.comb(k, j) for j in range(r, k + 1, 3))
-            assert 2 ** k + census.two_cos_pi_thirds(k - 2 * r) == 3 * direct, (k, r)
+            assert 2 ** k + golden.two_cos_pi_thirds(k - 2 * r) == 3 * direct, (k, r)
     done(11, "binomial residue-class sums match closed forms for k<=30")

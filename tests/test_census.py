@@ -18,14 +18,17 @@ from twobridge import census, crosscheck, diagram, words
 # ----------------------------------------------------------- Netto counts
 
 def test_two_cos_table():
-    vals = [census.two_cos_pi_thirds(m) for m in range(8)]
+    vals = [golden.two_cos_pi_thirds(m) for m in range(8)]
     assert vals == [2, 1, -1, -2, -1, 1, 2, 1]
+    # 2cos((m + 1) x) = 2cos(x) 2cos(m x) - 2cos((m - 1) x), and 2cos(pi/3) = 1
+    for m in range(1, 30):
+        assert vals[(m + 1) % 6] == vals[m % 6] - vals[(m - 1) % 6], m
 
 
 def netto(k, r):
     """N(k, r), the sum of C(k, j) over j = r (mod 3), in the closed form
-    index_contribution evaluates: (2^k + two_cos_pi_thirds(k - 2r)) / 3."""
-    total = 2 ** k + census.two_cos_pi_thirds(k - 2 * r)
+    index_contribution is derived from: (2^k + 2cos((k - 2r) pi/3)) / 3."""
+    total = 2 ** k + golden.two_cos_pi_thirds(k - 2 * r)
     assert total % 3 == 0, (k, r)
     return total // 3
 
@@ -51,16 +54,16 @@ def test_netto_residue_classes_cover_all_subsets(k):
 
 @pytest.mark.parametrize("entry, wrong", [(0, 3), (3, -1), (5, 0)])
 def test_check_netto_reads_the_table_the_census_uses(monkeypatch, entry, wrong):
-    # one wrong entry of 2cos(m pi/3) fails check's Netto identities and
-    # the per-index counts inside each run_census, and nothing else
-    table = list(census._TWO_COS)
+    # the census's per-index closed form was derived from this table and
+    # reads none at run time, so one wrong entry of 2cos(m pi/3) fails
+    # check's Netto identities, and nothing else
+    table = list(crosscheck._TWO_COS)
     table[entry] = wrong
-    monkeypatch.setattr(census, "_TWO_COS", tuple(table))
+    monkeypatch.setattr(crosscheck, "_TWO_COS", tuple(table))
     results, ok = crosscheck.run_all(8)
     assert not ok
     errors = {name: error for name, _, error in results if error is not None}
-    assert list(errors) == ["netto identities", "census closed forms",
-                            "knot class multiplicities"]
+    assert list(errors) == ["netto identities"]
     assert errors["netto identities"].startswith("InvariantError: Netto closed form at k=")
 
 
@@ -74,7 +77,7 @@ def test_star_values():
         census.star(2)
     # the residue form, 2cos(m pi/3) with m chosen by c mod 3
     for c in range(3, 301):
-        reference = census.two_cos_pi_thirds({1: c - 2, 0: c - 4, 2: c - 6}[c % 3])
+        reference = golden.two_cos_pi_thirds({1: c - 2, 0: c - 4, 2: c - 6}[c % 3])
         assert census.star(c) == reference, c
 
 
@@ -91,12 +94,19 @@ def test_model_count_divisibility():
 
 # ------------------------------------------------- vertical contributions
 
+def delta(i, d1, e):
+    """The H/V start rule: 1 when run i, of length e, with d1 doubles
+    before it, starts at a letter position i + d1 that is not e mod 3 (so
+    smooths V)."""
+    return 1 if (i + d1) % 3 != e else 0
+
+
 def test_delta_indicators():
     # single at position i + d1 is vertical unless that lands on 1 mod 3
-    assert [census.delta_single(i, 0) for i in (1, 2, 3, 4)] == [0, 1, 1, 0]
-    assert [census.delta_double(i, 0) for i in (1, 2, 3, 4)] == [1, 0, 1, 1]
-    assert census.delta_single(1, 1) == 1
-    assert census.delta_double(1, 1) == 0
+    assert [delta(i, 0, 1) for i in (1, 2, 3, 4)] == [0, 1, 1, 0]
+    assert [delta(i, 0, 2) for i in (1, 2, 3, 4)] == [1, 0, 1, 1]
+    assert delta(1, 1, 1) == 1
+    assert delta(1, 1, 2) == 0
 
 
 def test_index_contributions_golden():
@@ -115,11 +125,11 @@ def _index_contribution_by_double_sum(c, i):
     right_slots = c - i - 1
     for d1 in range(left_slots + 1):
         ways_left = math.comb(left_slots, d1)
-        if census.delta_single(i, d1):
+        if delta(i, d1, 1):
             for d2 in range(right_slots + 1):
                 if (c + d1 + d2) % 3 == 1:
                     total += ways_left * math.comb(right_slots, d2)
-        if census.delta_double(i, d1):
+        if delta(i, d1, 2):
             for d2 in range(right_slots + 1):
                 if (c + d1 + 1 + d2) % 3 == 1:
                     total += ways_left * math.comb(right_slots, d2)
@@ -133,8 +143,8 @@ def _index_contribution_by_netto_products(c, i):
     left_slots = i - 2
     right_slots = c - i - 1
     for r in (0, 1, 2):
-        right = (census.delta_single(i, r) * netto(right_slots, (1 - c - r) % 3)
-                 + census.delta_double(i, r) * netto(right_slots, (-c - r) % 3))
+        right = (delta(i, r, 1) * netto(right_slots, (1 - c - r) % 3)
+                 + delta(i, r, 2) * netto(right_slots, (-c - r) % 3))
         total += netto(left_slots, r) * right
     return total
 
@@ -144,6 +154,42 @@ def test_index_contribution_equals_netto_products():
         for i in range(2, c):
             assert census.index_contribution(c, i) == _index_contribution_by_netto_products(c, i), \
                 (c, i)
+
+
+def _netto_coefficients(c, i):
+    """Nine times _index_contribution_by_netto_products(c, i) as its
+    coefficients of 2^(c-3), 2^(i-2), 2^(c-i-1) and 1: each product
+    N(a, r) N(b, r') = (2^(a+b) + u 2^a + t 2^b + t u) / 9 with
+    t = 2cos((a - 2r) pi/3) and u = 2cos((b - 2r') pi/3)."""
+    left, right = i - 2, c - i - 1
+    both = by_left = by_right = const = 0
+    for r in (0, 1, 2):
+        t = golden.two_cos_pi_thirds(left - 2 * r)
+        for e, r2 in ((1, (1 - c - r) % 3), (2, (-c - r) % 3)):
+            if delta(i, r, e):
+                u = golden.two_cos_pi_thirds(right - 2 * r2)
+                both += 1
+                by_left += u
+                by_right += t
+                const += t * u
+    return both, by_left, by_right, const
+
+
+def test_netto_coefficients_prove_the_closed_form():
+    # census's docstring proof: the Netto route's coefficients depend on
+    # i mod 6 and c mod 6 alone, the closed form's on their parities, so
+    # one (c, i) per pair of residues proves the form for every c; the
+    # 2^(c-3) coefficient 4 is the closed form's 2^(c-1)
+    for c in range(12, 18):
+        for i in range(6, 12):
+            sc, si = (-1) ** c, (-1) ** i
+            assert _netto_coefficients(c, i) == (4, sc * si, -si, 2 * sc), (c, i)
+    for c in range(3, 60):
+        for i in range(2, c):
+            both, by_left, by_right, const = _netto_coefficients(c, i)
+            assert ((both << (c - 3)) + (by_left << (i - 2)) + (by_right << (c - i - 1))
+                    + const == 9 * _index_contribution_by_netto_products(c, i)), (c, i)
+            assert _netto_coefficients(c, i) == _netto_coefficients(12 + c % 6, 6 + i % 6)
 
 
 def test_index_contribution_equals_double_sum():

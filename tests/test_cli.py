@@ -419,12 +419,13 @@ def test_output_ceiling_counts_the_exact_column(monkeypatch, capsys):
     monkeypatch.setattr(census, "closed_form_totals", no_work)
     # bound A..B writes two c-bit integers a row, and two more a row up to
     # M = min(B, --exact-ceiling): (A + B)(B - A + 1) + (A + M)(M - A + 1) bits
+    # the lower-bound column alone fits, so the refusal names the flag
     code, out, err = run(["bound", "3..31623", "--exact-ceiling", "31623"], capsys)
     bits = 2 * 31626 * 31621
     assert bits > cli.OUTPUT_CEILING
     assert code == 2 and out == ""
-    assert err == (f"error: bound 3..31623 would write about {bits} bits, "
-                   f"above the output ceiling {cli.OUTPUT_CEILING}\n")
+    assert err == (f"error: bound 3..31623 --exact-ceiling 31623 would write about {bits} "
+                   f"bits, above the output ceiling {cli.OUTPUT_CEILING}\n")
     # one row less is accepted: the closed forms start, and fail on the stub
     assert 2 * 31625 * 31620 <= cli.OUTPUT_CEILING
     with pytest.raises(RuntimeError, match="no closed form"):
@@ -432,7 +433,12 @@ def test_output_ceiling_counts_the_exact_column(monkeypatch, capsys):
     # an exact ceiling below A adds nothing, however low
     with pytest.raises(RuntimeError, match="no closed form"):
         cli.main(["bound", "3..44720", "--exact-ceiling", "-100000"])
-    assert run(["bound", "3..44721", "--exact-ceiling", "2"], capsys)[0] == 2
+    # the lower-bound column alone is over, so the refusal names the range alone
+    bits = 44724 * 44719
+    assert bits > cli.OUTPUT_CEILING
+    assert run(["bound", "3..44721", "--exact-ceiling", "2"], capsys) == (
+        2, "", f"error: bound 3..44721 would write about {bits} bits, "
+               f"above the output ceiling {cli.OUTPUT_CEILING}\n")
 
 
 def test_csv_census_refuses_above_the_bound_ceiling(monkeypatch, capsys):
